@@ -26,7 +26,6 @@ from .graphs import (
 from .linalg import (
     DisconnectedGraphError,
     SingularMatrixError,
-    block_inverse,
     eigenvalues_sym,
     invert,
     is_one_inverse,
@@ -81,7 +80,6 @@ __all__ = [
     "StructuredOneInverse",
     "Theorem31Printed",
     "Theorem41Printed",
-    "block_inverse",
     "build_pocket_graph",
     "builtin_fixtures",
     "check_metric",

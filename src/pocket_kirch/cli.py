@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -34,21 +33,6 @@ from .sweep import DEFAULT_SEED, builtin_fixtures, random_connected_graph, rando
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _worker_cap() -> int | None:
-    """POCKET_KIRCH_THREADS caps worker count; evaluation here is
-    single-threaded vectorized code, so any positive cap is honored."""
-    raw = os.environ.get("POCKET_KIRCH_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"POCKET_KIRCH_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit("POCKET_KIRCH_THREADS must be >= 1")
-    return cap
 
 
 def _spec_from_args(args) -> PocketSpec:
@@ -87,6 +71,17 @@ def cmd_build(args) -> int:
 
 def cmd_resist(args) -> int:
     spec = _spec_from_args(args)
+    order = spec.n + spec.m * spec.k
+    try:
+        return _resist(spec, args)
+    except MemoryError:
+        raise MemoryError(
+            f"out of memory: the dense result has order N = {order} "
+            f"({order} x {order} entries)"
+        ) from None
+
+
+def _resist(spec: PocketSpec, args) -> int:
     if args.oracle:
         g, _ = build_pocket_graph(spec)
         r, kf = oracle_resistance(g)
@@ -259,12 +254,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _worker_cap()
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import PocketSpec, build_pocket_graph, laplacian, make_layout
-from .linalg import eigenvalues_sym, invert, is_one_inverse, pseudo_inverse_laplacian
+from .linalg import eigenvalues_sym, invert, pseudo_inverse_laplacian
 from .oneinv import (
     _p_factor,
     _permuted_base_laplacian,

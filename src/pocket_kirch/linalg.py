@@ -1,4 +1,4 @@
-"""Dense symmetric kernels: inversion, block inversion, group inverses.
+"""Dense symmetric kernels: inversion and group inverses.
 
 All matrices are plain float ndarrays. Zero-dimensional matrices are legal
 values throughout (kron identity, trace 0) so that the empty-H2 degenerate
@@ -48,29 +48,6 @@ def invert(mat: np.ndarray) -> np.ndarray:
             f"pivot {pivots.min():.3e} below threshold {SINGULAR_REL_TOL * scale:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
-
-
-def block_inverse(a, b, c, d) -> np.ndarray:
-    """Inverse of [[A, B], [C, D]] via the Schur complement S = D - C A^-1 B.
-
-    Top-left is (A - B D^-1 C)^-1, bottom-right S^-1, off blocks
-    -A^-1 B S^-1 and -S^-1 C A^-1. A and D must be square and nonsingular.
-    """
-    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
-    if d.shape[0] == 0:
-        return invert(a)
-    if a.shape[0] == 0:
-        return invert(d)
-    a_inv = invert(a)
-    d_inv = invert(d)
-    s_inv = invert(d - c @ a_inv @ b)
-    top_left = invert(a - b @ d_inv @ c)
-    return np.block(
-        [
-            [top_left, -a_inv @ b @ s_inv],
-            [-s_inv @ c @ a_inv, s_inv],
-        ]
-    )
 
 
 def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:

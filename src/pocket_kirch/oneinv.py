@@ -2,12 +2,19 @@
 
 The full Laplacian is never assembled or inverted here: every inverse taken
 is of a matrix no larger than max(n, l, m-l) (or max(k, n-k, l, m-l) on the
-split-base path), and the full-size {1}-inverse is assembled from Kronecker
-blocks of those small factors.
+split-base path). Both theorems are one Schur-complement construction: a
+base factor A (L#(F), or the shifted group inverse H# on the split path),
+its F-row coupling C, and the gadget factors P^-1 and Q^-1, each computed
+once. The full-size {1}-inverse is then written once, block by block,
+straight into global vertex order, so its peak memory is one N x N array;
+that array's memory is reused by the next call once the result is dropped
+(``release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +23,6 @@ from .graphs import (
     BlockLayout,
     Graph,
     PocketSpec,
-    is_connected,
     join,
     laplacian,
     make_layout,
@@ -29,7 +35,8 @@ class StructuredOneInverse:
     """A symmetric {1}-inverse over the full vertex set, plus its factors.
 
     ``matrix`` is indexed by global vertex ids. ``ingredients`` keeps the
-    small factors (base group inverse, P/Q inverses, couplings) for audit.
+    small factors for audit: ``base_sharp`` (A), ``p_inv_factor``,
+    ``q_inv_factor``, and ``f2_inv`` on the split-base path.
     """
 
     matrix: np.ndarray
@@ -94,6 +101,14 @@ def _q_factor(h2: Graph, l: int, m: int) -> np.ndarray:
     )
 
 
+def _gadget_inverses(h1: Graph, h2: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """P^-1 and Q^-1, the small gadget factors (Q^-1 is 0x0 when H2 is empty)."""
+    l, m = h1.order, h1.order + h2.order
+    p_inv = invert(_p_factor(h1, m))
+    q_inv = invert(_q_factor(h2, l, m)) if m > l else np.zeros((0, 0))
+    return p_inv, q_inv
+
+
 def pocket_d_inverse(
     h1: Graph, h2: Graph, copies: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,75 +122,125 @@ def pocket_d_inverse(
         raise ValueError("need l >= 1 and copies >= 1")
     l, m = h1.order, h1.order + h2.order
     eye = np.eye(copies)
-    p_inv = kron(invert(_p_factor(h1, m)), eye)
-    if m == l:
-        q_inv = np.zeros((0, 0))
-        coupling = np.zeros((l * copies, 0))
-    else:
-        q_inv = kron(invert(_q_factor(h2, l, m)), eye)
-        coupling = kron(np.full((l, m - l), 1.0 / l), eye)
-    return p_inv, q_inv, coupling
+    p_inv, q_inv = _gadget_inverses(h1, h2)
+    coupling = kron(np.full((l, m - l), 1.0 / l), eye)
+    return kron(p_inv, eye), kron(q_inv, eye), coupling
 
 
-def _assemble(blocks: list[list[np.ndarray]]) -> np.ndarray:
-    rows = [b for row in blocks for b in row if b.shape[0] and b.shape[1]]
-    if not rows:
-        sizes_r = sum(row[0].shape[0] for row in blocks)
-        return np.zeros((sizes_r, sizes_r))
-    keep_cols = [j for j in range(len(blocks[0])) if blocks[0][j].shape[1]]
-    keep_rows = [i for i in range(len(blocks)) if blocks[i][0].shape[0]]
-    trimmed = [[blocks[i][j] for j in keep_cols] for i in keep_rows]
-    return np.block(trimmed)
+class _OutputBuffer:
+    """The memory the full-size result is written into, kept between calls.
+
+    Every entry of the result is overwritten, so fresh memory buys nothing;
+    yet at large N the kernel's page faults and zeroing of a fresh N x N
+    array take about a quarter of a call and vary widely from one call to
+    the next. So the last buffer is kept, and a call writes into it again
+    when no earlier result, or view of one, still refers to it (its
+    reference count says so); otherwise, or when it is too small, the call
+    gets a new one, a sixteenth larger than it needs.
+    ``release_output_buffer`` drops the kept buffer.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._buf = None
+        self._free_refs = 0
+
+    def matrix(self, order: int) -> np.ndarray:
+        size = order * order
+        with self._lock:
+            buf = self._buf
+            if buf is None or buf.size < size or sys.getrefcount(buf) > self._free_refs:
+                # Drop ours first, so that a free buffer too small to
+                # reuse is freed before the new one is allocated.
+                self._buf = buf = None
+                # Headroom, so that slightly larger orders to come do not
+                # allocate again; pages past the order in use are never
+                # touched and cost address space, not memory.
+                self._buf = buf = np.empty(size + size // 16)
+                # Its count while nothing else refers to it; measured, not
+                # assumed, since interpreter versions count differently.
+                self._free_refs = sys.getrefcount(buf)
+            return buf[:size].reshape(order, order)
+
+    def release(self) -> None:
+        with self._lock:
+            self._buf = None
 
 
-def _to_global(n_block: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    perm = layout.to_global()
-    out = np.empty_like(n_block)
-    out[np.ix_(perm, perm)] = n_block
-    return out
+_OUTPUT = _OutputBuffer()
+
+
+def release_output_buffer() -> None:
+    """Free the memory kept for the next structured result.
+
+    Results already returned stay valid; the next call allocates anew.
+    """
+    _OUTPUT.release()
+
+
+def _write_one_inverse(
+    layout: BlockLayout,
+    base: np.ndarray,
+    a: np.ndarray,
+    p_inv: np.ndarray,
+    q_inv: np.ndarray,
+) -> np.ndarray:
+    """Write the full {1}-inverse once, straight into global vertex order.
+
+    In block order the matrix is [[base, 1_m^T (x) C], [., J_m (x) A + D^-1]]
+    with C = [A; 0] (F rows against pocket columns: A on the attached rows,
+    zero on the rest) and D^-1 = [[P^-1, J/l], [J/l, Q^-1]] (x) I_k, the
+    blocks of ``pocket_d_inverse``. Global ids >= n equal their block
+    positions, so only the F rows and columns are permuted (by
+    ``layout.f_order``).
+    """
+    n, k, l, m = layout.n, layout.k, layout.l, layout.m
+    fo = np.asarray(layout.f_order)
+    x = _OUTPUT.matrix(layout.total)
+    x[np.ix_(fo, fo)] = base
+    f_rows = x[:n, n:].reshape(n, m, k, copy=False)
+    f_rows[fo[:k]] = a[:, None, :]
+    f_rows[fo[k:]] = 0.0
+    x[n:, :n] = x[:n, n:].T
+    pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
+    pockets[...] = a[None, :, None, :]
+    d_inv = np.full((m, m), 1.0 / l)
+    d_inv[:l, :l] = p_inv
+    d_inv[l:, l:] = q_inv
+    c = np.arange(k)
+    pockets[:, c, :, c] += d_inv  # the copy diagonal c = c'
+    return x
+
+
+def _construct(
+    spec: PocketSpec, layout: BlockLayout, a: np.ndarray, base: np.ndarray, **extra
+) -> StructuredOneInverse:
+    p_inv, q_inv = _gadget_inverses(spec.H1, spec.H2)
+    return StructuredOneInverse(
+        matrix=_write_one_inverse(layout, base, a, p_inv, q_inv),
+        layout=layout,
+        ingredients={
+            "base_sharp": a,
+            **extra,
+            "p_inv_factor": p_inv,
+            "q_inv_factor": q_inv,
+        },
+    )
 
 
 def theorem3_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
     """Structured {1}-inverse for the all-vertices-pocketed case (k = n).
 
-    Blocks: base group inverse L#(F), P^-1 + J (x) L#(F) on the H1 block,
-    Q^-1 + J (x) L#(F) on the H2 block, and the corresponding row-sum and
-    constant couplings.
+    The base factor is L#(F) (in attachment order), which also couples F to
+    every pocket row: the blocks are L#(F), 1^T (x) L#(F) towards the
+    pockets, and J (x) L#(F) + D^-1 among them.
     """
     if spec.k != spec.n:
         raise ValueError("this path requires a pocket at every vertex (k = n)")
     layout = make_layout(spec)
-    n, l, m = spec.n, spec.l, spec.m
     lf = _permuted_base_laplacian(spec.F, layout.f_order)
     lf_sharp = pseudo_inverse_laplacian(lf)
-
-    p_inv, q_inv, _ = pocket_d_inverse(spec.H1, spec.H2, n)
-    ones_l = np.ones((1, l))
-    ones_q = np.ones((1, m - l))
-    f_h1 = kron(ones_l, lf_sharp)
-    f_h2 = kron(ones_q, lf_sharp)
-    h1_h1 = p_inv + kron(np.ones((l, l)), lf_sharp)
-    h2_h2 = q_inv + kron(np.ones((m - l, m - l)), lf_sharp)
-    coupling = kron(
-        np.ones((l, m - l)), np.eye(n) / l + lf_sharp
-    )  # (1/l) J (x) I + J (x) L#(F)
-
-    n_block = _assemble(
-        [
-            [lf_sharp, f_h1, f_h2],
-            [f_h1.T, h1_h1, coupling],
-            [f_h2.T, coupling.T, h2_h2],
-        ]
-    )
-    return StructuredOneInverse(
-        matrix=_to_global(n_block, layout),
-        layout=layout,
-        ingredients={
-            "base_sharp": lf_sharp,
-            "p_inv_factor": invert(_p_factor(spec.H1, m)),
-            "q_inv_factor": invert(_q_factor(spec.H2, l, m)) if m > l else np.zeros((0, 0)),
-        },
-    )
+    return _construct(spec, layout, lf_sharp, lf_sharp)
 
 
 def theorem4_one_inverse(
@@ -188,46 +253,28 @@ def theorem4_one_inverse(
     identity with shift n - k; requires order(F2) >= 1.
     """
     k, nk, l = f1.order, f2.order, h1.order
-    n, m = k + nk, h1.order + h2.order
     if k < 1 or nk < 1:
         raise ValueError("need order(F1) >= 1 and order(F2) >= 1; "
                          "use the all-pocketed path when F2 is absent")
     if l < 1:
         raise ValueError("need l = order(H1) >= 1")
     spec = PocketSpec(join(f1, f2), tuple(range(k)), h1, h2)
-    layout = make_layout(spec)
+    return _split_one_inverse(spec, f1, f2)
 
+
+def _split_one_inverse(spec: PocketSpec, f1: Graph, f2: Graph) -> StructuredOneInverse:
+    """Split-base construction in the spec's own global order.
+
+    ``f1`` and ``f2`` are F induced on the attached and on the remaining
+    vertices, each in ``make_layout(spec).f_order`` order. The base block
+    is [[H#, H# J/k], [J H#/k, (L(F2) + kI)^-1]] and C = [H#; 0].
+    """
+    k, nk = f1.order, f2.order
     h_sharp = shifted_group_inverse(laplacian(f1), float(nk))
     f2_inv = invert(laplacian(f2) + k * np.eye(nk))
-    p_inv, q_inv, _ = pocket_d_inverse(h1, h2, k)
-
     f1_f2 = (h_sharp @ np.ones((k, nk))) / k
-    f1_h1 = kron(np.ones((1, l)), h_sharp)
-    f1_h2 = kron(np.ones((1, m - l)), h_sharp)
-    h1_h1 = p_inv + kron(np.ones((l, l)), h_sharp)
-    h2_h2 = q_inv + kron(np.ones((m - l, m - l)), h_sharp)
-    coupling = kron(np.ones((l, m - l)), h_sharp + np.eye(k) / l)
-    z_f2_h1 = np.zeros((nk, l * k))
-    z_f2_h2 = np.zeros((nk, (m - l) * k))
-
-    n_block = _assemble(
-        [
-            [h_sharp, f1_f2, f1_h1, f1_h2],
-            [f1_f2.T, f2_inv, z_f2_h1, z_f2_h2],
-            [f1_h1.T, z_f2_h1.T, h1_h1, coupling],
-            [f1_h2.T, z_f2_h2.T, coupling.T, h2_h2],
-        ]
-    )
-    return StructuredOneInverse(
-        matrix=_to_global(n_block, layout),
-        layout=layout,
-        ingredients={
-            "base_sharp": h_sharp,
-            "f2_inv": f2_inv,
-            "p_inv_factor": invert(_p_factor(h1, m)),
-            "q_inv_factor": invert(_q_factor(h2, l, m)) if m > l else np.zeros((0, 0)),
-        },
-    )
+    base = np.block([[h_sharp, f1_f2], [f1_f2.T, f2_inv]])
+    return _construct(spec, make_layout(spec), h_sharp, base, f2_inv=f2_inv)
 
 
 def _permuted_base_laplacian(f: Graph, order: tuple[int, ...]) -> np.ndarray:
@@ -258,18 +305,9 @@ def split_base_join(spec: PocketSpec) -> tuple[Graph, Graph]:
 def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
     """Dispatch: all-pocketed path when k = n, split-base path otherwise.
 
-    The result is indexed by the spec's own global vertex ids, so the
-    split-base output is re-permuted when the attachment list is not the
-    identity prefix.
+    Either way the result is indexed by the spec's own global vertex ids.
     """
     if spec.k == spec.n:
         return theorem3_one_inverse(spec)
     f1, f2 = split_base_join(spec)
-    inner = theorem4_one_inverse(f1, f2, spec.H1, spec.H2)
-    layout = make_layout(spec)
-    # inner.matrix is in block-position order (its own f_order is identity)
-    return StructuredOneInverse(
-        matrix=_to_global(inner.matrix, layout),
-        layout=layout,
-        ingredients=inner.ingredients,
-    )
+    return _split_one_inverse(spec, f1, f2)

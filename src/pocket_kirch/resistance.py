@@ -88,7 +88,11 @@ def check_metric(r: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError("resistance matrix has nonzero diagonal")
     if r.min(initial=0.0) < -tol:
         raise ValueError("negative resistance entry")
-    # r_uw <= r_uv + r_vw for all triples
-    via = r[:, :, None] + r.T[None, :, :]  # via[u, v, w] = r_uv + r_vw
-    if (r[:, None, :] - via).max(initial=0.0) > tol:
-        raise ValueError("triangle inequality violated")
+    # r_uw <= r_uv + r_vw for all triples, one middle vertex v at a time so
+    # that the working set stays at one N x N buffer
+    excess = np.empty_like(r)
+    for v in range(r.shape[0]):
+        np.add.outer(r[:, v], r[v, :], out=excess)  # r_uv + r_vw
+        np.subtract(r, excess, out=excess)
+        if excess.max() > tol:
+            raise ValueError("triangle inequality violated")

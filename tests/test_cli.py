@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pocket_kirch import cli
 from pocket_kirch.cli import main, make_parser
 
 
@@ -128,6 +129,20 @@ class TestResist:
         assert code == 2
         assert "error:" in err
 
+    def test_out_of_memory_reports_order(self, monkeypatch, capsys, k2_file, k1_file):
+        def no_memory(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "structured_one_inverse", no_memory)
+        code, out, err = _run(
+            capsys, ["resist", "--f", k2_file, "--h1", k1_file, "--h2", k1_file]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "N = 6" in err  # n + m k = 2 + 2 * 2
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_exit_zero_and_deterministic(self, capsys):
@@ -174,18 +189,6 @@ class TestBench:
         fields = lines[1].split(",")
         assert fields[:4] == ["10", "6", "2", "70"]
         assert fields[7] == "yes"
-
-
-class TestWorkerCap:
-    def test_invalid_cap_rejected(self, monkeypatch, k1_file):
-        monkeypatch.setenv("POCKET_KIRCH_THREADS", "zero")
-        with pytest.raises(SystemExit):
-            main(["resist", "--f", k1_file, "--h1", k1_file])
-
-    def test_valid_cap_accepted(self, monkeypatch, capsys, k1_file):
-        monkeypatch.setenv("POCKET_KIRCH_THREADS", "2")
-        code, _, _ = _run(capsys, ["resist", "--f", k1_file, "--h1", k1_file])
-        assert code == 0
 
 
 class TestParser:

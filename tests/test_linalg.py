@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pocket_kirch import (
     DisconnectedGraphError,
     SingularMatrixError,
-    block_inverse,
     complete_graph,
     eigenvalues_sym,
     invert,
@@ -47,28 +46,6 @@ class TestInvert:
         rng = np.random.default_rng(1)
         m = rng.random((8, 8)) + 8 * np.eye(8)
         assert np.abs(m @ invert(m) - np.eye(8)).max() <= 1e-10
-
-
-class TestBlockInverse:
-    def test_2x2_scalar_blocks(self):
-        out = block_inverse([[2.0]], [[1.0]], [[1.0]], [[2.0]])
-        np.testing.assert_allclose(out, [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]])
-
-    def test_identity_blocks(self):
-        out = block_inverse(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
-        np.testing.assert_allclose(out, np.eye(4))
-
-    def test_diag_with_zero_offblocks(self):
-        out = block_inverse(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), [[4.0]])
-        np.testing.assert_allclose(out, np.diag([1.0, 1.0, 0.25]))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_direct_inverse(self, seed):
-        rng = np.random.default_rng(seed)
-        p, q = rng.integers(1, 11), rng.integers(1, 10)
-        m = rng.random((p + q, p + q)) + (p + q) * np.eye(p + q)
-        out = block_inverse(m[:p, :p], m[:p, p:], m[p:, :p], m[p:, p:])
-        assert np.abs(out @ m - np.eye(p + q)).max() <= 1e-10
 
 
 class TestShiftedGroupInverse:

@@ -1,7 +1,12 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pocket_kirch import (
+    Graph,
     PocketSpec,
     build_pocket_graph,
     complete_graph,
@@ -21,8 +26,55 @@ from pocket_kirch import (
     theorem3_one_inverse,
     theorem4_one_inverse,
 )
-from pocket_kirch.oneinv import _p_factor, _q_factor
-from pocket_kirch.sweep import random_specs
+from pocket_kirch.oneinv import _p_factor, _q_factor, release_output_buffer
+from pocket_kirch.sweep import random_connected_graph, random_graph, random_specs
+
+
+def _shuffled_all_pocketed(rng, n, l, m):
+    """k = n with the attachment list in shuffled order."""
+    attach = tuple(int(x) for x in rng.permutation(n))
+    return PocketSpec(
+        random_connected_graph(rng, n), attach, random_graph(rng, l), random_graph(rng, m - l)
+    )
+
+
+def _shuffled_split(rng, k, nk, l, m):
+    """F = F1 v F2 under a random relabelling, pockets on F1 in shuffled order."""
+    label = [int(x) for x in rng.permutation(k + nk)]
+    f = join(random_graph(rng, k), random_graph(rng, nk))
+    f = Graph(k + nk, frozenset((label[a], label[b]) for a, b in f.edges))
+    attach = tuple(label[i] for i in rng.permutation(k))
+    return PocketSpec(f, attach, random_graph(rng, l), random_graph(rng, m - l))
+
+
+def _kron_reference(spec, s):
+    """The same matrix from explicit Kronecker blocks in block order, then
+    scattered to global order through ``layout.to_global()``."""
+    n, k, m = spec.n, spec.k, spec.m
+    a = s.ingredients["base_sharp"]
+    if spec.k == spec.n:
+        base = a
+    else:
+        f1_f2 = a @ np.ones((k, n - k)) / k
+        base = np.block([[a, f1_f2], [f1_f2.T, s.ingredients["f2_inv"]]])
+    p_inv, q_inv, coupling = pocket_d_inverse(spec.H1, spec.H2, k)
+    f_pockets = kron(np.ones((1, m)), np.vstack([a, np.zeros((n - k, k))]))
+    pockets = kron(np.ones((m, m)), a) + np.block([[p_inv, coupling], [coupling.T, q_inv]])
+    x = np.block([[base, f_pockets], [f_pockets.T, pockets]])
+    perm = s.layout.to_global()
+    out = np.empty_like(x)
+    out[np.ix_(perm, perm)] = x
+    return out
+
+
+_RNG = np.random.default_rng(5)
+SHUFFLED_SPECS = [
+    _shuffled_split(_RNG, 3, 2, 2, 2),  # m = l: empty H2
+    _shuffled_split(_RNG, 4, 3, 2, 5),
+    _shuffled_split(_RNG, 1, 3, 3, 3),
+    _shuffled_all_pocketed(_RNG, 4, 3, 3),
+    _shuffled_all_pocketed(_RNG, 5, 2, 6),
+]
 
 
 class TestLemma26:
@@ -209,6 +261,21 @@ class TestStructuredDispatch:
         s = structured_one_inverse(spec)
         assert is_one_inverse(laplacian(g), s.matrix, 1e-9)
 
+    @pytest.mark.parametrize("spec", SHUFFLED_SPECS)
+    def test_shuffled_specs_one_inverse_law(self, spec):
+        g, _ = build_pocket_graph(spec)
+        s = structured_one_inverse(spec)
+        lap = laplacian(g)
+        np.testing.assert_allclose(s.matrix, s.matrix.T, atol=1e-12)
+        assert np.abs(lap @ s.matrix @ lap - lap).max() <= 1e-9
+        r_oracle, _ = oracle_resistance(g)
+        np.testing.assert_allclose(resistance_matrix(s.matrix), r_oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("spec", SHUFFLED_SPECS + THM3_SPECS)
+    def test_matches_kronecker_reference(self, spec):
+        s = structured_one_inverse(spec)
+        np.testing.assert_allclose(s.matrix, _kron_reference(spec, s), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("i", range(0, 40, 7))
     def test_random_specs_one_inverse_law(self, i):
         spec = random_specs(40, seed=7)[i]
@@ -231,3 +298,105 @@ class TestIngredients:
         np.testing.assert_allclose(
             s.ingredients["q_inv_factor"], invert(_q_factor(spec.H2, spec.l, spec.m))
         )
+
+    @pytest.mark.parametrize("spec", SHUFFLED_SPECS[:2])
+    def test_split_path_ingredients(self, spec):
+        s = structured_one_inverse(spec)
+        assert set(s.ingredients) == {"base_sharp", "f2_inv", "p_inv_factor", "q_inv_factor"}
+        assert s.ingredients["base_sharp"].shape == (spec.k, spec.k)
+        assert s.ingredients["q_inv_factor"].shape == (spec.m - spec.l,) * 2
+
+
+class TestPeakMemory:
+    """One structured call holds one N x N array, not several."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: _shuffled_all_pocketed(rng, 40, 5, 24),  # N = 40 + 24 * 40
+            lambda rng: _shuffled_split(rng, 30, 10, 5, 32),  # N = 40 + 32 * 30
+        ],
+        ids=["all-pocketed", "split-base"],
+    )
+    def test_peak_is_one_dense_array(self, make):
+        spec = make(np.random.default_rng(11))
+        order = spec.n + spec.m * spec.k
+        assert order == 1000
+        release_output_buffer()  # measure a call that allocates its result
+        tracemalloc.start()
+        try:
+            s = structured_one_inverse(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * order**2
+        g, _ = build_pocket_graph(spec)
+        adj = g.adjacency()
+        lap = np.diag(adj.sum(axis=1)) - adj
+        assert np.abs(lap @ s.matrix @ lap - lap).max() <= 1e-9
+
+
+class TestOutputBuffer:
+    """Results share memory with the next call only once they are dropped."""
+
+    def _spec(self, seed):
+        return _shuffled_split(np.random.default_rng(seed), 6, 3, 2, 5)
+
+    def test_held_result_is_never_overwritten(self):
+        a, b = self._spec(1), self._spec(2)
+        first = structured_one_inverse(a).matrix
+        kept = first.copy()
+        view = first[3:, 3:]
+        del first
+        second = structured_one_inverse(b).matrix
+        assert not np.shares_memory(view, second)
+        assert np.array_equal(view, kept[3:, 3:])
+
+    def test_dropped_result_memory_is_reused(self):
+        spec = self._spec(3)
+        release_output_buffer()
+        first = structured_one_inverse(spec).matrix
+        address = first.__array_interface__["data"][0]
+        expected = first.copy()
+        del first
+        again = structured_one_inverse(spec).matrix
+        assert again.__array_interface__["data"][0] == address
+        assert np.array_equal(again, expected)
+        assert again.flags.c_contiguous and again.flags.writeable
+
+    def test_smaller_order_reuses_larger_buffer(self):
+        release_output_buffer()
+        large = structured_one_inverse(self._spec(4))
+        address = large.matrix.__array_interface__["data"][0]
+        del large
+        small_spec = _shuffled_split(np.random.default_rng(5), 3, 2, 2, 3)
+        small = structured_one_inverse(small_spec).matrix
+        assert small.__array_interface__["data"][0] == address
+        assert small.shape == (small_spec.n + small_spec.m * small_spec.k,) * 2
+        g, _ = build_pocket_graph(small_spec)
+        assert is_one_inverse(laplacian(g), small)
+
+    def test_threads_never_share_a_buffer(self):
+        specs = [self._spec(seed) for seed in range(10, 16)]
+        expected = [structured_one_inverse(s).matrix.copy() for s in specs]
+        wrong = []
+
+        def work(i):
+            for _ in range(40):
+                x = structured_one_inverse(specs[i]).matrix
+                if np.abs(x - expected[i]).max() > 1e-12:
+                    wrong.append(i)
+                del x  # lets the next call reuse the memory
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []

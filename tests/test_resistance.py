@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,25 @@ class TestMetricProperties:
                 [1.0, 0.0, 1.0],
                 [5.0, 1.0, 0.0],
             ]))
+
+    def test_violation_through_last_middle_vertex_detected(self):
+        # vertices 0..n-2 pairwise at 2, the last at 0.5 from each: only the
+        # last vertex as the middle one breaks r_uw <= r_uv + r_vw
+        n = 40
+        r = 2.0 * (np.ones((n, n)) - np.eye(n))
+        r[-1, :-1] = r[:-1, -1] = 0.5
+        with pytest.raises(ValueError, match="triangle inequality violated"):
+            check_metric(r)
+        r[-1, :-1] = r[:-1, -1] = 1.0  # now r_uw = r_uv + r_vw exactly
+        check_metric(r)
+
+    def test_triangle_check_peak_memory(self):
+        n = 300
+        r = np.ones((n, n)) - np.eye(n)
+        tracemalloc.start()
+        try:
+            check_metric(r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n * n
