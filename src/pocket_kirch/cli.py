@@ -92,16 +92,7 @@ def _resist(spec: PocketSpec, args) -> int:
     n = r.shape[0]
     out = _open_out(args.out)
     if args.format == "json":
-        payload = {
-            "kf": float(_fmt(kf.value)),
-            "method": kf.method,
-            "resistances": [
-                [u, v, float(_fmt(r[u, v]))]
-                for u in range(n)
-                for v in range(u + 1, n)
-            ],
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(out, r, kf)
     elif args.format == "table":
         out.write(f"{'u':>4}{'v':>4}{'r':>18}\n")
         for u in range(n):
@@ -116,6 +107,21 @@ def _resist(spec: PocketSpec, args) -> int:
         out.write(f"# Kf = {_fmt(kf.value)} ({kf.method})\n")
     _close_out(out)
     return 0
+
+
+def _write_json(out, r: np.ndarray, kf) -> None:
+    """Write json.dumps({"kf", "method", "resistances": [[u, v, r_uv] for
+    u < v]}, sort_keys=True) + newline, one source row u at a time, so that
+    only one row's Python lists are alive at once."""
+    n = r.shape[0]
+    head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
+    out.write(head[:-1] + ', "resistances": [')
+    sep = ""
+    for u in range(n - 1):
+        row = [[u, v, float(_fmt(r[u, v]))] for v in range(u + 1, n)]
+        out.write(sep + json.dumps(row)[1:-1])
+        sep = ", "
+    out.write("]}\n")
 
 
 def cmd_verify(args) -> int:

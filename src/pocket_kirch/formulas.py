@@ -18,6 +18,7 @@ import numpy as np
 from .graphs import PocketSpec, build_pocket_graph, laplacian, make_layout
 from .linalg import eigenvalues_sym, invert, pseudo_inverse_laplacian
 from .oneinv import (
+    StructuredOneInverse,
     _p_factor,
     _permuted_base_laplacian,
     _q_factor,
@@ -65,21 +66,21 @@ def _kron_entry(small: np.ndarray, li: int, ci: int, lj: int, cj: int) -> float:
 
 
 class Theorem31Printed:
-    """Printed case formulas for the all-vertices-pocketed construction."""
+    """Printed case formulas for the all-vertices-pocketed construction.
 
-    def __init__(self, spec: PocketSpec):
+    The factors L#(F), P^-1 and Q^-1 are taken from ``structured`` (the
+    spec's ``structured_one_inverse`` result), computed when not given.
+    """
+
+    def __init__(self, spec: PocketSpec, structured: StructuredOneInverse | None = None):
         if spec.k != spec.n:
             raise ValueError("printed cases of this theorem require k = n")
         self.spec = spec
         self.layout = make_layout(spec)
-        lf = _permuted_base_laplacian(spec.F, self.layout.f_order)
-        self.lf_sharp = pseudo_inverse_laplacian(lf)
-        self.p_inv = invert(_p_factor(spec.H1, spec.m))
-        self.q_inv = (
-            invert(_q_factor(spec.H2, spec.l, spec.m))
-            if spec.m > spec.l
-            else np.zeros((0, 0))
-        )
+        factors = (structured or structured_one_inverse(spec)).ingredients
+        self.lf_sharp = factors["base_sharp"]  # L#(F) when k = n
+        self.p_inv = factors["p_inv_factor"]
+        self.q_inv = factors["q_inv_factor"]
 
     def applicable_cases(self, u: int, v: int) -> list[str]:
         bu = self.layout.locate(u)[0]
@@ -130,7 +131,7 @@ class Theorem31Printed:
 
     def kirchhoff(self) -> float:
         spec = self.spec
-        kf_f = float(oracle_resistance(spec.F)[1].value)
+        kf_f = kirchhoff_from_one_inverse(self.lf_sharp).value
         mu = eigenvalues_sym(laplacian(spec.H1))
         nu = eigenvalues_sym(laplacian(spec.H2))
         return thm31_printed_kf(kf_f, mu, nu, spec.n, spec.m, spec.l)
@@ -152,26 +153,30 @@ def thm31_printed_kf(kf_f: float, mu, nu, n: int, m: int, l: int) -> float:
 
 
 class Theorem41Printed:
-    """Printed case formulas for the split-base construction F = F1 v F2."""
+    """Printed case formulas for the split-base construction F = F1 v F2.
 
-    def __init__(self, spec: PocketSpec):
+    The factors (L(F2) + kI)^-1, P^-1 and Q^-1 are taken from ``structured``
+    (the spec's ``structured_one_inverse`` result), computed when not given.
+    """
+
+    def __init__(self, spec: PocketSpec, structured: StructuredOneInverse | None = None):
         f1, f2 = split_base_join(spec)
         self.spec = spec
         self.f1, self.f2 = f1, f2
         self.layout = make_layout(spec)
         n, k = spec.n, spec.k
+        factors = (structured or structured_one_inverse(spec)).ingredients
         self.f1_inv = invert(laplacian(f1) + (n - k) * np.eye(k))
-        self.f2_inv = invert(laplacian(f2) + k * np.eye(n - k))
+        self.f2_inv = factors["f2_inv"]
         lf = _permuted_base_laplacian(spec.F, self.layout.f_order)
         self.lf_sharp = pseudo_inverse_laplacian(lf)
         self.p_mat = _p_factor(spec.H1, spec.m)
-        self.p_inv = invert(self.p_mat)
+        self.p_inv = factors["p_inv_factor"]
         if spec.m > spec.l:
             self.q_mat = _q_factor(spec.H2, spec.l, spec.m)
-            self.q_inv = invert(self.q_mat)
         else:
             self.q_mat = np.zeros((0, 0))
-            self.q_inv = np.zeros((0, 0))
+        self.q_inv = factors["q_inv_factor"]
 
     def _subblock(self, g: int) -> tuple[str, int, int]:
         """Like layout.locate but splitting F into F1 / F2."""
@@ -392,9 +397,8 @@ def verify_construction(
     theorem = "3.1" if spec.k == spec.n else "4.1"
     printed = None
     if include_printed:
-        printed = (
-            Theorem31Printed(spec) if theorem == "3.1" else Theorem41Printed(spec)
-        )
+        printed_class = Theorem31Printed if theorem == "3.1" else Theorem41Printed
+        printed = printed_class(spec, structured)
 
     report = DiscrepancyReport(
         instance={

@@ -7,6 +7,7 @@ onto each chosen vertex of F by identifying that vertex with v.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -71,10 +72,7 @@ class Graph:
         return sum(1 for e in self.edges if u in e)
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
+        return _edge_matrix(self.order, _edge_array(self), 1.0)
 
     def induced(self, vertices: list[int]) -> "Graph":
         """Subgraph induced on ``vertices``, relabeled to 0..len-1 in list order."""
@@ -99,11 +97,30 @@ def empty_graph(n: int) -> Graph:
     return Graph(n)
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges as an (|E|, 2) integer array; shape (0, 2) when edgeless."""
+    flat = itertools.chain.from_iterable(g.edges)
+    return np.fromiter(flat, dtype=np.intp, count=2 * g.size).reshape(-1, 2)
+
+
+def _edge_matrix(order: int, edges: np.ndarray, value: float) -> np.ndarray:
+    """An order x order float matrix with ``value`` at [u, v] and [v, u] for
+    each row (u, v) of ``edges`` and zero elsewhere."""
+    mat = np.zeros((order, order))
+    mat[edges[:, 0], edges[:, 1]] = value
+    mat[edges[:, 1], edges[:, 0]] = value
+    return mat
+
+
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian matrix L = D - A (rows sum to zero, PSD)."""
-    lap = -g.adjacency()
-    for u in range(g.order):
-        lap[u, u] = g.degree(u)
+    """Laplacian matrix L = D - A (rows sum to zero, PSD).
+
+    Built in one N x N array from the edge array: -1 scattered at each
+    edge, the degrees (endpoint counts) on the diagonal.
+    """
+    edges = _edge_array(g)
+    lap = _edge_matrix(g.order, edges, -1.0)
+    np.fill_diagonal(lap, np.bincount(edges.ravel(), minlength=g.order))
     return lap
 
 

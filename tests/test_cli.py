@@ -1,9 +1,15 @@
+import io
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pocket_kirch import cli
 from pocket_kirch.cli import main, make_parser
+from pocket_kirch.graphs import to_edge_list
+from pocket_kirch.resistance import KirchhoffResult
+from pocket_kirch.sweep import random_connected_graph, random_graph
 
 
 @pytest.fixture
@@ -106,6 +112,49 @@ class TestResist:
         for (u1, v1, r1), (u2, v2, r2) in zip(s["resistances"], o["resistances"]):
             assert (u1, v1) == (u2, v2)
             assert abs(r1 - r2) <= 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7])
+    def test_json_streamed_text_matches_whole_payload(self, order):
+        rng = np.random.default_rng(order)
+        r = rng.random((order, order)) * 10.0 ** rng.integers(-3, 4, size=(order, order))
+        kf = KirchhoffResult(float(r.sum()), "oracle")
+        out = io.StringIO()
+        cli._write_json(out, r, kf)
+        payload = {
+            "kf": float(cli._fmt(kf.value)),
+            "method": kf.method,
+            "resistances": [
+                [u, v, float(cli._fmt(r[u, v]))]
+                for u in range(order)
+                for v in range(u + 1, order)
+            ],
+        }
+        assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_json_peak_memory_stays_near_the_dense_arrays(self, tmp_path):
+        rng = np.random.default_rng(5)
+        files = []
+        for name, g in [
+            ("f", random_connected_graph(rng, 20)),
+            ("h1", random_graph(rng, 3)),
+            ("h2", random_graph(rng, 11)),
+        ]:
+            path = tmp_path / f"{name}.txt"
+            path.write_text(to_edge_list(g))
+            files.append(str(path))
+        order = 20 + 14 * 20
+        target = tmp_path / "r.json"
+        argv = ["resist", "--f", files[0], "--h1", files[1], "--h2", files[2],
+                "--format", "json", "--out", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4 * 8 * order**2
+        assert len(json.loads(target.read_text())["resistances"]) == order * (order - 1) // 2
 
     def test_table_format(self, capsys, k1_file):
         code, out, _ = _run(

@@ -206,3 +206,35 @@ class TestVerifyConstruction:
         printed = [r for r in rep.records if r.printed is not None]
         assert any(r.printed_dev > 1e-6 for r in printed)
         assert rep.ok
+
+    def test_printed_audit_reuses_structured_factors(self, monkeypatch):
+        from pocket_kirch import formulas, linalg, oneinv
+
+        calls = []
+        invert = linalg.invert
+
+        def counting(mat):
+            calls.append(mat.shape[0])
+            return invert(mat)
+
+        for module in (linalg, oneinv, formulas):
+            monkeypatch.setattr(module, "invert", counting)
+        extra = {}
+        for label, spec in builtin_fixtures():
+            counts = []
+            for include_printed in (True, False):
+                calls.clear()
+                verify_construction(spec, include_printed=include_printed)
+                counts.append(len(calls))
+            extra[label] = counts[0] - counts[1]
+        # 3.1 takes L#(F), P^-1 and Q^-1 from the structured result; 4.1
+        # inverts only the two matrices of its own displays, L(F1)+(n-k)I
+        # and L(F) (through L#(F)).
+        assert extra == {
+            "p3": 0,
+            "p4": 0,
+            "thm3-rich": 0,
+            "thm4-pendant": 2,
+            "thm4-9v": 2,
+            "thm4-rich": 2,
+        }

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,55 @@ class TestLaplacian:
         lap = laplacian(complete_graph(5))
         np.testing.assert_allclose(lap.sum(axis=1), 0)
         assert np.linalg.eigvalsh(lap).min() >= -1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_edge_reference(self, data):
+        # orders 0-30, any edge density: edgeless graphs and isolated
+        # vertices included
+        n = data.draw(st.integers(0, 30))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+        adj = np.zeros((n, n))
+        deg = np.zeros((n, n))
+        for u, v in g.edges:
+            adj[u, v] = adj[v, u] = 1.0
+            deg[u, u] += 1.0
+            deg[v, v] += 1.0
+        lap = laplacian(g)
+        assert lap.dtype == np.float64 and g.adjacency().dtype == np.float64
+        np.testing.assert_array_equal(g.adjacency(), adj)
+        np.testing.assert_array_equal(lap, deg - adj)
+        np.testing.assert_array_equal(lap.sum(axis=1), np.zeros(n))
+
+    def test_edgeless_with_isolated_vertices(self):
+        np.testing.assert_array_equal(laplacian(empty_graph(3)), np.zeros((3, 3)))
+        assert laplacian(empty_graph(0)).shape == (0, 0)
+
+    def test_no_per_vertex_degree_queries(self, monkeypatch):
+        def fail(self, u):
+            raise AssertionError("laplacian called Graph.degree")
+
+        monkeypatch.setattr(Graph, "degree", fail)
+        np.testing.assert_array_equal(
+            laplacian(path_graph(3)), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
+        )
+
+    def test_peak_is_one_dense_array(self):
+        rng = np.random.default_rng(3)
+        n = 1000
+        g = Graph(n, frozenset(
+            (int(u), int(v)) for u, v in rng.integers(0, n, size=(10 * n, 2)) if u != v
+        ))
+        tracemalloc.start()
+        try:
+            lap = laplacian(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n**2
+        assert lap.trace() == 2 * g.size
 
 
 class TestJoin:
