@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import PocketSpec, build_pocket_graph, laplacian, make_layout
-from .linalg import eigenvalues_sym, invert, pseudo_inverse_laplacian
+from .linalg import eigenvalues_sym
 from .oneinv import (
     StructuredOneInverse,
     _p_factor,
-    _permuted_base_laplacian,
     _q_factor,
+    _split_base_block,
     split_base_join,
     structured_one_inverse,
 )
@@ -155,8 +155,11 @@ def thm31_printed_kf(kf_f: float, mu, nu, n: int, m: int, l: int) -> float:
 class Theorem41Printed:
     """Printed case formulas for the split-base construction F = F1 v F2.
 
-    The factors (L(F2) + kI)^-1, P^-1 and Q^-1 are taken from ``structured``
-    (the spec's ``structured_one_inverse`` result), computed when not given.
+    Every factor is read off ``structured`` (the spec's
+    ``structured_one_inverse`` result, computed when not given), so the
+    audit inverts nothing of its own: P^-1, Q^-1 and (L(F2) + kI)^-1 as
+    they are; (L(F1) + (n-k)I)^-1 = H# + J/((n-k)k) from the base factor H#;
+    and L#(F) = (I - J/n) B (I - J/n) from the split base block B.
     """
 
     def __init__(self, spec: PocketSpec, structured: StructuredOneInverse | None = None):
@@ -166,10 +169,13 @@ class Theorem41Printed:
         self.layout = make_layout(spec)
         n, k = spec.n, spec.k
         factors = (structured or structured_one_inverse(spec)).ingredients
-        self.f1_inv = invert(laplacian(f1) + (n - k) * np.eye(k))
+        h_sharp = factors["base_sharp"]
+        self.f1_inv = h_sharp + 1.0 / ((n - k) * k)
         self.f2_inv = factors["f2_inv"]
-        lf = _permuted_base_laplacian(spec.F, self.layout.f_order)
-        self.lf_sharp = pseudo_inverse_laplacian(lf)
+        base = _split_base_block(h_sharp, self.f2_inv)
+        self.lf_sharp = (
+            base - base.mean(axis=0) - base.mean(axis=1)[:, None] + base.mean()
+        )
         self.p_mat = _p_factor(spec.H1, spec.m)
         self.p_inv = factors["p_inv_factor"]
         if spec.m > spec.l:

@@ -3,16 +3,26 @@
 All matrices are plain float ndarrays. Zero-dimensional matrices are legal
 values throughout (kron identity, trace 0) so that the empty-H2 degenerate
 shapes fall out naturally.
+
+Every matrix the library inverts is symmetric positive definite (L + J/n of
+a connected graph, L + aI with a > 0, and the gadget factors P and Q), so
+``invert`` takes that as its contract and inverts by Cholesky (LAPACK
+potrf + potri): half the flops of an LU inverse, in place in one working
+copy, and its result is exactly symmetric.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotri
 
 SINGULAR_REL_TOL = 1e-12
+SYMMETRY_REL_TOL = 1e-12
+
+# Rows per block when the symmetric kernels walk a matrix against its
+# transpose; keeps temporaries at a few rows instead of N x N.
+_BLOCK = 64
+_STRICT_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
 
 class SingularMatrixError(ValueError):
@@ -23,31 +33,79 @@ class DisconnectedGraphError(ValueError):
     """Laplacian input corresponds to a disconnected graph."""
 
 
-def invert(mat: np.ndarray) -> np.ndarray:
-    """Inverse via LU with a relative pivot threshold.
+def _row_blocks(n: int):
+    for r0 in range(0, n, _BLOCK):
+        yield r0, min(r0 + _BLOCK, n)
 
-    Raises SingularMatrixError when any pivot magnitude falls below
-    1e-12 times the max-abs entry.
+
+def _symmetric_scale(mat: np.ndarray) -> float:
+    """max|entry| of a square matrix; ValueError unless it is finite and
+    symmetric to a relative 1e-12.
+
+    The asymmetry is taken one row block at a time, upper triangle against
+    lower, so no N x N temporary is built.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    scale = np.abs(mat).max()
+    scale = float(max(mat.max(), -mat.min()))
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    asym = 0.0
+    for r0, r1 in _row_blocks(mat.shape[0]):
+        diff = mat[r0:r1, r0:] - mat[r0:, r0:r1].T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
+    if asym > SYMMETRY_REL_TOL * max(scale, 1.0):
+        raise ValueError("matrix is not symmetric")
+    return scale
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of a C-ordered square matrix onto its upper
+    triangle, in place, one row block at a time."""
+    for r0, r1 in _row_blocks(a.shape[0]):
+        a[r0:r1, r1:] = a[r1:, r0:r1].T
+        diag = a[r0:r1, r0:r1]
+        np.copyto(diag, diag.T, where=_STRICT_UPPER[: r1 - r0, : r1 - r0])
+
+
+def invert(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, by Cholesky.
+
+    Raises ValueError when the matrix is not square, not finite or not
+    symmetric to a relative 1e-12 (the test of ``eigenvalues_sym``), and
+    SingularMatrixError when it is not positive definite or when a pivot
+    (a squared diagonal entry of the Cholesky factor) falls below
+    1e-12 times the max-abs entry. The result is exactly symmetric.
+    """
+    a = np.array(mat, dtype=float, order="C")  # the working copy
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        return a
+    scale = _symmetric_scale(a)
     if scale == 0.0:
         raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        # exact singularity is handled below via the pivot threshold
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < SINGULAR_REL_TOL * scale:
+    if a.shape[0] == 1:
+        # the exactly rounded reciprocal; potri would square 1/sqrt(a)
+        if a[0, 0] < 0.0:
+            raise SingularMatrixError("not positive definite (negative 1 x 1)")
+        a[0, 0] = 1.0 / a[0, 0]
+        return a
+    # a is symmetric and C-ordered, so a.T is the same matrix in Fortran
+    # order: LAPACK factors and inverts it in place, in a's lower triangle.
+    factor, info = dpotrf(a.T, lower=0, clean=0, overwrite_a=1)
+    if info:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold {SINGULAR_REL_TOL * scale:.3e}"
+            f"not positive definite (leading minor of order {info})"
         )
-    return scipy.linalg.lu_solve((lu, piv), np.eye(n), check_finite=False)
+    pivot = float((np.diagonal(factor) ** 2).min())
+    if pivot < SINGULAR_REL_TOL * scale:
+        raise SingularMatrixError(
+            f"pivot {pivot:.3e} below threshold {SINGULAR_REL_TOL * scale:.3e}"
+        )
+    _, info = dpotri(factor, lower=0, overwrite_c=1)
+    if info:
+        raise SingularMatrixError(f"zero pivot at {info}")
+    _mirror_lower(a)
+    return a
 
 
 def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:
@@ -61,26 +119,34 @@ def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:
         raise ValueError("shift must be positive")
     if n == 0:
         return np.zeros((0, 0))
-    return invert(lap + a * np.eye(n)) - np.full((n, n), 1.0 / (a * n))
+    shifted = lap.copy()
+    shifted[np.diag_indices(n)] += a
+    x = invert(shifted)
+    x -= 1.0 / (a * n)
+    return x
 
 
 def pseudo_inverse_laplacian(lap: np.ndarray) -> np.ndarray:
     """Group/Moore-Penrose inverse of a connected-graph Laplacian.
 
     Uses the rank-correction identity (L + J/n)^-1 - J/n, which is exact for
-    connected Laplacians; singularity of L + J/n signals a disconnected graph.
+    connected Laplacians; L + J/n is then positive definite, and its
+    singularity signals a disconnected graph. J/n is added and subtracted as
+    a scalar, so no N x N array of it is built.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    jn = np.full((n, n), 1.0 / n)
+    shift = 1.0 / n
     try:
-        return invert(lap + jn) - jn
+        x = invert(lap + shift)
     except SingularMatrixError as exc:
         raise DisconnectedGraphError(
             "L + J/n singular: graph is disconnected"
         ) from exc
+    x -= shift
+    return x
 
 
 def eigenvalues_sym(mat: np.ndarray) -> np.ndarray:
@@ -88,8 +154,7 @@ def eigenvalues_sym(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.shape[0] == 0:
         return np.zeros(0)
-    if np.abs(mat - mat.T).max() > 1e-12 * max(np.abs(mat).max(), 1.0):
-        raise ValueError("matrix is not symmetric")
+    _symmetric_scale(mat)
     return np.linalg.eigvalsh(mat)
 
 

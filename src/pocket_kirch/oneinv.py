@@ -272,9 +272,16 @@ def _split_one_inverse(spec: PocketSpec, f1: Graph, f2: Graph) -> StructuredOneI
     k, nk = f1.order, f2.order
     h_sharp = shifted_group_inverse(laplacian(f1), float(nk))
     f2_inv = invert(laplacian(f2) + k * np.eye(nk))
-    f1_f2 = (h_sharp @ np.ones((k, nk))) / k
-    base = np.block([[h_sharp, f1_f2], [f1_f2.T, f2_inv]])
+    base = _split_base_block(h_sharp, f2_inv)
     return _construct(spec, make_layout(spec), h_sharp, base, f2_inv=f2_inv)
+
+
+def _split_base_block(h_sharp: np.ndarray, f2_inv: np.ndarray) -> np.ndarray:
+    """The split path's base block [[H#, H# J/k], [J H#/k, (L(F2) + kI)^-1]],
+    a symmetric {1}-inverse of L(F) in attachment-first order."""
+    k, nk = h_sharp.shape[0], f2_inv.shape[0]
+    f1_f2 = (h_sharp @ np.ones((k, nk))) / k
+    return np.block([[h_sharp, f1_f2], [f1_f2.T, f2_inv]])
 
 
 def _permuted_base_laplacian(f: Graph, order: tuple[int, ...]) -> np.ndarray:

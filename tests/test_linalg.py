@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from pocket_kirch import (
     DisconnectedGraphError,
+    PocketSpec,
     SingularMatrixError,
+    build_pocket_graph,
     complete_graph,
     eigenvalues_sym,
     invert,
@@ -45,7 +49,66 @@ class TestInvert:
     def test_residual_bound(self):
         rng = np.random.default_rng(1)
         m = rng.random((8, 8)) + 8 * np.eye(8)
-        assert np.abs(m @ invert(m) - np.eye(8)).max() <= 1e-10
+        with pytest.raises(ValueError, match="symmetric"):
+            invert(m)  # non-symmetric input is outside the contract
+        spd = (m + m.T) / 2 + 8 * np.eye(8)
+        assert np.abs(spd @ invert(spd) - np.eye(8)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 5, 64, 65, 150])
+    def test_result_is_exactly_symmetric(self, n):
+        # orders on both sides of the row block of the triangle copy
+        rng = np.random.default_rng(n)
+        a = rng.random((n, n))
+        m = a @ a.T + n * np.eye(n)
+        x = invert(m)
+        assert np.array_equal(x, x.T)
+        assert np.abs(m @ x - np.eye(n)).max() <= 1e-12
+        np.testing.assert_allclose(x, np.linalg.inv(m), rtol=0, atol=1e-14)
+
+    def test_input_left_unchanged(self):
+        m = np.array([[4.0, 1.0], [1.0, 3.0]])
+        invert(m)
+        np.testing.assert_array_equal(m, [[4.0, 1.0], [1.0, 3.0]])
+
+    def test_fortran_ordered_input(self):
+        m = np.asfortranarray([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        np.testing.assert_allclose(invert(m) @ m, np.eye(3), atol=1e-15)
+
+    def test_non_symmetric_raises(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            invert(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+    def test_asymmetry_below_tolerance_accepted(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
+        np.testing.assert_allclose(invert(m) @ m, np.eye(2), atol=1e-12)
+
+    def test_non_finite_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            invert(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1
+            [[-1.0]],
+            np.diag([1.0, 2.0, -0.5]),
+        ],
+        ids=["indefinite-2", "negative-1", "indefinite-diag"],
+    )
+    def test_indefinite_raises(self, mat):
+        with pytest.raises(SingularMatrixError):
+            invert(np.asarray(mat))
+
+    def test_small_pivot_raises(self):
+        # positive definite, but its last pivot 1e-13 is below 1e-12 * max|entry|
+        m = np.diag([1.0, 1.0, 1e-13])
+        assert np.linalg.eigvalsh(m).min() > 0
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            invert(m)
+        # the threshold is relative: the same ratio 1e-11 passes at any scale
+        np.testing.assert_allclose(invert(np.diag([1e-3, 1e-14])), np.diag([1e3, 1e14]))
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            invert(np.diag([1e-3, 1e-16]))
 
 
 class TestShiftedGroupInverse:
@@ -95,6 +158,36 @@ class TestPseudoInverseLaplacian:
         np.testing.assert_allclose(x, x.T, atol=1e-12)
         np.testing.assert_allclose(x @ np.ones(n), 0, atol=1e-10)
         assert is_one_inverse(lap, x, 1e-9)
+
+
+class TestPeakMemory:
+    """The J/n and aI shifts are scalars: one shifted copy of L plus
+    invert's working copy, which becomes the result."""
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.fixture(scope="class")
+    def lap(self):
+        spec = PocketSpec(complete_graph(40), tuple(range(40)), path_graph(4), path_graph(20))
+        g, _ = build_pocket_graph(spec)
+        assert g.order == 1000
+        return laplacian(g)
+
+    def test_pseudo_inverse_laplacian(self, lap):
+        n = lap.shape[0]
+        assert self._peak(pseudo_inverse_laplacian, lap) <= 3.25 * 8 * n * n
+
+    def test_shifted_group_inverse(self, lap):
+        n = lap.shape[0]
+        assert self._peak(shifted_group_inverse, lap, 2.0) <= 3.25 * 8 * n * n
 
 
 class TestEigenvaluesSym:

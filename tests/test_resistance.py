@@ -6,6 +6,8 @@ import pytest
 from pocket_kirch import (
     DisconnectedGraphError,
     Graph,
+    PocketSpec,
+    build_pocket_graph,
     check_metric,
     complete_graph,
     eigenvalues_sym,
@@ -21,6 +23,14 @@ from pocket_kirch import (
 )
 
 N_P3 = np.array([[0.0, 0, 0], [0, 1, 1], [0, 1, 2]])
+
+
+def _pocket_graph_1000():
+    # the shape of the benchmark's dense-oracle instances, N = 40 + 24 * 40
+    spec = PocketSpec(complete_graph(40), tuple(range(40)), path_graph(4), path_graph(20))
+    g, _ = build_pocket_graph(spec)
+    assert g.order == 1000
+    return g
 
 
 class TestResistanceFromOneInverse:
@@ -113,6 +123,34 @@ class TestOracle:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             oracle_resistance(empty_graph(2))
+
+    def test_one_invert_call(self, monkeypatch):
+        # the traced linalg.invert.calls counts one dense inverse per request
+        from pocket_kirch import linalg
+
+        calls = []
+        invert = linalg.invert
+
+        def counting(mat):
+            calls.append(mat.shape[0])
+            return invert(mat)
+
+        monkeypatch.setattr(linalg, "invert", counting)
+        oracle_resistance(path_graph(7))
+        assert calls == [7]
+
+    def test_peak_memory(self):
+        # the Laplacian, one shifted copy and invert's working copy; the
+        # result and the resistance matrix reuse what those release
+        g = _pocket_graph_1000()
+        n = g.order
+        tracemalloc.start()
+        try:
+            oracle_resistance(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 8 * n * n
 
     def test_all_ones_annihilated_so_trace_suffices(self):
         g = path_graph(5)
