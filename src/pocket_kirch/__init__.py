@@ -35,7 +35,6 @@ from .linalg import (
 )
 from .oneinv import (
     StructuredOneInverse,
-    one_inverse_lemma26,
     pocket_d_inverse,
     split_base_join,
     structured_one_inverse,
@@ -96,7 +95,6 @@ __all__ = [
     "laplacian",
     "load_graph",
     "make_layout",
-    "one_inverse_lemma26",
     "oracle_resistance",
     "path_graph",
     "pocket_d_inverse",

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,39 +91,82 @@ def _resist(spec: PocketSpec, args) -> int:
         s = structured_one_inverse(spec)
         r = resistance_matrix(s.matrix)
         kf = kirchhoff_from_one_inverse(s.matrix)
-    n = r.shape[0]
     out = _open_out(args.out)
-    if args.format == "json":
-        _write_json(out, r, kf)
-    elif args.format == "table":
-        out.write(f"{'u':>4}{'v':>4}{'r':>18}\n")
-        for u in range(n):
-            for v in range(u + 1, n):
-                out.write(f"{u:>4}{v:>4}{_fmt(r[u, v]):>18}\n")
-        out.write(f"Kf = {_fmt(kf.value)} ({kf.method})\n")
-    else:  # csv
-        out.write("u,v,r\n")
-        for u in range(n):
-            for v in range(u + 1, n):
-                out.write(f"{u},{v},{_fmt(r[u, v])}\n")
-        out.write(f"# Kf = {_fmt(kf.value)} ({kf.method})\n")
+    _WRITERS[args.format](out, r, kf)
     _close_out(out)
     return 0
+
+
+def _row_templates(n: int, line: str, label: str):
+    r"""Yield (u, template) for every source row u < n - 1.
+
+    ``line % v`` is the text of pair (u, v), with "\0" standing for u and
+    one %-field left for r_uv. The lines are built once per call; row u's
+    template is the lines for v = u+1 .. n-1 with ``label % u`` in place of
+    "\0", so ``template % tuple(r[u, u + 1:].tolist())`` formats the whole
+    row in one call.
+    """
+    lines = [line % v for v in range(n)]
+    starts = list(accumulate(map(len, lines), initial=0))
+    whole = "".join(lines)
+    for u in range(n - 1):
+        yield u, whole[starts[u + 1]:].replace("\0", label % u)
+
+
+def _write_csv(out, r: np.ndarray, kf) -> None:
+    """Write "u,v,r_uv" for every pair u < v, then the Kf comment line.
+
+    '%.12g' % x is format(x, '.12g') on every double, so this is the text
+    of _fmt, one row at a time."""
+    out.write("u,v,r\n")
+    for u, template in _row_templates(r.shape[0], "\0,%d,%%.12g\n", "%d"):
+        out.write(template % tuple(r[u, u + 1:].tolist()))
+    out.write(f"# Kf = {_fmt(kf.value)} ({kf.method})\n")
+
+
+def _write_table(out, r: np.ndarray, kf) -> None:
+    """Write u, v and _fmt(r_uv) right-aligned in 4, 4 and 18 columns for
+    every pair u < v, then the Kf line."""
+    out.write(f"{'u':>4}{'v':>4}{'r':>18}\n")
+    for u, template in _row_templates(r.shape[0], "\0%4d%%18.12g\n", "%4d"):
+        out.write(template % tuple(r[u, u + 1:].tolist()))
+    out.write(f"Kf = {_fmt(kf.value)} ({kf.method})\n")
+
+
+_INTEGER_TEXT = re.compile(r", (-?\d+)\]")
 
 
 def _write_json(out, r: np.ndarray, kf) -> None:
     """Write json.dumps({"kf", "method", "resistances": [[u, v, r_uv] for
     u < v]}, sort_keys=True) + newline, one source row u at a time, so that
-    only one row's Python lists are alive at once."""
+    only one row's text is alive at once.
+
+    json.dumps prints r_uv as repr(float(_fmt(r_uv))). Row u is one ``%``
+    call on ", [u, v, %.12g]" repeated for v > u; that is the same text,
+    except that integer-valued text ("4", "-0") lacks its ".0", which one
+    regex over the row appends. repr and '%.12g' differ otherwise only on
+    non-finite values, on decimal exponents 12 to 15 (positional under
+    repr) and on subnormals, so a row holding a non-finite value, a
+    |value| >= 1e11 or a nonzero |value| < 1e-300 is written pair by pair
+    through json.dumps instead.
+    """
     n = r.shape[0]
     head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
     out.write(head[:-1] + ', "resistances": [')
     sep = ""
-    for u in range(n - 1):
-        row = [[u, v, float(_fmt(r[u, v]))] for v in range(u + 1, n)]
-        out.write(sep + json.dumps(row)[1:-1])
+    for u, template in _row_templates(n, ", [\0, %d, %%.12g]", "%d"):
+        row = r[u, u + 1:]
+        a = np.abs(row)
+        if np.all((a < 1e11) & ((a >= 1e-300) | (a == 0))):
+            text = _INTEGER_TEXT.sub(r", \1.0]", template % tuple(row.tolist()))[2:]
+        else:
+            text = json.dumps([[u, v, float(_fmt(r[u, v]))] for v in range(u + 1, n)])[1:-1]
+        out.write(sep + text)
         sep = ", "
     out.write("]}\n")
+
+
+_WRITERS = {"csv": _write_csv, "json": _write_json, "table": _write_table}
 
 
 def cmd_verify(args) -> int:

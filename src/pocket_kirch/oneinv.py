@@ -44,45 +44,6 @@ class StructuredOneInverse:
     ingredients: dict
 
 
-def one_inverse_lemma26(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Symmetric {1}-inverse of the Laplacian [[A, B], [B^T, D]].
-
-    With H = A - B D^-1 B^T and H# its group inverse, returns
-    [[H#, -H# B D^-1], [-D^-1 B^T H#, D^-1 + D^-1 B^T H# B D^-1]].
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
-    d_inv = invert(d)
-    h = a - b @ d_inv @ b.T
-    h_sharp = _group_inverse_sym(h)
-    top_right = -h_sharp @ b @ d_inv
-    return np.block(
-        [
-            [h_sharp, top_right],
-            [top_right.T, d_inv + d_inv @ b.T @ h_sharp @ b @ d_inv],
-        ]
-    )
-
-
-def _group_inverse_sym(h: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Group inverse of a symmetric matrix.
-
-    Laplacian-shaped inputs (rows summing to zero) go through the
-    rank-correction identity; anything else through a spectral pseudoinverse
-    (group inverse equals Moore-Penrose for symmetric matrices).
-    """
-    n = h.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h.sum(axis=1)).max() <= tol * scale:
-        return pseudo_inverse_laplacian(h)
-    w, v = np.linalg.eigh(h)
-    inv_w = np.where(np.abs(w) > tol * scale, 1.0 / np.where(w == 0, 1.0, w), 0.0)
-    return (v * inv_w) @ v.T
-
-
 def _p_factor(h1: Graph, m: int) -> np.ndarray:
     l = h1.order
     return (

@@ -7,8 +7,14 @@ import pytest
 
 from pocket_kirch import cli
 from pocket_kirch.cli import main, make_parser
-from pocket_kirch.graphs import to_edge_list
-from pocket_kirch.resistance import KirchhoffResult
+from pocket_kirch.graphs import build_pocket_graph, to_edge_list
+from pocket_kirch.oneinv import structured_one_inverse
+from pocket_kirch.resistance import (
+    KirchhoffResult,
+    kirchhoff_from_one_inverse,
+    oracle_resistance,
+    resistance_matrix,
+)
 from pocket_kirch.sweep import random_connected_graph, random_graph
 
 
@@ -30,6 +36,122 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Reference writers: the per-pair loops, one _fmt call and one write per
+# pair, whose text the row-at-a-time writers in cli must reproduce byte for
+# byte.
+def _reference_csv(out, r, kf):
+    n = r.shape[0]
+    out.write("u,v,r\n")
+    for u in range(n):
+        for v in range(u + 1, n):
+            out.write(f"{u},{v},{cli._fmt(r[u, v])}\n")
+    out.write(f"# Kf = {cli._fmt(kf.value)} ({kf.method})\n")
+
+
+def _reference_table(out, r, kf):
+    n = r.shape[0]
+    out.write(f"{'u':>4}{'v':>4}{'r':>18}\n")
+    for u in range(n):
+        for v in range(u + 1, n):
+            out.write(f"{u:>4}{v:>4}{cli._fmt(r[u, v]):>18}\n")
+    out.write(f"Kf = {cli._fmt(kf.value)} ({kf.method})\n")
+
+
+def _reference_json(out, r, kf):
+    n = r.shape[0]
+    head = json.dumps({"kf": float(cli._fmt(kf.value)), "method": kf.method})
+    out.write(head[:-1] + ', "resistances": [')
+    sep = ""
+    for u in range(n - 1):
+        row = [[u, v, float(cli._fmt(r[u, v]))] for v in range(u + 1, n)]
+        out.write(sep + json.dumps(row)[1:-1])
+        sep = ", "
+    out.write("]}\n")
+
+
+WRITERS = {
+    "csv": (cli._write_csv, _reference_csv),
+    "table": (cli._write_table, _reference_table),
+    "json": (cli._write_json, _reference_json),
+}
+
+
+def _texts(fmt, r, kf):
+    """(writer text, reference text) of one format on r and kf."""
+    texts = []
+    for write in WRITERS[fmt]:
+        out = io.StringIO()
+        write(out, r, kf)
+        texts.append(out.getvalue())
+    return texts
+
+
+def _assert_same_text(text, reference):
+    """Byte equality, reporting the first difference in context (pytest's
+    own diff of two texts of order 300 takes minutes)."""
+    if text != reference:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(text, reference)) if a != b),
+            min(len(text), len(reference)),
+        )
+        lo = max(at - 40, 0)
+        pytest.fail(
+            f"texts differ at character {at}: "
+            f"{text[lo:at + 40]!r} != {reference[lo:at + 40]!r}"
+        )
+
+
+def _reference_resist(argv):
+    """The text ``main(argv)`` must print for a resist call, from the
+    library's numerics and the reference writers."""
+    args = make_parser().parse_args(argv)
+    spec = cli._spec_from_args(args)
+    if args.oracle:
+        r, kf = oracle_resistance(build_pocket_graph(spec)[0])
+    else:
+        s = structured_one_inverse(spec)
+        r = resistance_matrix(s.matrix)
+        kf = kirchhoff_from_one_inverse(s.matrix)
+    out = io.StringIO()
+    WRITERS[args.format][1](out, r, kf)
+    return out.getvalue()
+
+
+def _graph_files(tmp_path, graphs):
+    """Write each (name, graph) as an edge list; return the paths."""
+    files = []
+    for name, g in graphs:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(to_edge_list(g))
+        files.append(str(path))
+    return files
+
+
+def _order_300_argv(tmp_path):
+    """resist argv for a random pocket graph of order 20 + 14 * 20 = 300."""
+    rng = np.random.default_rng(5)
+    f, h1, h2 = _graph_files(
+        tmp_path,
+        [
+            ("f", random_connected_graph(rng, 20)),
+            ("h1", random_graph(rng, 3)),
+            ("h2", random_graph(rng, 11)),
+        ],
+    )
+    return ["resist", "--f", f, "--h1", h1, "--h2", h2], 300
+
+
+# Values on which '%.12g' and repr(float(_fmt(x))) print different text,
+# so the json writer's row templates need a ".0" or fall back to json.dumps.
+FALLBACK_TRIGGERS = [
+    0.0, -0.0, 1.0, 4.0, -3.0, 3.9999999999999,  # integer-valued text
+    99999999999.99, 1e11, 999999999999.5, 1e12, 1.5e13, 123456789012345.0,
+    1e15, 1e16,  # positional under repr
+    5e-324, 1e-310, 2.2250738585072014e-308, 1e-301,  # subnormal or near it
+    float("nan"), float("inf"), -float("inf"),
+]
 
 
 class TestBuild:
@@ -132,20 +254,9 @@ class TestResist:
         assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_json_peak_memory_stays_near_the_dense_arrays(self, tmp_path):
-        rng = np.random.default_rng(5)
-        files = []
-        for name, g in [
-            ("f", random_connected_graph(rng, 20)),
-            ("h1", random_graph(rng, 3)),
-            ("h2", random_graph(rng, 11)),
-        ]:
-            path = tmp_path / f"{name}.txt"
-            path.write_text(to_edge_list(g))
-            files.append(str(path))
-        order = 20 + 14 * 20
+        argv, order = _order_300_argv(tmp_path)
         target = tmp_path / "r.json"
-        argv = ["resist", "--f", files[0], "--h1", files[1], "--h2", files[2],
-                "--format", "json", "--out", str(target)]
+        argv += ["--format", "json", "--out", str(target)]
         tracemalloc.start()
         try:
             code = main(argv)
@@ -155,6 +266,86 @@ class TestResist:
         assert code == 0
         assert peak <= 4 * 8 * order**2
         assert len(json.loads(target.read_text())["resistances"]) == order * (order - 1) // 2
+
+    def test_csv_peak_memory_stays_near_the_dense_arrays(self, tmp_path):
+        argv, order = _order_300_argv(tmp_path)
+        target = tmp_path / "r.csv"
+        argv += ["--format", "csv", "--out", str(target)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4 * 8 * order**2
+        assert len(target.read_text().splitlines()) == order * (order - 1) // 2 + 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 7])
+    def test_writers_match_per_pair_reference(self, order, fmt):
+        rng = np.random.default_rng(order)
+        r = rng.random((order, order)) * 10.0 ** rng.integers(-3, 4, size=(order, order))
+        r = r + r.T
+        _assert_same_text(*_texts(fmt, r, KirchhoffResult(float(r.sum()), "oracle")))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("value", FALLBACK_TRIGGERS)
+    def test_writers_match_reference_on_fallback_triggers(self, value, fmt):
+        rng = np.random.default_rng(11)
+        r = rng.random((7, 7)) * 3.0
+        r[0, :] = rng.integers(-5, 6, size=7)  # integer-valued row
+        r[2, 3:6] = value
+        r[4, 6] = -value
+        r = np.triu(r) + np.triu(r, 1).T
+        _assert_same_text(*_texts(fmt, r, KirchhoffResult(abs(value), "structured")))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("oracle", [False, True])
+    @pytest.mark.parametrize("sizes", [(1, 1, 0), (1, 1, 1), (1, 2, 4)])
+    def test_resist_text_matches_per_pair_reference(self, tmp_path, capsys, sizes, oracle, fmt):
+        # orders 2, 3 and 7 (order N = n + m k: the CLI cannot ask for less than 2)
+        rng = np.random.default_rng(sum(sizes))
+        n, l, q = sizes
+        f, h1, h2 = _graph_files(
+            tmp_path,
+            [
+                ("f", random_connected_graph(rng, n)),
+                ("h1", random_graph(rng, l)),
+                ("h2", random_graph(rng, q)),
+            ],
+        )
+        argv = ["resist", "--f", f, "--h1", h1, "--h2", h2, "--format", fmt]
+        argv += ["--oracle"] if oracle else []
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        _assert_same_text(out, _reference_resist(argv))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_order_300_text_matches_per_pair_reference(self, tmp_path, oracle, fmt):
+        argv, _ = _order_300_argv(tmp_path)
+        target = tmp_path / f"r.{fmt}"
+        argv += ["--format", fmt, "--out", str(target)] + (["--oracle"] if oracle else [])
+        assert main(argv) == 0
+        _assert_same_text(target.read_text(), _reference_resist(argv))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_formats_a_row_per_call_not_a_pair(self, tmp_path, monkeypatch, fmt):
+        calls = []
+        fmt_one = cli._fmt
+
+        def counting_fmt(x):
+            calls.append(x)
+            return fmt_one(x)
+
+        monkeypatch.setattr(cli, "_fmt", counting_fmt)
+        argv, order = _order_300_argv(tmp_path)
+        assert order >= 50
+        target = tmp_path / f"r.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(target)]) == 0
+        assert len(calls) <= 2  # the Kf line, not the N(N-1)/2 pairs
+        assert target.stat().st_size > order * (order - 1) // 2
 
     def test_table_format(self, capsys, k1_file):
         code, out, _ = _run(
