@@ -144,7 +144,10 @@ def _write_json(out, r: np.ndarray, kf) -> None:
     json.dumps prints r_uv as repr(float(_fmt(r_uv))). Row u is one ``%``
     call on ", [u, v, %.12g]" repeated for v > u; that is the same text,
     except that integer-valued text ("4", "-0") lacks its ".0", which one
-    regex over the row appends. repr and '%.12g' differ otherwise only on
+    regex over the row appends. The regex runs only on rows holding a
+    value within 1e-10 relative of an integer: below 1e11, every value
+    whose 12-digit text is an integer is within 5e-12 relative of it, so
+    no other row has text to mend. repr and '%.12g' differ otherwise only on
     non-finite values, on decimal exponents 12 to 15 (positional under
     repr) and on subnormals, so a row holding a non-finite value, a
     |value| >= 1e11 or a nonzero |value| < 1e-300 is written pair by pair
@@ -158,7 +161,10 @@ def _write_json(out, r: np.ndarray, kf) -> None:
         row = r[u, u + 1:]
         a = np.abs(row)
         if np.all((a < 1e11) & ((a >= 1e-300) | (a == 0))):
-            text = _INTEGER_TEXT.sub(r", \1.0]", template % tuple(row.tolist()))[2:]
+            text = template % tuple(row.tolist())
+            if np.any(np.abs(row - np.rint(row)) <= 1e-10 * a):
+                text = _INTEGER_TEXT.sub(r", \1.0]", text)
+            text = text[2:]
         else:
             text = json.dumps([[u, v, float(_fmt(r[u, v]))] for v in range(u + 1, n)])[1:-1]
         out.write(sep + text)

@@ -6,6 +6,11 @@ where desk derivation shows them to disagree with the verified block
 construction (those disagreements are the point of the audit: they are
 reported, never silently corrected). The structured block construction and
 the brute-force pseudoinverse oracle are the computational ground truth.
+
+Each printed class has one evaluator, ``evaluate``, which computes every
+case as one numpy expression over index arrays of vertex pairs; the audit
+calls it once over all pairs and builds its records in one pass, and the
+per-pair ``resistance`` and ``applicable_cases`` are one-pair calls of it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import PocketSpec, build_pocket_graph, laplacian, make_layout
+from .graphs import BLOCKS, PocketSpec, build_pocket_graph, laplacian, make_layout
 from .linalg import eigenvalues_sym
 from .oneinv import (
     StructuredOneInverse,
@@ -34,6 +39,7 @@ from .resistance import (
 
 THM31_CASES = ("i", "ii", "iii", "iv", "v", "kf")
 THM41_CASES = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix")
+_F, _H1, _H2 = (BLOCKS.index(b) for b in ("F", "H1", "H2"))  # locate_all's codes
 
 
 class CaseMismatchError(ValueError):
@@ -55,14 +61,80 @@ class CaseId:
         return f"{self.theorem}({self.label})"
 
 
-def _kron_entry(small: np.ndarray, li: int, ci: int, lj: int, cj: int) -> float:
-    """Entry of small (x) I at block indices; mismatch when out of range."""
-    rows, cols = small.shape
-    if not (0 <= li < rows and 0 <= lj < cols):
-        raise CaseMismatchError(
-            f"printed factor of shape {small.shape} has no entry ({li},{lj})"
-        )
-    return float(small[li, lj]) if ci == cj else 0.0
+def _oriented(block, u, v, first, second):
+    """The pairs (u[i], v[i]) whose blocks are {first, second}: their row
+    indices, and their two ends with the ``first``-block end put first.
+    A pair inside one block keeps its given order."""
+    bu, bv = block[u], block[v]
+    forward = (bu == first) & (bv == second)
+    back = (bu == second) & (bv == first) & ~forward
+    rows = np.flatnonzero(forward | back)
+    swap = back[rows]
+    return rows, np.where(swap, v[rows], u[rows]), np.where(swap, u[rows], v[rows])
+
+
+def _kron_case(rows, a, b, local, copy, diag_a, diag_b, small):
+    """(kept, values) of a display diag_a[i, i] + diag_b[j, j] - 2 s, whose
+    cross term s is read off small (x) I at block indices (i, c) = (local[a],
+    copy[a]) and (j, c') = (local[b], copy[b]) of the pairs ``rows``.
+
+    s is small[i, j] where c = c' and 0 elsewhere; a pair with (i, j)
+    outside small's shape has no entry and is dropped from ``kept``."""
+    i, j = local[a], local[b]
+    fits = (i < small.shape[0]) & (j < small.shape[1])
+    a, b, i, j = a[fits], b[fits], i[fits], j[fits]
+    cross = np.where(copy[a] == copy[b], small[i, j], 0.0)
+    return rows[fits], diag_a[i, i] + diag_b[j, j] - 2 * cross
+
+
+def _one_pair(layout, u: int, v: int):
+    """Global ids u, v as one-pair index arrays; IndexError when either is
+    out of range, as ``layout.locate`` raises."""
+    layout.locate(u)
+    layout.locate(v)
+    return np.array([u]), np.array([v])
+
+
+def _applicable(printed, u: int, v: int) -> list[str]:
+    """The cases stated for the block pair of (u, v), from the evaluator."""
+    return [case for case, rows, _, _ in printed.evaluate(*_one_pair(printed.layout, u, v))
+            if rows.size]
+
+
+def _pair_resistance(printed, case: str, u: int, v: int) -> float:
+    """One case's printed value at (u, v), from the evaluator."""
+    for label, rows, kept, values in printed.evaluate(*_one_pair(printed.layout, u, v)):
+        if label != case:
+            continue
+        if not rows.size:
+            raise CaseMismatchError(f"pair ({u},{v}) does not fit case {case}")
+        if not kept.size:
+            raise CaseMismatchError(
+                f"printed factor of case {case} has no entry for pair ({u},{v})"
+            )
+        return float(values[0])
+    raise CaseMismatchError(f"case {case} is not a resistance case")
+
+
+def _pocket_cases(printed, u, v, labels) -> list[tuple]:
+    """The four displays both theorems print alike, under their ``labels``:
+    F against an H1 copy and against an H2 copy, stated with the F vertex
+    first (pocket copy c hangs off F position c), then H1 against H2 and
+    H2 against H1, whose cross terms read off the P block and the Q block.
+    """
+    block, local, copy = printed.block, printed.local, printed.copy
+    ls, p_inv, q_inv = printed.lf_sharp, printed.p_inv, printed.q_inv
+    out = []
+    for case, h, diag in zip(labels[:2], (_H1, _H2), (p_inv, q_inv)):
+        rows, a, b = _oriented(block, u, v, _F, h)
+        fa, hb = local[a], local[b]
+        out.append((case, rows, rows, ls[fa, fa] + diag[hb, hb] - 2 * ls[fa, copy[b]]))
+    for case, first, second, da, db in zip(
+        labels[2:], (_H1, _H2), (_H2, _H1), (p_inv, q_inv), (q_inv, p_inv)
+    ):
+        rows, a, b = _oriented(block, u, v, first, second)
+        out.append((case, rows, *_kron_case(rows, a, b, local, copy, da, db, da)))
+    return out
 
 
 class Theorem31Printed:
@@ -77,57 +149,31 @@ class Theorem31Printed:
             raise ValueError("printed cases of this theorem require k = n")
         self.spec = spec
         self.layout = make_layout(spec)
+        self.block, self.local, self.copy = self.layout.locate_all()
         factors = (structured or structured_one_inverse(spec)).ingredients
         self.lf_sharp = factors["base_sharp"]  # L#(F) when k = n
         self.p_inv = factors["p_inv_factor"]
         self.q_inv = factors["q_inv_factor"]
 
+    def evaluate(self, u: np.ndarray, v: np.ndarray) -> list[tuple]:
+        """Every printed resistance case over the pairs (u[i], v[i]) of global
+        ids, as (case, rows, kept, values) in case order: rows index the
+        pairs of the case's block pair, kept the subset the display has an
+        entry for, and values its printed value on each kept pair."""
+        rows, a, b = _oriented(self.block, u, v, _F, _F)
+        a, b = self.local[a], self.local[b]
+        ls = self.lf_sharp
+        return [("i", rows, rows, ls[a, a] + ls[b, b] - 2 * ls[a, b])] + _pocket_cases(
+            self, u, v, ("ii", "iii", "iv", "v")
+        )
+
     def applicable_cases(self, u: int, v: int) -> list[str]:
-        bu = self.layout.locate(u)[0]
-        bv = self.layout.locate(v)[0]
-        table = {
-            frozenset(["F"]): ["i"],
-            frozenset(["F", "H1"]): ["ii"],
-            frozenset(["F", "H2"]): ["iii"],
-            frozenset(["H1", "H2"]): ["iv", "v"],
-        }
-        return table.get(frozenset([bu, bv]), [])
+        return _applicable(self, u, v)
 
     def resistance(self, case: str, u: int, v: int) -> float:
         """Evaluate the printed case expression at global vertices u, v."""
         CaseId("3.1", case)
-        bu, lu, cu = self.layout.locate(u)
-        bv, lv, cv = self.layout.locate(v)
-        ls = self.lf_sharp
-        if case == "i":
-            _require(bu == "F" and bv == "F", case, u, v)
-            return float(ls[lu, lu] + ls[lv, lv] - 2 * ls[lu, lv])
-        if case in ("ii", "iii"):
-            if bu != "F":  # formula is stated with i in V(F)
-                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
-            _require(bu == "F" and bv == ("H1" if case == "ii" else "H2"), case, u, v)
-            diag = self.p_inv if case == "ii" else self.q_inv
-            return float(ls[lu, lu] + diag[lv, lv] - 2 * ls[lu, cv])
-        if case == "iv":
-            if bu == "H2" and bv == "H1":
-                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
-            _require(bu == "H1" and bv == "H2", case, u, v)
-            # printed cross term reads off the P block
-            return float(
-                self.p_inv[lu, lu]
-                + self.q_inv[lv, lv]
-                - 2 * _kron_entry(self.p_inv, lu, cu, lv, cv)
-            )
-        if case == "v":
-            if bu == "H1" and bv == "H2":
-                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
-            _require(bu == "H2" and bv == "H1", case, u, v)
-            return float(
-                self.q_inv[lu, lu]
-                + self.p_inv[lv, lv]
-                - 2 * _kron_entry(self.q_inv, lu, cu, lv, cv)
-            )
-        raise CaseMismatchError(f"case {case} is not a resistance case")
+        return _pair_resistance(self, case, u, v)
 
     def kirchhoff(self) -> float:
         spec = self.spec
@@ -167,6 +213,7 @@ class Theorem41Printed:
         self.spec = spec
         self.f1, self.f2 = f1, f2
         self.layout = make_layout(spec)
+        self.block, self.local, self.copy = self.layout.locate_all()
         n, k = spec.n, spec.k
         factors = (structured or structured_one_inverse(spec)).ingredients
         h_sharp = factors["base_sharp"]
@@ -184,86 +231,39 @@ class Theorem41Printed:
             self.q_mat = np.zeros((0, 0))
         self.q_inv = factors["q_inv_factor"]
 
-    def _subblock(self, g: int) -> tuple[str, int, int]:
-        """Like layout.locate but splitting F into F1 / F2."""
-        block, local, copy = self.layout.locate(g)
-        if block == "F":
-            return ("F1", local, 0) if local < self.spec.k else ("F2", local - self.spec.k, 0)
-        return block, local, copy
+    def evaluate(self, u: np.ndarray, v: np.ndarray) -> list[tuple]:
+        """Every printed resistance case over the pairs (u[i], v[i]) of global
+        ids, as (case, rows, kept, values) in case order: rows index the
+        pairs of the case's block pair, kept the subset the display has an
+        entry for, and values its printed value on each kept pair. F1 is
+        the first k F positions (the attached vertices), F2 the rest."""
+        block, local, copy = self.block, self.local, self.copy
+        spec = self.spec
+        k = spec.k
+        rows, a, b = _oriented(block, u, v, _F, _F)
+        a, b = local[a], local[b]
+        out = []
+        # i: the display subtracts the scalar (n-k)/k from each entry
+        for case, part, x, shift in (
+            ("i", (a < k) & (b < k), self.f1_inv - (spec.n - k) / k, 0),
+            ("ii", (a >= k) & (b >= k), self.f2_inv, k),
+        ):
+            i, j = a[part] - shift, b[part] - shift
+            out.append((case, rows[part], rows[part], x[i, i] + x[j, j] - 2 * x[i, j]))
+        # iii, iv: the displays omit the inversion on these blocks; kept verbatim
+        for case, h, x in (("iii", _H1, self.p_mat), ("iv", _H2, self.q_mat)):
+            rows, a, b = _oriented(block, u, v, h, h)
+            out.append((case, rows, *_kron_case(rows, a, b, local, copy, x, x, x)))
+        # v, vi quantify over all of V(F), F1 and F2 alike
+        return out + _pocket_cases(self, u, v, ("v", "vi", "vii", "viii"))
 
     def applicable_cases(self, u: int, v: int) -> list[str]:
-        bu = self._subblock(u)[0]
-        bv = self._subblock(v)[0]
-        pair = frozenset([bu, bv])
-        cases = []
-        if pair == frozenset(["F1"]):
-            cases.append("i")
-        if pair == frozenset(["F2"]):
-            cases.append("ii")
-        if pair == frozenset(["H1"]):
-            cases.append("iii")
-        if pair == frozenset(["H2"]):
-            cases.append("iv")
-        # cases v/vi quantify over all of V(F)
-        if ("H1" in pair) and (bu.startswith("F") or bv.startswith("F")):
-            cases.append("v")
-        if ("H2" in pair) and (bu.startswith("F") or bv.startswith("F")):
-            cases.append("vi")
-        if pair == frozenset(["H1", "H2"]):
-            cases.extend(["vii", "viii"])
-        return cases
+        return _applicable(self, u, v)
 
     def resistance(self, case: str, u: int, v: int) -> float:
+        """Evaluate the printed case expression at global vertices u, v."""
         CaseId("4.1", case)
-        bu, lu, cu = self._subblock(u)
-        bv, lv, cv = self._subblock(v)
-        spec = self.spec
-        if case == "i":
-            _require(bu == "F1" and bv == "F1", case, u, v)
-            # the display subtracts the scalar (n-k)/k from each entry
-            x = self.f1_inv - (spec.n - spec.k) / spec.k
-            return float(x[lu, lu] + x[lv, lv] - 2 * x[lu, lv])
-        if case == "ii":
-            _require(bu == "F2" and bv == "F2", case, u, v)
-            x = self.f2_inv
-            return float(x[lu, lu] + x[lv, lv] - 2 * x[lu, lv])
-        if case in ("iii", "iv"):
-            want = "H1" if case == "iii" else "H2"
-            _require(bu == want and bv == want, case, u, v)
-            # the display omits the inversion on these blocks; kept verbatim
-            x = self.p_mat if case == "iii" else self.q_mat
-            return float(
-                x[lu, lu] + x[lv, lv] - 2 * _kron_entry(x, lu, cu, lv, cv)
-            )
-        if case in ("v", "vi"):
-            if not bu.startswith("F"):
-                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
-            want = "H1" if case == "v" else "H2"
-            _require(bu.startswith("F") and bv == want, case, u, v)
-            # F-block position in layout order, whether F1 or F2
-            fi = lu if bu == "F1" else spec.k + lu
-            diag = self.p_inv if case == "v" else self.q_inv
-            ls = self.lf_sharp
-            return float(ls[fi, fi] + diag[lv, lv] - 2 * ls[fi, cv])
-        if case == "vii":
-            if bu == "H2" and bv == "H1":
-                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
-            _require(bu == "H1" and bv == "H2", case, u, v)
-            return float(
-                self.p_inv[lu, lu]
-                + self.q_inv[lv, lv]
-                - 2 * _kron_entry(self.p_inv, lu, cu, lv, cv)
-            )
-        if case == "viii":
-            if bu == "H1" and bv == "H2":
-                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
-            _require(bu == "H2" and bv == "H1", case, u, v)
-            return float(
-                self.q_inv[lu, lu]
-                + self.p_inv[lv, lv]
-                - 2 * _kron_entry(self.q_inv, lu, cu, lv, cv)
-            )
-        raise CaseMismatchError(f"case {case} is not a resistance case")
+        return _pair_resistance(self, case, u, v)
 
     def kirchhoff(self) -> float:
         spec = self.spec
@@ -298,11 +298,6 @@ def thm41_printed_kf(alpha, beta, mu, nu, n: int, k: int, m: int, l: int) -> flo
     bracket = f1_term + f2_term + h1_term + h2_term + k + k * (m - l) / l
     tail = l**2 + (m - l) * (m - l + 1) / l + 2 * k * (m - l)
     return (n + m * k) * bracket - tail
-
-
-def _require(cond: bool, case: str, u: int, v: int):
-    if not cond:
-        raise CaseMismatchError(f"pair ({u},{v}) does not fit case {case}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +374,76 @@ def _round12(x):
     return None if x is None else float(format(float(x), ".12g"))
 
 
+# Pairs per block of records: bounds the transient index arrays and
+# columns to a few hundred kB, next to the records that stay.
+_PAIRS_PER_BLOCK = 4096
+
+
+def _pair_records(
+    r_oracle, r_struct, tol_r, printed, theorem
+) -> tuple[list[QuantityRecord], bool]:
+    """The records of the pairs u < v, in row-major order, and whether
+    every structured value is within tol_r of the oracle's.
+
+    A pair gets one record per printed case that applies to it, in case
+    order, or one record without a printed value when none applies (or no
+    applicable display has an entry for it). Each case is evaluated over
+    index arrays of the pairs, a block of consecutive pairs at a time, and
+    each block's records are built in one pass over plain-list columns.
+    """
+    iu, iv = np.triu_indices(r_oracle.shape[0], 1)
+    records = []
+    ok = True
+    for lo in range(0, iu.size, _PAIRS_PER_BLOCK):
+        u, v = iu[lo:lo + _PAIRS_PER_BLOCK], iv[lo:lo + _PAIRS_PER_BLOCK]
+        ok = _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) and ok
+    return records, ok
+
+
+def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -> bool:
+    """Append the records of the pairs (u[i], v[i]) to ``records``; whether
+    every structured value is within tol_r of the oracle's."""
+    oracle = r_oracle[u, v]
+    structured = r_struct[u, v]
+    dev = np.abs(structured - oracle)
+    ok = dev <= tol_r
+    labels = [None]  # case code 0: no printed value
+    pairs, codes, values = [], [], []
+    if printed is not None:
+        for case, _, kept, printed_values in printed.evaluate(u, v):
+            pairs.append(kept)
+            codes.append(np.full(kept.size, len(labels)))
+            values.append(printed_values)
+            labels.append(f"{theorem}({case})")
+    bare = np.ones(u.size, dtype=bool)
+    for kept in pairs:
+        bare[kept] = False
+    pairs.append(np.flatnonzero(bare))
+    codes.append(np.zeros(pairs[-1].size, dtype=int))
+    values.append(np.full(pairs[-1].size, np.nan))
+    pair = np.concatenate(pairs)
+    order = np.argsort(pair, kind="stable")  # a pair's cases keep their order
+    pair = pair[order]
+    code = np.concatenate(codes)[order]
+    value = np.concatenate(values)[order]
+    printed_col = value.tolist()
+    printed_dev_col = np.abs(value - oracle[pair]).tolist()
+    for i in np.flatnonzero(code == 0).tolist():
+        printed_col[i] = printed_dev_col[i] = None
+    records.extend(map(
+        QuantityRecord,
+        [f"r[{a},{b}]" for a, b in zip(u[pair].tolist(), v[pair].tolist())],
+        oracle[pair].tolist(),
+        structured[pair].tolist(),
+        printed_col,
+        [labels[c] for c in code.tolist()],
+        dev[pair].tolist(),
+        printed_dev_col,
+        ok[pair].tolist(),
+    ))
+    return bool(ok.all())
+
+
 def verify_construction(
     spec: PocketSpec,
     tol_r: float = 1e-9,
@@ -389,7 +454,10 @@ def verify_construction(
     """Audit one instance: oracle vs block construction vs printed formulas.
 
     Structured-vs-oracle violations flip the report's ok flag; printed
-    deviations are recorded but never fatal.
+    deviations are recorded but never fatal. Each printed case is evaluated
+    over index arrays of all pairs u < v at once, and the records are built
+    in one pass over the resulting columns: pairs in row-major order, then
+    Kf, Kf[spectral] and the printed Kf.
     """
     g, layout = build_pocket_graph(spec)
     r_oracle, kf_oracle = oracle_resistance(g)
@@ -406,7 +474,39 @@ def verify_construction(
         printed_class = Theorem31Printed if theorem == "3.1" else Theorem41Printed
         printed = printed_class(spec, structured)
 
-    report = DiscrepancyReport(
+    records, pairs_ok = _pair_records(r_oracle, r_struct, tol_r, printed, theorem)
+    kf_dev = float(abs(kf_struct.value - kf_oracle.value))
+    spec_dev = float(abs(kf_spectral.value - kf_oracle.value))
+    records.append(
+        QuantityRecord(
+            quantity="Kf",
+            oracle=kf_oracle.value,
+            structured=kf_struct.value,
+            structured_dev=kf_dev,
+            structured_ok=bool(kf_dev <= tol_kf),
+        )
+    )
+    records.append(
+        QuantityRecord(
+            quantity="Kf[spectral]",
+            oracle=kf_oracle.value,
+            structured=kf_spectral.value,
+            structured_dev=spec_dev,
+            structured_ok=bool(spec_dev <= tol_kf),
+        )
+    )
+    if printed is not None:
+        kf_printed = printed.kirchhoff()
+        records.append(
+            QuantityRecord(
+                quantity="Kf",
+                oracle=kf_oracle.value,
+                printed=kf_printed,
+                printed_dev=abs(kf_printed - kf_oracle.value),
+                case=f"{theorem}({'kf' if theorem == '3.1' else 'ix'})",
+            )
+        )
+    return DiscrepancyReport(
         instance={
             "label": label,
             "n": spec.n,
@@ -420,74 +520,7 @@ def verify_construction(
         },
         tol_r=tol_r,
         tol_kf=tol_kf,
+        records=records,
         one_inverse_residual=residual,
-        ok=residual <= tol_r,
+        ok=residual <= tol_r and pairs_ok and kf_dev <= tol_kf and spec_dev <= tol_kf,
     )
-
-    for u in range(g.order):
-        for v in range(u + 1, g.order):
-            dev = float(abs(r_struct[u, v] - r_oracle[u, v]))
-            base = dict(
-                quantity=f"r[{u},{v}]",
-                oracle=float(r_oracle[u, v]),
-                structured=float(r_struct[u, v]),
-                structured_dev=dev,
-                structured_ok=bool(dev <= tol_r),
-            )
-            if not base["structured_ok"]:
-                report.ok = False
-            cases = printed.applicable_cases(u, v) if printed else []
-            emitted = False
-            for case in cases:
-                try:
-                    value = printed.resistance(case, u, v)
-                except CaseMismatchError:
-                    continue
-                report.records.append(
-                    QuantityRecord(
-                        **base,
-                        printed=value,
-                        printed_dev=float(abs(value - r_oracle[u, v])),
-                        case=f"{theorem}({case})",
-                    )
-                )
-                emitted = True
-            if not emitted:
-                report.records.append(QuantityRecord(**base))
-
-    kf_dev = float(abs(kf_struct.value - kf_oracle.value))
-    report.records.append(
-        QuantityRecord(
-            quantity="Kf",
-            oracle=kf_oracle.value,
-            structured=kf_struct.value,
-            structured_dev=kf_dev,
-            structured_ok=bool(kf_dev <= tol_kf),
-        )
-    )
-    spec_dev = float(abs(kf_spectral.value - kf_oracle.value))
-    report.records.append(
-        QuantityRecord(
-            quantity="Kf[spectral]",
-            oracle=kf_oracle.value,
-            structured=kf_spectral.value,
-            structured_dev=spec_dev,
-            structured_ok=bool(spec_dev <= tol_kf),
-        )
-    )
-    if any(
-        r.structured_ok is False for r in report.records
-    ):
-        report.ok = False
-    if printed is not None:
-        kf_printed = printed.kirchhoff()
-        report.records.append(
-            QuantityRecord(
-                quantity="Kf",
-                oracle=kf_oracle.value,
-                printed=kf_printed,
-                printed_dev=abs(kf_printed - kf_oracle.value),
-                case=f"{theorem}({'kf' if theorem == '3.1' else 'ix'})",
-            )
-        )
-    return report

@@ -207,6 +207,9 @@ def _disjoint_plus_one(h2: Graph) -> Graph:
     return Graph(h2.order + 1, h2.edges)
 
 
+BLOCKS = ("F", "H1", "H2")
+
+
 @dataclass(frozen=True)
 class BlockLayout:
     """Bijection between global vertex ids and the block ordering.
@@ -222,6 +225,14 @@ class BlockLayout:
     l: int
     m: int
     f_order: tuple[int, ...]
+    # inverse of f_order: the F-block position of each F vertex
+    f_position: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        position = [0] * self.n
+        for local, g in enumerate(self.f_order):
+            position[g] = local
+        object.__setattr__(self, "f_position", tuple(position))
 
     @property
     def total(self) -> int:
@@ -247,12 +258,23 @@ class BlockLayout:
         if not 0 <= g < self.total:
             raise IndexError(f"vertex {g} out of range")
         if g < self.n:
-            return ("F", self.f_order.index(g), 0)
+            return ("F", self.f_position[g], 0)
         off = g - self.n
         if off < self.l * self.k:
             return ("H1", off // self.k, off % self.k)
         off -= self.l * self.k
         return ("H2", off // self.k, off % self.k)
+
+    def locate_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``locate`` over every global id at once: integer arrays (block,
+        local, copy) indexed by global id, block indexing ``BLOCKS``."""
+        n, k, l = self.n, self.k, self.l
+        off = np.arange(self.total - n)
+        in_h2 = off >= l * k
+        block = np.concatenate([np.zeros(n, dtype=np.intp), 1 + in_h2])
+        local = np.concatenate([self.f_position, off // k - l * in_h2])
+        copy = np.concatenate([np.zeros(n, dtype=np.intp), off % k])
+        return block, local, copy
 
     def block_position(self, g: int) -> int:
         """Position of global vertex g in the block ordering."""

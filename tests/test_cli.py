@@ -301,6 +301,23 @@ class TestResist:
         _assert_same_text(*_texts(fmt, r, KirchhoffResult(abs(value), "structured")))
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_writers_match_reference_on_alternating_integer_rows(self, fmt):
+        # json appends ".0" only on rows holding a value near an integer.
+        # Even rows are integers; odd rows are not, except for one value
+        # each whose text is an integer ("-0", "4", "100000000000") or is
+        # not, though near one ("2.00000000001", "1.0000000001")
+        rng = np.random.default_rng(13)
+        r = rng.random((11, 11)) * 7.0 + 0.01
+        r[::2] = rng.integers(-4, 5, size=(6, 11))
+        r[1, 4] = -0.0
+        r[3, 6] = 3.9999999999999
+        r[5, 8] = 99999999999.96
+        r[7, 9] = 2.00000000001
+        r[9, 10] = 1.0000000001
+        r = np.triu(r) + np.triu(r, 1).T
+        _assert_same_text(*_texts(fmt, r, KirchhoffResult(12.0, "structured")))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize("sizes", [(1, 1, 0), (1, 1, 1), (1, 2, 4)])
     def test_resist_text_matches_per_pair_reference(self, tmp_path, capsys, sizes, oracle, fmt):

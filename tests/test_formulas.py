@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pocket_kirch import (
+    BlockLayout,
     CaseId,
     CaseMismatchError,
     PocketSpec,
@@ -11,23 +12,283 @@ from pocket_kirch import (
     Theorem41Printed,
     build_pocket_graph,
     complete_graph,
+    eigenvalues_sym,
     empty_graph,
     invert,
     join,
+    kirchhoff_from_one_inverse,
+    kirchhoff_spectral,
     laplacian,
     oracle_resistance,
     path_graph,
     pseudo_inverse_laplacian,
+    resistance_matrix,
     split_base_join,
+    structured_one_inverse,
     thm31_printed_kf,
     thm41_printed_kf,
     verify_construction,
 )
-from pocket_kirch.sweep import builtin_fixtures, random_specs
+from pocket_kirch.cli import main
+from pocket_kirch.resistance import KirchhoffResult
+from pocket_kirch.formulas import (
+    THM31_CASES,
+    THM41_CASES,
+    DiscrepancyReport,
+    QuantityRecord,
+)
+from pocket_kirch.sweep import (
+    DEFAULT_SEED,
+    builtin_fixtures,
+    random_connected_graph,
+    random_graph,
+    random_specs,
+)
 
 P3_SPEC = PocketSpec(complete_graph(1), (0,), complete_graph(1), complete_graph(1))
 P4_SPEC = PocketSpec(complete_graph(2), (0, 1), complete_graph(1))
 PENDANT_SPEC = PocketSpec(join(complete_graph(1), complete_graph(1)), (0,), complete_graph(1))
+
+
+# ---------------------------------------------------------------------------
+# Reference audit: the per-pair printed methods and the per-pair record
+# loop, one Python call per vertex pair and case, which the array
+# evaluators and verify_construction must reproduce bit for bit.
+
+def _kron_entry(small, li, ci, lj, cj):
+    """Entry of small (x) I at block indices; mismatch when out of range."""
+    rows, cols = small.shape
+    if not (0 <= li < rows and 0 <= lj < cols):
+        raise CaseMismatchError(
+            f"printed factor of shape {small.shape} has no entry ({li},{lj})"
+        )
+    return float(small[li, lj]) if ci == cj else 0.0
+
+
+def _require(cond, case, u, v):
+    if not cond:
+        raise CaseMismatchError(f"pair ({u},{v}) does not fit case {case}")
+
+
+class _Reference31(Theorem31Printed):
+    def applicable_cases(self, u, v):
+        bu = self.layout.locate(u)[0]
+        bv = self.layout.locate(v)[0]
+        table = {
+            frozenset(["F"]): ["i"],
+            frozenset(["F", "H1"]): ["ii"],
+            frozenset(["F", "H2"]): ["iii"],
+            frozenset(["H1", "H2"]): ["iv", "v"],
+        }
+        return table.get(frozenset([bu, bv]), [])
+
+    def resistance(self, case, u, v):
+        CaseId("3.1", case)
+        bu, lu, cu = self.layout.locate(u)
+        bv, lv, cv = self.layout.locate(v)
+        ls = self.lf_sharp
+        if case == "i":
+            _require(bu == "F" and bv == "F", case, u, v)
+            return float(ls[lu, lu] + ls[lv, lv] - 2 * ls[lu, lv])
+        if case in ("ii", "iii"):
+            if bu != "F":
+                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
+            _require(bu == "F" and bv == ("H1" if case == "ii" else "H2"), case, u, v)
+            diag = self.p_inv if case == "ii" else self.q_inv
+            return float(ls[lu, lu] + diag[lv, lv] - 2 * ls[lu, cv])
+        if case == "iv":
+            if bu == "H2" and bv == "H1":
+                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
+            _require(bu == "H1" and bv == "H2", case, u, v)
+            return float(
+                self.p_inv[lu, lu]
+                + self.q_inv[lv, lv]
+                - 2 * _kron_entry(self.p_inv, lu, cu, lv, cv)
+            )
+        if case == "v":
+            if bu == "H1" and bv == "H2":
+                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
+            _require(bu == "H2" and bv == "H1", case, u, v)
+            return float(
+                self.q_inv[lu, lu]
+                + self.p_inv[lv, lv]
+                - 2 * _kron_entry(self.q_inv, lu, cu, lv, cv)
+            )
+        raise CaseMismatchError(f"case {case} is not a resistance case")
+
+
+class _Reference41(Theorem41Printed):
+    def _subblock(self, g):
+        block, local, copy = self.layout.locate(g)
+        if block == "F":
+            return ("F1", local, 0) if local < self.spec.k else ("F2", local - self.spec.k, 0)
+        return block, local, copy
+
+    def applicable_cases(self, u, v):
+        bu = self._subblock(u)[0]
+        bv = self._subblock(v)[0]
+        pair = frozenset([bu, bv])
+        cases = []
+        if pair == frozenset(["F1"]):
+            cases.append("i")
+        if pair == frozenset(["F2"]):
+            cases.append("ii")
+        if pair == frozenset(["H1"]):
+            cases.append("iii")
+        if pair == frozenset(["H2"]):
+            cases.append("iv")
+        if ("H1" in pair) and (bu.startswith("F") or bv.startswith("F")):
+            cases.append("v")
+        if ("H2" in pair) and (bu.startswith("F") or bv.startswith("F")):
+            cases.append("vi")
+        if pair == frozenset(["H1", "H2"]):
+            cases.extend(["vii", "viii"])
+        return cases
+
+    def resistance(self, case, u, v):
+        CaseId("4.1", case)
+        bu, lu, cu = self._subblock(u)
+        bv, lv, cv = self._subblock(v)
+        spec = self.spec
+        if case == "i":
+            _require(bu == "F1" and bv == "F1", case, u, v)
+            x = self.f1_inv - (spec.n - spec.k) / spec.k
+            return float(x[lu, lu] + x[lv, lv] - 2 * x[lu, lv])
+        if case == "ii":
+            _require(bu == "F2" and bv == "F2", case, u, v)
+            x = self.f2_inv
+            return float(x[lu, lu] + x[lv, lv] - 2 * x[lu, lv])
+        if case in ("iii", "iv"):
+            want = "H1" if case == "iii" else "H2"
+            _require(bu == want and bv == want, case, u, v)
+            x = self.p_mat if case == "iii" else self.q_mat
+            return float(
+                x[lu, lu] + x[lv, lv] - 2 * _kron_entry(x, lu, cu, lv, cv)
+            )
+        if case in ("v", "vi"):
+            if not bu.startswith("F"):
+                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
+            want = "H1" if case == "v" else "H2"
+            _require(bu.startswith("F") and bv == want, case, u, v)
+            fi = lu if bu == "F1" else spec.k + lu
+            diag = self.p_inv if case == "v" else self.q_inv
+            ls = self.lf_sharp
+            return float(ls[fi, fi] + diag[lv, lv] - 2 * ls[fi, cv])
+        if case == "vii":
+            if bu == "H2" and bv == "H1":
+                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
+            _require(bu == "H1" and bv == "H2", case, u, v)
+            return float(
+                self.p_inv[lu, lu]
+                + self.q_inv[lv, lv]
+                - 2 * _kron_entry(self.p_inv, lu, cu, lv, cv)
+            )
+        if case == "viii":
+            if bu == "H1" and bv == "H2":
+                (bu, lu, cu), (bv, lv, cv) = (bv, lv, cv), (bu, lu, cu)
+            _require(bu == "H2" and bv == "H1", case, u, v)
+            return float(
+                self.q_inv[lu, lu]
+                + self.p_inv[lv, lv]
+                - 2 * _kron_entry(self.q_inv, lu, cu, lv, cv)
+            )
+        raise CaseMismatchError(f"case {case} is not a resistance case")
+
+
+def _reference_report(spec, tol_r=1e-9, tol_kf=1e-8, include_printed=True, label=""):
+    """verify_construction's report, built pair by pair and case by case."""
+    g, _ = build_pocket_graph(spec)
+    r_oracle, kf_oracle = oracle_resistance(g)
+    structured = structured_one_inverse(spec)
+    lap = laplacian(g)
+    residual = float(np.abs(lap @ structured.matrix @ lap - lap).max())
+    r_struct = resistance_matrix(structured.matrix)
+    kf_struct = kirchhoff_from_one_inverse(structured.matrix)
+    kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
+    theorem = "3.1" if spec.k == spec.n else "4.1"
+    printed = None
+    if include_printed:
+        printed = (_Reference31 if theorem == "3.1" else _Reference41)(spec, structured)
+    report = DiscrepancyReport(
+        instance={
+            "label": label,
+            "n": spec.n,
+            "k": spec.k,
+            "l": spec.l,
+            "m": spec.m,
+            "attach": list(spec.attach),
+            "order": g.order,
+            "edges": g.size,
+            "theorem": theorem,
+        },
+        tol_r=tol_r,
+        tol_kf=tol_kf,
+        one_inverse_residual=residual,
+        ok=residual <= tol_r,
+    )
+    for u in range(g.order):
+        for v in range(u + 1, g.order):
+            dev = float(abs(r_struct[u, v] - r_oracle[u, v]))
+            base = dict(
+                quantity=f"r[{u},{v}]",
+                oracle=float(r_oracle[u, v]),
+                structured=float(r_struct[u, v]),
+                structured_dev=dev,
+                structured_ok=bool(dev <= tol_r),
+            )
+            if not base["structured_ok"]:
+                report.ok = False
+            emitted = False
+            for case in printed.applicable_cases(u, v) if printed else []:
+                try:
+                    value = printed.resistance(case, u, v)
+                except CaseMismatchError:
+                    continue
+                report.records.append(
+                    QuantityRecord(
+                        **base,
+                        printed=value,
+                        printed_dev=float(abs(value - r_oracle[u, v])),
+                        case=f"{theorem}({case})",
+                    )
+                )
+                emitted = True
+            if not emitted:
+                report.records.append(QuantityRecord(**base))
+    kf_dev = float(abs(kf_struct.value - kf_oracle.value))
+    report.records.append(
+        QuantityRecord(
+            quantity="Kf",
+            oracle=kf_oracle.value,
+            structured=kf_struct.value,
+            structured_dev=kf_dev,
+            structured_ok=bool(kf_dev <= tol_kf),
+        )
+    )
+    spec_dev = float(abs(kf_spectral.value - kf_oracle.value))
+    report.records.append(
+        QuantityRecord(
+            quantity="Kf[spectral]",
+            oracle=kf_oracle.value,
+            structured=kf_spectral.value,
+            structured_dev=spec_dev,
+            structured_ok=bool(spec_dev <= tol_kf),
+        )
+    )
+    if any(r.structured_ok is False for r in report.records):
+        report.ok = False
+    if printed is not None:
+        kf_printed = printed.kirchhoff()
+        report.records.append(
+            QuantityRecord(
+                quantity="Kf",
+                oracle=kf_oracle.value,
+                printed=kf_printed,
+                printed_dev=abs(kf_printed - kf_oracle.value),
+                case=f"{theorem}({'kf' if theorem == '3.1' else 'ix'})",
+            )
+        )
+    return report
 
 
 class TestCaseId:
@@ -261,3 +522,154 @@ class TestVerifyConstruction:
             "thm4-9v": 0,
             "thm4-rich": 0,
         }
+
+
+def _seeded_spec(seed, shape):
+    """A random spec of one shape: (n, l, m) pockets every vertex of a
+    connected F in shuffled order; (k, n - k, l, m) splits F = F1 v F2."""
+    rng = np.random.default_rng(seed)
+    if len(shape) == 3:
+        n, l, m = shape
+        f = random_connected_graph(rng, n)
+        attach = tuple(int(x) for x in rng.permutation(n))
+    else:
+        k, nk, l, m = shape
+        f = join(random_graph(rng, k), random_graph(rng, nk))
+        attach = tuple(range(k))
+    return PocketSpec(f, attach, random_graph(rng, l), random_graph(rng, m - l))
+
+
+# Orders 72, 96 (l > m - l: 3.1(v) drops pairs), 168, 76, 86 and 164.
+LARGE_SHAPES = [(8, 3, 8), (8, 6, 11), (12, 5, 13), (8, 4, 3, 8), (7, 2, 6, 11), (10, 4, 5, 15)]
+# the instances `verify --sweep 40` adds to the fixtures, at the CLI's defaults
+VERIFY_SWEEP = random_specs(40, seed=DEFAULT_SEED, max_n=6, max_l=4, max_h2=4)
+
+
+def _assert_same_report(spec, label="", **options):
+    report = verify_construction(spec, label=label, **options)
+    reference = _reference_report(spec, label=label, **options)
+    assert report.ok == reference.ok
+    assert report.to_json() == reference.to_json()
+    assert report.to_table() == reference.to_table()
+    assert report.records == reference.records
+
+
+class TestAuditMatchesPerPairReference:
+    @pytest.mark.parametrize("include_printed", [True, False])
+    @pytest.mark.parametrize("label,spec", builtin_fixtures())
+    def test_fixtures(self, label, spec, include_printed):
+        _assert_same_report(spec, label, include_printed=include_printed)
+
+    @pytest.mark.parametrize("index", range(len(VERIFY_SWEEP)))
+    def test_verify_sweep(self, index):
+        _assert_same_report(VERIFY_SWEEP[index], f"seed{DEFAULT_SEED}-{index}")
+
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
+    def test_orders_72_to_168(self, shape):
+        spec = _seeded_spec(sum(shape), shape)
+        assert 72 <= spec.n + spec.m * spec.k <= 168
+        _assert_same_report(spec, str(shape))
+
+    @pytest.mark.parametrize("tol_r,tol_kf", [(0.0, 1e-8), (1e-9, 0.0), (-1.0, -1.0)])
+    def test_failing_tolerances(self, tol_r, tol_kf):
+        # order 168: its pairs span several blocks of records
+        _assert_same_report(_seeded_spec(20, (12, 5, 13)), tol_r=tol_r, tol_kf=tol_kf)
+
+    @pytest.mark.parametrize("off", ["r[0,1]", "Kf"])
+    def test_one_value_off_fails_the_report(self, monkeypatch, off):
+        from pocket_kirch import formulas
+
+        spec = _seeded_spec(20, (12, 5, 13))
+        assert verify_construction(spec).ok
+        oracle, kf_route = formulas.oracle_resistance, formulas.kirchhoff_from_one_inverse
+        if off == "Kf":
+            monkeypatch.setattr(
+                formulas,
+                "kirchhoff_from_one_inverse",
+                lambda x: KirchhoffResult(kf_route(x).value + 1e-6, "structured"),
+            )
+        else:
+            def one_pair_off(g):
+                r, kf = oracle(g)
+                r = r.copy()
+                r[0, 1] += 1e-6
+                r[1, 0] += 1e-6
+                return r, kf
+
+            monkeypatch.setattr(formulas, "oracle_resistance", one_pair_off)
+        report = verify_construction(spec)
+        assert not report.ok
+        assert [r.quantity for r in report.records if r.structured_ok is False] == [off]
+
+    def test_verify_cli_json(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--sweep", "40", "--out", str(out)]) == 0
+        instances = builtin_fixtures() + [
+            (f"seed{DEFAULT_SEED}-{i}", s) for i, s in enumerate(VERIFY_SWEEP)
+        ]
+        reports = [_reference_report(s, label=label) for label, s in instances]
+        payload = {
+            "ok": all(r.ok for r in reports),
+            "seed": DEFAULT_SEED,
+            "max_n": 6,
+            "max_m": 8,
+            "tolerances": {"resistance": 1e-9, "kirchhoff": 1e-8},
+            "instances": [r.to_dict() for r in reports],
+        }
+        assert out.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+PER_PAIR_SPECS = [s for _, s in builtin_fixtures()] + [
+    s for s in random_specs(60, seed=29, max_n=5, max_l=3, max_h2=2) if s.k < s.n
+][:20]
+
+
+def _outcome(call):
+    """A call's float bit pattern, or the error type it raised."""
+    try:
+        return np.float64(call()).tobytes()
+    except CaseMismatchError:
+        return CaseMismatchError
+
+
+class TestPerPairApi:
+    @pytest.mark.parametrize("spec", PER_PAIR_SPECS)
+    def test_matches_reference_on_every_pair_and_case(self, spec):
+        if spec.k == spec.n:
+            printed, reference, labels = Theorem31Printed(spec), _Reference31(spec), THM31_CASES
+        else:
+            printed, reference, labels = Theorem41Printed(spec), _Reference41(spec), THM41_CASES
+        order = spec.n + spec.m * spec.k
+        for u in range(order):
+            for v in range(order):
+                assert printed.applicable_cases(u, v) == reference.applicable_cases(u, v)
+                for case in labels:
+                    assert _outcome(lambda: printed.resistance(case, u, v)) == _outcome(
+                        lambda: reference.resistance(case, u, v)
+                    ), (case, u, v)
+
+    def test_errors(self):
+        printed = Theorem31Printed(P3_SPEC)
+        with pytest.raises(ValueError, match="unknown case"):
+            printed.resistance("vi", 0, 1)
+        with pytest.raises(IndexError):
+            printed.resistance("i", 0, 3)
+        with pytest.raises(IndexError):
+            printed.applicable_cases(-1, 0)
+        with pytest.raises(CaseMismatchError, match="not a resistance case"):
+            printed.resistance("kf", 0, 1)
+
+    def test_audit_makes_no_per_pair_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-pair call in the audit")
+
+        for cls in (Theorem31Printed, Theorem41Printed):
+            monkeypatch.setattr(cls, "resistance", refuse)
+            monkeypatch.setattr(cls, "applicable_cases", refuse)
+        monkeypatch.setattr(BlockLayout, "locate", refuse)
+        for shape in [(8, 3, 8), (8, 4, 3, 8)]:
+            spec = _seeded_spec(1, shape)
+            assert spec.n + spec.m * spec.k >= 72
+            report = verify_construction(spec)
+            assert report.ok
+            assert any(r.printed is not None for r in report.records[:-1])

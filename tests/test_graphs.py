@@ -21,6 +21,7 @@ from pocket_kirch import (
     validate_join_structure,
 )
 from pocket_kirch.graphs import (
+    BLOCKS,
     graph_from_json,
     graph_to_json,
     parse_edge_list,
@@ -196,12 +197,17 @@ class TestBlockLayout:
         f = complete_graph(n)
         spec = PocketSpec(f, tuple(attach[:k]), empty_graph(l), empty_graph(h2n))
         layout = make_layout(spec)
+        blocks, locals_, copies = layout.locate_all()
         seen = set()
         for g in range(layout.total):
             block, local, copy = layout.locate(g)
             assert layout.global_index(block, local, copy) == g
+            assert (BLOCKS[blocks[g]], locals_[g], copies[g]) == (block, local, copy)
             seen.add(g)
         assert seen == set(range(layout.total))
+        for g in (-1, layout.total):
+            with pytest.raises(IndexError):
+                layout.locate(g)
 
     def test_copy_varies_fastest(self):
         spec = PocketSpec(complete_graph(2), (0, 1), empty_graph(2))
