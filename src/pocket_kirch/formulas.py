@@ -20,13 +20,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import BLOCKS, PocketSpec, build_pocket_graph, laplacian, make_layout
+from .graphs import (
+    BLOCKS,
+    JoinStructureError,
+    PocketSpec,
+    build_pocket_graph,
+    laplacian,
+    make_layout,
+)
 from .linalg import eigenvalues_sym
 from .oneinv import (
     StructuredOneInverse,
     _p_factor,
     _q_factor,
-    _split_base_block,
     split_base_join,
     structured_one_inverse,
 )
@@ -151,7 +157,7 @@ class Theorem31Printed:
         self.layout = make_layout(spec)
         self.block, self.local, self.copy = self.layout.locate_all()
         factors = (structured or structured_one_inverse(spec)).ingredients
-        self.lf_sharp = factors["base_sharp"]  # L#(F) when k = n
+        self.lf_sharp = factors["base_sharp"]  # L#(F)
         self.p_inv = factors["p_inv_factor"]
         self.q_inv = factors["q_inv_factor"]
 
@@ -199,13 +205,16 @@ def thm31_printed_kf(kf_f: float, mu, nu, n: int, m: int, l: int) -> float:
 
 
 class Theorem41Printed:
-    """Printed case formulas for the split-base construction F = F1 v F2.
+    """Printed case formulas of Theorem 4.1: a split base F = F1 v F2 with
+    pockets on every F1 vertex.
 
     Every factor is read off ``structured`` (the spec's
     ``structured_one_inverse`` result, computed when not given), so the
-    audit inverts nothing of its own: P^-1, Q^-1 and (L(F2) + kI)^-1 as
-    they are; (L(F1) + (n-k)I)^-1 = H# + J/((n-k)k) from the base factor H#;
-    and L#(F) = (I - J/n) B (I - J/n) from the split base block B.
+    audit inverts nothing of its own: L#(F), P^-1 and Q^-1 as they are, and
+    both split factors from the diagonal blocks of L#(F). On the vectors
+    summing to zero within one side, L(F) acts as L(F1) + (n-k)I or as
+    L(F2) + kI, whose inverses map 1 to itself with eigenvalue 1/(n-k) or
+    1/k; so each inverse is its block of L#(F), centred, plus J/(k(n-k)).
     """
 
     def __init__(self, spec: PocketSpec, structured: StructuredOneInverse | None = None):
@@ -216,13 +225,10 @@ class Theorem41Printed:
         self.block, self.local, self.copy = self.layout.locate_all()
         n, k = spec.n, spec.k
         factors = (structured or structured_one_inverse(spec)).ingredients
-        h_sharp = factors["base_sharp"]
-        self.f1_inv = h_sharp + 1.0 / ((n - k) * k)
-        self.f2_inv = factors["f2_inv"]
-        base = _split_base_block(h_sharp, self.f2_inv)
-        self.lf_sharp = (
-            base - base.mean(axis=0) - base.mean(axis=1)[:, None] + base.mean()
-        )
+        self.lf_sharp = factors["base_sharp"]
+        ones = 1.0 / (k * (n - k))
+        self.f1_inv = _centred(self.lf_sharp[:k, :k]) + ones  # (L(F1) + (n-k)I)^-1
+        self.f2_inv = _centred(self.lf_sharp[k:, k:]) + ones  # (L(F2) + kI)^-1
         self.p_mat = _p_factor(spec.H1, spec.m)
         self.p_inv = factors["p_inv_factor"]
         if spec.m > spec.l:
@@ -274,6 +280,12 @@ class Theorem41Printed:
         return thm41_printed_kf(
             alpha, beta, mu, nu, spec.n, spec.k, spec.m, spec.l
         )
+
+
+def _centred(b: np.ndarray) -> np.ndarray:
+    """(I - J/p) B (I - J/q): B less its row and column means, plus its
+    grand mean."""
+    return b - b.mean(axis=0) - b.mean(axis=1)[:, None] + b.mean()
 
 
 def thm41_printed_kf(alpha, beta, mu, nu, n: int, k: int, m: int, l: int) -> float:
@@ -444,6 +456,19 @@ def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -
     return bool(ok.all())
 
 
+def _printed_theorem(spec: PocketSpec) -> str | None:
+    """The theorem whose printed formulas state this spec's resistances:
+    3.1 when every F vertex is attached, 4.1 when F = F1 v F2 over the
+    attached vertices, None otherwise."""
+    if spec.k == spec.n:
+        return "3.1"
+    try:
+        split_base_join(spec)
+    except JoinStructureError:
+        return None
+    return "4.1"
+
+
 def verify_construction(
     spec: PocketSpec,
     tol_r: float = 1e-9,
@@ -454,10 +479,12 @@ def verify_construction(
     """Audit one instance: oracle vs block construction vs printed formulas.
 
     Structured-vs-oracle violations flip the report's ok flag; printed
-    deviations are recorded but never fatal. Each printed case is evaluated
-    over index arrays of all pairs u < v at once, and the records are built
-    in one pass over the resulting columns: pairs in row-major order, then
-    Kf, Kf[spectral] and the printed Kf.
+    deviations are recorded but never fatal. A spec that neither theorem
+    states (k < n with F not F1 v F2) gets no printed records and
+    ``"theorem": None``. Each printed case is evaluated over index arrays
+    of all pairs u < v at once, and the records are built in one pass over
+    the resulting columns: pairs in row-major order, then Kf, Kf[spectral]
+    and the printed Kf.
     """
     g, layout = build_pocket_graph(spec)
     r_oracle, kf_oracle = oracle_resistance(g)
@@ -468,9 +495,9 @@ def verify_construction(
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
 
-    theorem = "3.1" if spec.k == spec.n else "4.1"
+    theorem = _printed_theorem(spec)
     printed = None
-    if include_printed:
+    if include_printed and theorem is not None:
         printed_class = Theorem31Printed if theorem == "3.1" else Theorem41Printed
         printed = printed_class(spec, structured)
 

@@ -21,7 +21,8 @@ class GraphFormatError(ValueError):
 
 
 class JoinStructureError(ValueError):
-    """Raised when a gadget graph is not of the form H1 v (H2 + {v}).
+    """Raised when a gadget graph is not of the form H1 v (H2 + {v}), or a
+    base graph is not F1 v F2 over the attachment vertices.
 
     Carries ``witness``: a missing cross edge (a, b) proving the violation.
     """
@@ -302,7 +303,8 @@ def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
     """Assemble the pocket graph and its block layout.
 
     Copy i of the gadget is glued at spec.attach[i]. Total order n + m*k;
-    the result is connected whenever F is (pockets hang off F).
+    the result is connected, since ``PocketSpec`` requires a connected F
+    and l >= 1 (every H1 vertex is adjacent to v, every H2 vertex to H1).
     """
     layout = make_layout(spec)
     n, k, l = spec.n, spec.k, spec.l
@@ -317,9 +319,7 @@ def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
         edges.update((h2[a], h2[b]) for a, b in spec.H2.edges)
         # join edges between H1 and H2
         edges.update(_normalize_edge(a, b) for a in h1 for b in h2)
-    g = Graph(layout.total, frozenset(edges))
-    assert is_connected(g)
-    return g, layout
+    return Graph(layout.total, frozenset(edges)), layout
 
 
 def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:

@@ -1,14 +1,15 @@
 """Structured symmetric {1}-inverses of pocket-graph Laplacians.
 
 The full Laplacian is never assembled or inverted here: every inverse taken
-is of a matrix no larger than max(n, l, m-l) (or max(k, n-k, l, m-l) on the
-split-base path). Both theorems are one Schur-complement construction: a
-base factor A (L#(F), or the shifted group inverse H# on the split path),
-its F-row coupling C, and the gadget factors P^-1 and Q^-1, each computed
-once. The full-size {1}-inverse is then written once, block by block,
-straight into global vertex order, so its peak memory is one N x N array;
-that array's memory is reused by the next call once the result is dropped
-(``release_output_buffer`` frees it).
+is of a matrix no larger than max(n, l, m-l). Each pocket hangs off one cut
+vertex, so eliminating the pockets leaves exactly L(F) as the Schur
+complement, for any connected F and any attachment set. Both theorems are
+therefore one construction: the base factor L#(F), its attached columns
+C = L#(F)[:, S] coupling F to the pockets, and the gadget factors P^-1 and
+Q^-1, each computed once. The full-size {1}-inverse is then written once,
+block by block, straight into global vertex order, so its peak memory is
+one N x N array; that array's memory is reused by the next call once the
+result is dropped (``release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import numpy as np
 from .graphs import (
     BlockLayout,
     Graph,
+    JoinStructureError,
     PocketSpec,
     join,
     laplacian,
     make_layout,
 )
-from .linalg import invert, kron, pseudo_inverse_laplacian, shifted_group_inverse
+from .linalg import invert, kron, pseudo_inverse_laplacian
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class StructuredOneInverse:
     """A symmetric {1}-inverse over the full vertex set, plus its factors.
 
     ``matrix`` is indexed by global vertex ids. ``ingredients`` keeps the
-    small factors for audit: ``base_sharp`` (A), ``p_inv_factor``,
-    ``q_inv_factor``, and ``f2_inv`` on the split-base path.
+    small factors for audit: ``base_sharp`` (L#(F), n x n, in
+    ``layout.f_order``), ``p_inv_factor`` and ``q_inv_factor``.
     """
 
     matrix: np.ndarray
@@ -141,16 +143,15 @@ def release_output_buffer() -> None:
 
 def _write_one_inverse(
     layout: BlockLayout,
-    base: np.ndarray,
-    a: np.ndarray,
+    lf_sharp: np.ndarray,
     p_inv: np.ndarray,
     q_inv: np.ndarray,
 ) -> np.ndarray:
     """Write the full {1}-inverse once, straight into global vertex order.
 
-    In block order the matrix is [[base, 1_m^T (x) C], [., J_m (x) A + D^-1]]
-    with C = [A; 0] (F rows against pocket columns: A on the attached rows,
-    zero on the rest) and D^-1 = [[P^-1, J/l], [J/l, Q^-1]] (x) I_k, the
+    In block order the matrix is [[L#(F), 1_m^T (x) C], [., J_m (x) A + D^-1]]
+    with C = L#(F)[:, :k] (F rows against the attached columns),
+    A = L#(F)[:k, :k] and D^-1 = [[P^-1, J/l], [J/l, Q^-1]] (x) I_k, the
     blocks of ``pocket_d_inverse``. Global ids >= n equal their block
     positions, so only the F rows and columns are permuted (by
     ``layout.f_order``).
@@ -158,13 +159,12 @@ def _write_one_inverse(
     n, k, l, m = layout.n, layout.k, layout.l, layout.m
     fo = np.asarray(layout.f_order)
     x = _OUTPUT.matrix(layout.total)
-    x[np.ix_(fo, fo)] = base
+    x[np.ix_(fo, fo)] = lf_sharp
     f_rows = x[:n, n:].reshape(n, m, k, copy=False)
-    f_rows[fo[:k]] = a[:, None, :]
-    f_rows[fo[k:]] = 0.0
+    f_rows[fo] = lf_sharp[:, None, :k]
     x[n:, :n] = x[:n, n:].T
     pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
-    pockets[...] = a[None, :, None, :]
+    pockets[...] = lf_sharp[None, :k, None, :k]
     d_inv = np.full((m, m), 1.0 / l)
     d_inv[:l, :l] = p_inv
     d_inv[l:, l:] = q_inv
@@ -173,16 +173,21 @@ def _write_one_inverse(
     return x
 
 
-def _construct(
-    spec: PocketSpec, layout: BlockLayout, a: np.ndarray, base: np.ndarray, **extra
-) -> StructuredOneInverse:
+def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
+    """The structured {1}-inverse of any spec, indexed by its global ids.
+
+    The base factor is L#(F) in attachment-first order; the pockets hang
+    off the attached vertices through its columns C = L#(F)[:, S].
+    """
+    layout = make_layout(spec)
+    fo = np.asarray(layout.f_order)
+    lf_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
     p_inv, q_inv = _gadget_inverses(spec.H1, spec.H2)
     return StructuredOneInverse(
-        matrix=_write_one_inverse(layout, base, a, p_inv, q_inv),
+        matrix=_write_one_inverse(layout, lf_sharp, p_inv, q_inv),
         layout=layout,
         ingredients={
-            "base_sharp": a,
-            **extra,
+            "base_sharp": lf_sharp,
             "p_inv_factor": p_inv,
             "q_inv_factor": q_inv,
         },
@@ -190,72 +195,32 @@ def _construct(
 
 
 def theorem3_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
-    """Structured {1}-inverse for the all-vertices-pocketed case (k = n).
-
-    The base factor is L#(F) (in attachment order), which also couples F to
-    every pocket row: the blocks are L#(F), 1^T (x) L#(F) towards the
-    pockets, and J (x) L#(F) + D^-1 among them.
-    """
+    """Structured {1}-inverse for the all-vertices-pocketed case (k = n)."""
     if spec.k != spec.n:
         raise ValueError("this path requires a pocket at every vertex (k = n)")
-    layout = make_layout(spec)
-    lf = _permuted_base_laplacian(spec.F, layout.f_order)
-    lf_sharp = pseudo_inverse_laplacian(lf)
-    return _construct(spec, layout, lf_sharp, lf_sharp)
+    return structured_one_inverse(spec)
 
 
 def theorem4_one_inverse(
     f1: Graph, f2: Graph, h1: Graph, h2: Graph
 ) -> StructuredOneInverse:
-    """Structured {1}-inverse for the split base F = F1 v F2.
-
-    Pockets attach to every F1 vertex. The base factor is the group inverse
-    of L(F1) + (n-k)I - ((n-k)/k)J, obtained from the shifted-inverse
-    identity with shift n - k; requires order(F2) >= 1.
-    """
+    """Structured {1}-inverse for the split base F = F1 v F2, pockets on
+    every F1 vertex; requires order(F2) >= 1."""
     k, nk, l = f1.order, f2.order, h1.order
     if k < 1 or nk < 1:
         raise ValueError("need order(F1) >= 1 and order(F2) >= 1; "
                          "use the all-pocketed path when F2 is absent")
     if l < 1:
         raise ValueError("need l = order(H1) >= 1")
-    spec = PocketSpec(join(f1, f2), tuple(range(k)), h1, h2)
-    return _split_one_inverse(spec, f1, f2)
-
-
-def _split_one_inverse(spec: PocketSpec, f1: Graph, f2: Graph) -> StructuredOneInverse:
-    """Split-base construction in the spec's own global order.
-
-    ``f1`` and ``f2`` are F induced on the attached and on the remaining
-    vertices, each in ``make_layout(spec).f_order`` order. The base block
-    is [[H#, H# J/k], [J H#/k, (L(F2) + kI)^-1]] and C = [H#; 0].
-    """
-    k, nk = f1.order, f2.order
-    h_sharp = shifted_group_inverse(laplacian(f1), float(nk))
-    f2_inv = invert(laplacian(f2) + k * np.eye(nk))
-    base = _split_base_block(h_sharp, f2_inv)
-    return _construct(spec, make_layout(spec), h_sharp, base, f2_inv=f2_inv)
-
-
-def _split_base_block(h_sharp: np.ndarray, f2_inv: np.ndarray) -> np.ndarray:
-    """The split path's base block [[H#, H# J/k], [J H#/k, (L(F2) + kI)^-1]],
-    a symmetric {1}-inverse of L(F) in attachment-first order."""
-    k, nk = h_sharp.shape[0], f2_inv.shape[0]
-    f1_f2 = (h_sharp @ np.ones((k, nk))) / k
-    return np.block([[h_sharp, f1_f2], [f1_f2.T, f2_inv]])
-
-
-def _permuted_base_laplacian(f: Graph, order: tuple[int, ...]) -> np.ndarray:
-    perm = np.asarray(order, dtype=int)
-    lf = laplacian(f)
-    return lf[np.ix_(perm, perm)]
+    return structured_one_inverse(PocketSpec(join(f1, f2), tuple(range(k)), h1, h2))
 
 
 def split_base_join(spec: PocketSpec) -> tuple[Graph, Graph]:
     """Split F as F1 v F2 with F1 induced on the attachment vertices.
 
-    Raises ValueError when some cross edge is missing (F is not that join)
-    or when all vertices are attached (F2 empty).
+    Raises JoinStructureError, with a missing cross edge as ``witness``,
+    when F is not that join, and ValueError when all vertices are attached
+    (F2 empty).
     """
     attach = list(spec.attach)
     rest = [u for u in range(spec.n) if u not in set(attach)]
@@ -264,18 +229,8 @@ def split_base_join(spec: PocketSpec) -> tuple[Graph, Graph]:
     for a in attach:
         for b in rest:
             if not spec.F.has_edge(a, b):
-                raise ValueError(
-                    f"F is not F1 v F2: missing cross edge ({a},{b})"
+                raise JoinStructureError(
+                    f"F is not F1 v F2: missing cross edge ({a},{b})",
+                    witness=(a, b),
                 )
     return spec.F.induced(attach), spec.F.induced(rest)
-
-
-def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
-    """Dispatch: all-pocketed path when k = n, split-base path otherwise.
-
-    Either way the result is indexed by the spec's own global vertex ids.
-    """
-    if spec.k == spec.n:
-        return theorem3_one_inverse(spec)
-    f1, f2 = split_base_join(spec)
-    return _split_one_inverse(spec, f1, f2)

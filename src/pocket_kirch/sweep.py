@@ -59,17 +59,18 @@ def random_spec(
     max_l: int = 4,
     max_h2: int = 4,
 ) -> PocketSpec:
-    """One random instance, alternating fairly between the two theorem paths."""
+    """One random instance, alternating fairly between the shapes of the two
+    theorems."""
     l = int(rng.integers(1, max_l + 1))
     h1 = random_graph(rng, l)
     h2 = random_graph(rng, int(rng.integers(0, max_h2 + 1)))
     if max_n < 2 or rng.random() < 0.5:
-        # all-pocketed path: connected F, every vertex attached, shuffled order
+        # k = n (Theorem 3.1): connected F, every vertex attached, shuffled order
         n = int(rng.integers(1, max_n + 1))
         f = random_connected_graph(rng, n)
         attach = tuple(int(x) for x in rng.permutation(n))
         return PocketSpec(f, attach, h1, h2)
-    # split-base path: F = F1 v F2 with k < n
+    # split base (Theorem 4.1): F = F1 v F2 with k < n
     k = int(rng.integers(1, max_n))
     nk = int(rng.integers(1, max_n - k + 1))
     f = join(random_graph(rng, k), random_graph(rng, nk))

@@ -235,6 +235,22 @@ class TestResist:
             assert (u1, v1) == (u2, v2)
             assert abs(r1 - r2) <= 1e-9
 
+    def test_non_join_attachment_matches_oracle(self, tmp_path, capsys, k1_file):
+        # a pocket on an end of P3: F is not F1 v F2 over {0}
+        p3 = tmp_path / "p3.txt"
+        p3.write_text("3 2\n0 1\n1 2\n")
+        base = ["resist", "--f", str(p3), "--h1", k1_file, "--attach", "0", "--format", "json"]
+        code_s, out_s, err = _run(capsys, base)
+        assert code_s == 0, err
+        code_o, out_o, _ = _run(capsys, base + ["--oracle"])
+        assert code_o == 0
+        s, o = json.loads(out_s), json.loads(out_o)
+        assert len(s["resistances"]) == len(o["resistances"]) == 6  # N = 4
+        assert abs(s["kf"] - o["kf"]) <= 1e-8
+        for (u1, v1, r1), (u2, v2, r2) in zip(s["resistances"], o["resistances"]):
+            assert (u1, v1) == (u2, v2)
+            assert abs(r1 - r2) <= 1e-9
+
     @pytest.mark.parametrize("order", [1, 2, 3, 7])
     def test_json_streamed_text_matches_whole_payload(self, order):
         rng = np.random.default_rng(order)

@@ -4,7 +4,8 @@ Both float routes invert symmetric positive definite matrices by Cholesky,
 and so does the benchmark's referee; this one shares no arithmetic with
 them. It takes L# = (L + J/N)^-1 - J/N by Gauss-Jordan elimination over
 ``fractions.Fraction``, so every resistance and Kirchhoff index below is
-exact, on the built-in fixtures and on small seeded instances.
+exact, on the built-in fixtures and on small seeded instances, among them
+attachment sets over which F is not a join F1 v F2.
 """
 
 from fractions import Fraction
@@ -13,13 +14,16 @@ import numpy as np
 import pytest
 
 from pocket_kirch import (
+    JoinStructureError,
+    PocketSpec,
     build_pocket_graph,
     kirchhoff_from_one_inverse,
     oracle_resistance,
     resistance_matrix,
+    split_base_join,
     structured_one_inverse,
 )
-from pocket_kirch.sweep import builtin_fixtures, random_specs
+from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_specs
 
 RTOL = 1e-12
 
@@ -61,16 +65,43 @@ def _small_random_specs(count=20, max_order=16):
     return specs[:count]
 
 
-CASES = [(label, spec) for label, spec in builtin_fixtures()] + [
-    (f"random-{i}", spec) for i, spec in enumerate(_small_random_specs())
-]
+def _is_join(spec) -> bool:
+    try:
+        split_base_join(spec)
+    except JoinStructureError:
+        return False
+    return True
+
+
+def _non_join_specs(count=6, max_order=16, seed=99):
+    """Seeded specs with k < n whose F is not F1 v F2 over the attached
+    vertices: connected F of order 3..6, a proper attachment subset."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        n = int(rng.integers(3, 7))
+        f = random_connected_graph(rng, n)
+        attach = tuple(int(x) for x in rng.permutation(n)[: int(rng.integers(1, n))])
+        h1 = random_graph(rng, int(rng.integers(1, 3)))
+        spec = PocketSpec(f, attach, h1, random_graph(rng, int(rng.integers(0, 3))))
+        if spec.n + spec.m * spec.k <= max_order and not _is_join(spec):
+            specs.append(spec)
+    return specs
+
+
+CASES = (
+    [(label, spec) for label, spec in builtin_fixtures()]
+    + [(f"random-{i}", spec) for i, spec in enumerate(_small_random_specs())]
+    + [(f"non-join-{i}", spec) for i, spec in enumerate(_non_join_specs())]
+)
 
 
 def test_cases_cover_both_paths_and_orders():
     orders = [spec.n + spec.m * spec.k for _, spec in CASES]
-    assert len(CASES) == 26
+    assert len(CASES) == 32
     assert min(orders) == 3 and max(orders) <= 16
     assert any(s.k == s.n for _, s in CASES[6:]) and any(s.k < s.n for _, s in CASES[6:])
+    assert any(s.k < s.n and not _is_join(s) for _, s in CASES)
 
 
 def test_exact_inverse_small():

@@ -369,15 +369,17 @@ SPLIT_SPECS = [s for _, s in builtin_fixtures() if s.k < s.n] + [
 class TestTheorem41Cases:
     @pytest.mark.parametrize("spec", SPLIT_SPECS)
     def test_derived_factors_match_direct_inverses(self, spec):
-        # (L(F1)+(n-k)I)^-1 and L#(F) are derived from the structured
-        # factors, not inverted; they equal the direct inverses
+        # (L(F1)+(n-k)I)^-1 and (L(F2)+kI)^-1 are derived from the blocks
+        # of the structured L#(F), not inverted; they equal the direct inverses
         printed = Theorem41Printed(spec)
         n, k = spec.n, spec.k
-        f1, _ = split_base_join(spec)
+        f1, f2 = split_base_join(spec)
         f1_inv = invert(laplacian(f1) + (n - k) * np.eye(k))
+        f2_inv = invert(laplacian(f2) + k * np.eye(n - k))
         order = list(printed.layout.f_order)
         lf = laplacian(spec.F)[np.ix_(order, order)]
         assert np.abs(printed.f1_inv - f1_inv).max() <= 1e-13
+        assert np.abs(printed.f2_inv - f2_inv).max() <= 1e-13
         assert np.abs(printed.lf_sharp - pseudo_inverse_laplacian(lf)).max() <= 1e-13
 
     def test_case_ii_same_vertex(self):
@@ -490,6 +492,20 @@ class TestVerifyConstruction:
         assert any(r.printed_dev > 1e-6 for r in printed)
         assert rep.ok
 
+    def test_non_join_spec_has_no_printed_theorem(self):
+        # k < n and F = P3 is not F1 v F2 over {0}: the construction still
+        # applies, the printed displays do not
+        spec = PocketSpec(path_graph(3), (0,), complete_graph(1))
+        rep = verify_construction(spec, label="p3-end")
+        assert rep.ok
+        payload = json.loads(rep.to_json())
+        assert payload["instance"]["theorem"] is None
+        assert all(r.case is None and r.printed is None for r in rep.records)
+        assert len(rep.records) == 4 * 3 // 2 + 2  # the pairs, Kf, Kf[spectral]
+        assert max(r.structured_dev for r in rep.records) <= 1e-9
+        with pytest.raises(ValueError, match="cross edge"):
+            Theorem41Printed(spec)
+
     def test_printed_audit_reuses_structured_factors(self, monkeypatch):
         from pocket_kirch import formulas, linalg, oneinv
 
@@ -512,8 +528,8 @@ class TestVerifyConstruction:
                 counts.append(len(calls))
             extra[label] = counts[0] - counts[1]
         # both printed classes take every factor from the structured
-        # result; 4.1 derives (L(F1)+(n-k)I)^-1 and L#(F) from H# and the
-        # split base block instead of inverting them again.
+        # result; 4.1 derives (L(F1)+(n-k)I)^-1 and (L(F2)+kI)^-1 from the
+        # diagonal blocks of L#(F) instead of inverting them again.
         assert extra == {
             "p3": 0,
             "p4": 0,

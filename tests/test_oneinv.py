@@ -7,6 +7,7 @@ import pytest
 
 from pocket_kirch import (
     Graph,
+    JoinStructureError,
     PocketSpec,
     build_pocket_graph,
     complete_graph,
@@ -14,13 +15,16 @@ from pocket_kirch import (
     invert,
     is_one_inverse,
     join,
+    kirchhoff_from_one_inverse,
     kron,
     laplacian,
+    make_layout,
     oracle_resistance,
     path_graph,
     pocket_d_inverse,
     pseudo_inverse_laplacian,
     resistance_matrix,
+    shifted_group_inverse,
     split_base_join,
     structured_one_inverse,
     theorem3_one_inverse,
@@ -47,26 +51,58 @@ def _shuffled_split(rng, k, nk, l, m):
     return PocketSpec(f, attach, random_graph(rng, l), random_graph(rng, m - l))
 
 
-def _kron_reference(spec, s):
-    """The same matrix from explicit Kronecker blocks in block order, then
-    scattered to global order through ``layout.to_global()``."""
-    n, k, m = spec.n, spec.k, spec.m
-    a = s.ingredients["base_sharp"]
-    if spec.k == spec.n:
-        base = a
-    else:
-        f1_f2 = a @ np.ones((k, n - k)) / k
-        base = np.block([[a, f1_f2], [f1_f2.T, s.ingredients["f2_inv"]]])
-    p_inv, q_inv, coupling = pocket_d_inverse(spec.H1, spec.H2, k)
-    f_pockets = kron(np.ones((1, m)), np.vstack([a, np.zeros((n - k, k))]))
+def _assemble_reference(spec, base, c, a):
+    """[[base, 1_m^T (x) C], [., J_m (x) A + D^-1]] from explicit Kronecker
+    blocks in block order, scattered to global order through
+    ``layout.to_global()``."""
+    m = spec.m
+    p_inv, q_inv, coupling = pocket_d_inverse(spec.H1, spec.H2, spec.k)
+    f_pockets = kron(np.ones((1, m)), c)
     pockets = kron(np.ones((m, m)), a) + np.block([[p_inv, coupling], [coupling.T, q_inv]])
     x = np.block([[base, f_pockets], [f_pockets.T, pockets]])
-    perm = s.layout.to_global()
+    perm = make_layout(spec).to_global()
     out = np.empty_like(x)
     out[np.ix_(perm, perm)] = x
     return out
 
 
+def _kron_reference(spec, s):
+    """The library's matrix from its base factor L#(F): C = L#(F)[:, S]
+    and A = L#(F)[S, S] (the attached vertices come first in block order)."""
+    lf_sharp = s.ingredients["base_sharp"]
+    k = spec.k
+    return _assemble_reference(spec, lf_sharp, lf_sharp[:, :k], lf_sharp[:k, :k])
+
+
+def theorem4_reference(f1, f2, h1, h2):
+    """The paper's Theorem 4 construction for F = F1 v F2, pockets on F1.
+
+    Its base factor is the group inverse H# of L(F1) + (n-k)I - ((n-k)/k)J
+    (the shifted-inverse identity with shift n - k). The base block is
+    [[H#, H# J/k], [J H#/k, (L(F2) + kI)^-1]] and C = [H#; 0]: another
+    symmetric {1}-inverse than the library's, with the same resistances.
+    """
+    k, nk = f1.order, f2.order
+    spec = PocketSpec(join(f1, f2), tuple(range(k)), h1, h2)
+    h_sharp = shifted_group_inverse(laplacian(f1), float(nk))
+    f2_inv = invert(laplacian(f2) + k * np.eye(nk))
+    f1_f2 = h_sharp @ np.ones((k, nk)) / k
+    base = np.block([[h_sharp, f1_f2], [f1_f2.T, f2_inv]])
+    c = np.vstack([h_sharp, np.zeros((nk, k))])
+    return spec, _assemble_reference(spec, base, c, h_sharp)
+
+
+def _any_attachment(rng):
+    """Connected F of order 2..7 with a random attachment set, in shuffled
+    order, of any size: most such F are not F1 v F2 over it."""
+    n = int(rng.integers(2, 8))
+    f = random_connected_graph(rng, n)
+    attach = tuple(int(x) for x in rng.permutation(n)[: int(rng.integers(1, n + 1))])
+    l = int(rng.integers(1, 4))
+    return PocketSpec(f, attach, random_graph(rng, l), random_graph(rng, int(rng.integers(0, 4))))
+
+
+ANY_ATTACHMENT_SEEDS = 20
 _RNG = np.random.default_rng(5)
 SHUFFLED_SPECS = [
     _shuffled_split(_RNG, 3, 2, 2, 2),  # m = l: empty H2
@@ -74,6 +110,14 @@ SHUFFLED_SPECS = [
     _shuffled_split(_RNG, 1, 3, 3, 3),
     _shuffled_all_pocketed(_RNG, 4, 3, 3),
     _shuffled_all_pocketed(_RNG, 5, 2, 6),
+]
+# k < n with F not F1 v F2 over the attached vertices; C4 with one pocket
+NON_JOIN_SPECS = [
+    PocketSpec(path_graph(3), (0,), complete_graph(1)),
+    PocketSpec(path_graph(5), (3, 1), complete_graph(2), path_graph(2)),
+    PocketSpec(
+        Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})), (2,), path_graph(2), empty_graph(1)
+    ),
 ]
 
 
@@ -236,8 +280,17 @@ class TestTheorem3:
 
 class TestTheorem4:
     def test_pendant_exact(self):
+        _, x = theorem4_reference(*THM4_ARGS[0])
+        np.testing.assert_allclose(x, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+
+    def test_pendant_library_matrix(self):
+        # L#(K2) on F, its attached column towards the pocket, 0.25 + P^-1 on it
         s = theorem4_one_inverse(*THM4_ARGS[0])
-        np.testing.assert_allclose(s.matrix, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(
+            s.matrix,
+            [[0.25, -0.25, 0.25], [-0.25, 0.25, -0.25], [0.25, -0.25, 1.25]],
+            atol=1e-12,
+        )
 
     def test_seven_vertex_oracle_match(self):
         f1, f2, h1, h2 = THM4_ARGS[1]
@@ -250,12 +303,11 @@ class TestTheorem4:
 
     @pytest.mark.parametrize("args", THM4_ARGS)
     def test_symmetric_and_one_inverse(self, args):
-        f1, f2, h1, h2 = args
-        s = theorem4_one_inverse(f1, f2, h1, h2)
-        spec = PocketSpec(join(f1, f2), tuple(range(f1.order)), h1, h2)
+        spec, reference = theorem4_reference(*args)
         g, _ = build_pocket_graph(spec)
-        np.testing.assert_allclose(s.matrix, s.matrix.T, atol=1e-12)
-        assert is_one_inverse(laplacian(g), s.matrix, 1e-9)
+        for x in (reference, theorem4_one_inverse(*args).matrix):
+            np.testing.assert_allclose(x, x.T, atol=1e-12)
+            assert is_one_inverse(laplacian(g), x, 1e-9)
 
     def test_rejects_empty_f2(self):
         with pytest.raises(ValueError, match="F2"):
@@ -282,8 +334,10 @@ class TestTheorem4:
 class TestStructuredDispatch:
     def test_split_base_join_detects_missing_cross_edge(self):
         spec = PocketSpec(path_graph(3), (0,), complete_graph(1))
-        with pytest.raises(ValueError, match="cross edge"):
+        with pytest.raises(JoinStructureError, match="cross edge") as exc:
             split_base_join(spec)
+        assert isinstance(exc.value, ValueError)
+        assert exc.value.witness == (0, 2)
 
     def test_split_base_join_splits(self):
         spec = PocketSpec(join(complete_graph(2), path_graph(2)), (0, 1), complete_graph(1))
@@ -310,7 +364,31 @@ class TestStructuredDispatch:
         r_oracle, _ = oracle_resistance(g)
         np.testing.assert_allclose(resistance_matrix(s.matrix), r_oracle, atol=1e-9)
 
-    @pytest.mark.parametrize("spec", SHUFFLED_SPECS + THM3_SPECS)
+    @pytest.mark.parametrize("seed", range(ANY_ATTACHMENT_SEEDS))
+    def test_any_attachment_set_matches_oracle(self, seed):
+        spec = _any_attachment(np.random.default_rng(100 + seed))
+        g, _ = build_pocket_graph(spec)
+        s = structured_one_inverse(spec)
+        lap = laplacian(g)
+        np.testing.assert_allclose(s.matrix, s.matrix.T, atol=1e-12)
+        assert np.abs(lap @ s.matrix @ lap - lap).max() <= 1e-9
+        r_oracle, kf_oracle = oracle_resistance(g)
+        np.testing.assert_allclose(resistance_matrix(s.matrix), r_oracle, atol=1e-9)
+        assert abs(kirchhoff_from_one_inverse(s.matrix).value - kf_oracle.value) <= 1e-8
+
+    def test_any_attachment_draws_non_join_specs(self):
+        non_join = 0
+        for seed in range(ANY_ATTACHMENT_SEEDS):
+            spec = _any_attachment(np.random.default_rng(100 + seed))
+            try:
+                split_base_join(spec)
+            except JoinStructureError:
+                non_join += 1
+            except ValueError:
+                pass  # k = n
+        assert non_join >= 8
+
+    @pytest.mark.parametrize("spec", SHUFFLED_SPECS + THM3_SPECS + NON_JOIN_SPECS)
     def test_matches_kronecker_reference(self, spec):
         s = structured_one_inverse(spec)
         np.testing.assert_allclose(s.matrix, _kron_reference(spec, s), rtol=0, atol=1e-12)
@@ -341,8 +419,13 @@ class TestIngredients:
     @pytest.mark.parametrize("spec", SHUFFLED_SPECS[:2])
     def test_split_path_ingredients(self, spec):
         s = structured_one_inverse(spec)
-        assert set(s.ingredients) == {"base_sharp", "f2_inv", "p_inv_factor", "q_inv_factor"}
-        assert s.ingredients["base_sharp"].shape == (spec.k, spec.k)
+        assert set(s.ingredients) == {"base_sharp", "p_inv_factor", "q_inv_factor"}
+        assert s.ingredients["base_sharp"].shape == (spec.n, spec.n)
+        order = list(s.layout.f_order)
+        lf = laplacian(spec.F)[np.ix_(order, order)]
+        np.testing.assert_allclose(
+            s.ingredients["base_sharp"], pseudo_inverse_laplacian(lf), atol=1e-13
+        )
         assert s.ingredients["q_inv_factor"].shape == (spec.m - spec.l,) * 2
 
 
