@@ -154,22 +154,28 @@ def _write_one_inverse(
     A = L#(F)[:k, :k] and D^-1 = [[P^-1, J/l], [J/l, Q^-1]] (x) I_k, the
     blocks of ``pocket_d_inverse``. Global ids >= n equal their block
     positions, so only the F rows and columns are permuted (by
-    ``layout.f_order``).
+    ``layout.f_order``). Without D^-1 the k rows of gadget vertex 0 repeat
+    for every gadget vertex, so they are written first, as C^T and A tiled
+    m times, and copied to the other m - 1 row blocks in one contiguous
+    pass; D^-1 is then added on the copy diagonal, and the F rows get
+    L#(F) and C tiled m times.
     """
     n, k, l, m = layout.n, layout.k, layout.l, layout.m
     fo = np.asarray(layout.f_order)
     x = _OUTPUT.matrix(layout.total)
-    x[np.ix_(fo, fo)] = lf_sharp
-    f_rows = x[:n, n:].reshape(n, m, k, copy=False)
-    f_rows[fo] = lf_sharp[:, None, :k]
-    x[n:, :n] = x[:n, n:].T
-    pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
-    pockets[...] = lf_sharp[None, :k, None, :k]
+    pocket_rows = x[n:].reshape(m, k, layout.total, copy=False)
+    first = pocket_rows[0]  # the k rows of gadget vertex 0
+    first[:, fo] = lf_sharp[:, :k].T
+    first[:, n:].reshape(k, m, k, copy=False)[...] = lf_sharp[:k, None, :k]
+    pocket_rows[1:] = first
     d_inv = np.full((m, m), 1.0 / l)
     d_inv[:l, :l] = p_inv
     d_inv[l:, l:] = q_inv
     c = np.arange(k)
+    pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
     pockets[:, c, :, c] += d_inv  # the copy diagonal c = c'
+    x[np.ix_(fo, fo)] = lf_sharp
+    x[:n, n:].reshape(n, m, k, copy=False)[fo] = lf_sharp[:, None, :k]
     return x
 
 

@@ -2,7 +2,8 @@
 
 Any {1}-inverse X of a connected graph's Laplacian yields the same
 resistance values r_uv = X_uu + X_vv - X_uv - X_vu, and the Kirchhoff index
-Kf = n tr(X) - 1^T X 1.
+Kf = n tr(X) - 1^T X 1, where 1^T X 1 is read in one matrix-vector pass
+(X 1 by BLAS, then the sum of its n entries).
 """
 
 from __future__ import annotations
@@ -35,9 +36,17 @@ def resistance_from_one_inverse(x: np.ndarray, u: int, v: int) -> float:
     return float(x[u, u] + x[v, v] - x[u, v] - x[v, u])
 
 
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float array; ValueError unless it is square and 2-D."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square 2-D matrix, got shape {x.shape}")
+    return x
+
+
 def resistance_matrix(x: np.ndarray) -> np.ndarray:
     """All-pairs resistance values from a {1}-inverse."""
-    x = np.asarray(x, dtype=float)
+    x = _square(x)
     d = np.diag(x)
     r = d[:, None] + d[None, :] - x - x.T
     np.fill_diagonal(r, 0.0)
@@ -45,12 +54,17 @@ def resistance_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def kirchhoff_from_one_inverse(x: np.ndarray, method: str = "structured") -> KirchhoffResult:
-    """Kf = n tr(X) - 1^T X 1."""
-    x = np.asarray(x, dtype=float)
+    """Kf = n tr(X) - 1^T X 1.
+
+    X need not be symmetric. 1^T X 1 is the sum of X 1, one BLAS
+    matrix-vector pass, which reads X at memory speed where ``x.sum()``
+    does not.
+    """
+    x = _square(x)
     n = x.shape[0]
     if n == 0:
         return KirchhoffResult(0.0, method)
-    return KirchhoffResult(float(n * np.trace(x) - x.sum()), method)
+    return KirchhoffResult(float(n * np.trace(x) - (x @ np.ones(n)).sum()), method)
 
 
 def kirchhoff_spectral(spectrum: np.ndarray, n: int) -> KirchhoffResult:

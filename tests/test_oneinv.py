@@ -404,6 +404,71 @@ class TestStructuredDispatch:
         np.testing.assert_allclose(resistance_matrix(s.matrix), r_oracle, atol=1e-9)
 
 
+def _broadcast_writer_reference(layout, lf_sharp, p_inv, q_inv):
+    """The writer as it was before the pocket rows were replicated: every
+    pocket entry by one broadcast over (m, k, m, k), then the F rows and
+    their transpose. Its entries are the same single copies and additions
+    as the library's, so the two must agree bit for bit."""
+    n, k, l, m = layout.n, layout.k, layout.l, layout.m
+    fo = np.asarray(layout.f_order)
+    x = np.empty((layout.total, layout.total))
+    x[np.ix_(fo, fo)] = lf_sharp
+    f_rows = x[:n, n:].reshape(n, m, k, copy=False)
+    f_rows[fo] = lf_sharp[:, None, :k]
+    x[n:, :n] = x[:n, n:].T
+    pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
+    pockets[...] = lf_sharp[None, :k, None, :k]
+    d_inv = np.full((m, m), 1.0 / l)
+    d_inv[:l, :l] = p_inv
+    d_inv[l:, l:] = q_inv
+    c = np.arange(k)
+    pockets[:, c, :, c] += d_inv
+    return x
+
+
+_EDGE_RNG = np.random.default_rng(8)
+WRITER_EDGE_SPECS = [
+    # m = 1: one gadget vertex, nothing to replicate
+    PocketSpec(path_graph(4), (2, 0, 3, 1), complete_graph(1)),
+    # k = 1 on a non-join base
+    PocketSpec(path_graph(6), (4,), path_graph(3), complete_graph(2)),
+    # l = m: Q^-1 is 0x0
+    PocketSpec(complete_graph(3), (1, 2), path_graph(4)),
+    # m - l >> k
+    _shuffled_split(_EDGE_RNG, 2, 3, 1, 40),
+    _shuffled_all_pocketed(_EDGE_RNG, 3, 1, 40),
+]
+
+
+class TestWriter:
+    @pytest.mark.parametrize(
+        "spec", SHUFFLED_SPECS + THM3_SPECS + NON_JOIN_SPECS + WRITER_EDGE_SPECS
+    )
+    def test_bit_identical_to_broadcast_writer(self, spec):
+        s = structured_one_inverse(spec)
+        ing = s.ingredients
+        expected = _broadcast_writer_reference(
+            s.layout, ing["base_sharp"], ing["p_inv_factor"], ing["q_inv_factor"]
+        )
+        assert np.array_equal(s.matrix, expected)
+
+    def test_edge_shapes(self):
+        shapes = [(s.m, s.k, s.l) for s in WRITER_EDGE_SPECS]
+        assert shapes[0][0] == 1
+        assert shapes[1][1] == 1
+        assert shapes[2][0] == shapes[2][2]
+        assert all(m - l >= 10 * k for m, k, l in shapes[3:])
+
+    @pytest.mark.parametrize("spec", WRITER_EDGE_SPECS)
+    def test_edge_shapes_one_inverse(self, spec):
+        g, _ = build_pocket_graph(spec)
+        x = structured_one_inverse(spec).matrix
+        lap = laplacian(g)
+        assert np.abs(lap @ x @ lap - lap).max() <= 1e-9
+        r_oracle, _ = oracle_resistance(g)
+        np.testing.assert_allclose(resistance_matrix(x), r_oracle, atol=1e-9)
+
+
 class TestIngredients:
     def test_factors_retained_for_audit(self):
         spec = THM3_SPECS[2]

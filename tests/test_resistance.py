@@ -1,3 +1,6 @@
+import itertools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +23,13 @@ from pocket_kirch import (
     pseudo_inverse_laplacian,
     resistance_from_one_inverse,
     resistance_matrix,
+    structured_one_inverse,
 )
+
+def re_shape(x):
+    """The shape as the error message prints it, escaped for ``match``."""
+    return re.escape(str(x.shape))
+
 
 N_P3 = np.array([[0.0, 0, 0], [0, 1, 1], [0, 1, 2]])
 
@@ -49,6 +58,29 @@ class TestResistanceFromOneInverse:
             resistance_from_one_inverse(N_P3, 0, 3)
 
 
+NOT_SQUARE = [np.ones((4, 3)), np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))]
+NOT_SQUARE_IDS = ["4x3", "3x4", "1-D", "3-D"]
+
+
+def _fsum_kirchhoff(x):
+    """n tr(X) - 1^T X 1 with both sums correctly rounded (math.fsum)."""
+    n = x.shape[0]
+    total = math.fsum(itertools.chain.from_iterable(row.tolist() for row in x))
+    return n * math.fsum(np.diag(x).tolist()) - total
+
+
+@pytest.fixture(scope="module")
+def p30_pockets():
+    """F = P30 with a K1 + K80 pocket on every vertex (N = 2460): its
+    structured and oracle {1}-inverses."""
+    spec = PocketSpec(path_graph(30), tuple(range(30)), complete_graph(1), complete_graph(80))
+    g, _ = build_pocket_graph(spec)
+    assert g.order == 2460
+    structured = structured_one_inverse(spec).matrix.copy()
+    oracle = pseudo_inverse_laplacian(laplacian(g))
+    return {"structured": structured, "oracle": oracle}
+
+
 class TestResistanceMatrix:
     def test_p3(self):
         np.testing.assert_allclose(
@@ -63,6 +95,11 @@ class TestResistanceMatrix:
 
     def test_order_one(self):
         np.testing.assert_array_equal(resistance_matrix(np.zeros((1, 1))), [[0.0]])
+
+    @pytest.mark.parametrize("x", NOT_SQUARE, ids=NOT_SQUARE_IDS)
+    def test_not_square_rejected(self, x):
+        with pytest.raises(ValueError, match=r"square 2-D matrix, got shape " + re_shape(x)):
+            resistance_matrix(x)
 
 
 class TestKirchhoff:
@@ -80,6 +117,42 @@ class TestKirchhoff:
         r = resistance_matrix(N_P3)
         kf = kirchhoff_from_one_inverse(N_P3).value
         assert abs(kf - r[np.triu_indices(3, 1)].sum()) <= 1e-8
+
+    def test_order_zero(self):
+        assert kirchhoff_from_one_inverse(np.zeros((0, 0))).value == 0.0
+
+    @pytest.mark.parametrize("x", NOT_SQUARE, ids=NOT_SQUARE_IDS)
+    def test_not_square_rejected(self, x):
+        # a 4x3 input once gave Kf = 0.0 and a 3x4 one "negative Kirchhoff index"
+        with pytest.raises(ValueError, match=r"square 2-D matrix, got shape " + re_shape(x)):
+            kirchhoff_from_one_inverse(x)
+
+
+class TestKirchhoffAccuracy:
+    """1^T X 1 by one matrix-vector pass, against correctly rounded sums."""
+
+    @pytest.mark.parametrize("route", ["structured", "oracle"])
+    def test_p30_pockets(self, p30_pockets, route):
+        x = p30_pockets[route]
+        expected = _fsum_kirchhoff(x)
+        assert abs(kirchhoff_from_one_inverse(x).value - expected) <= 1e-13 * expected
+
+    def test_fortran_order(self, p30_pockets):
+        x = np.asfortranarray(p30_pockets["structured"])
+        expected = _fsum_kirchhoff(x)
+        assert abs(kirchhoff_from_one_inverse(x).value - expected) <= 1e-13 * expected
+
+    def test_non_symmetric_one_inverse(self, p30_pockets):
+        # X + 1 a^T + b 1^T is another {1}-inverse (L 1 = 0) with the same Kf
+        x = p30_pockets["structured"]
+        n = x.shape[0]
+        rng = np.random.default_rng(3)
+        x = x + np.add.outer(rng.standard_normal(n), rng.standard_normal(n))
+        assert np.abs(x - x.T).max() > 1.0
+        expected = _fsum_kirchhoff(x)
+        assert abs(kirchhoff_from_one_inverse(x).value - expected) <= 1e-13 * expected
+        kf_symmetric = _fsum_kirchhoff(p30_pockets["structured"])
+        assert abs(expected - kf_symmetric) <= 1e-11 * kf_symmetric
 
 
 class TestKirchhoffSpectral:
