@@ -28,18 +28,12 @@ from .linalg import (
     SingularMatrixError,
     eigenvalues_sym,
     invert,
-    is_one_inverse,
-    kron,
     pseudo_inverse_laplacian,
-    shifted_group_inverse,
 )
 from .oneinv import (
     StructuredOneInverse,
-    pocket_d_inverse,
     split_base_join,
     structured_one_inverse,
-    theorem3_one_inverse,
-    theorem4_one_inverse,
 )
 from .resistance import (
     KirchhoffResult,
@@ -87,26 +81,20 @@ __all__ = [
     "eigenvalues_sym",
     "invert",
     "is_connected",
-    "is_one_inverse",
     "join",
     "kirchhoff_from_one_inverse",
     "kirchhoff_spectral",
-    "kron",
     "laplacian",
     "load_graph",
     "make_layout",
     "oracle_resistance",
     "path_graph",
-    "pocket_d_inverse",
     "pseudo_inverse_laplacian",
     "random_specs",
     "resistance_from_one_inverse",
     "resistance_matrix",
-    "shifted_group_inverse",
     "split_base_join",
     "structured_one_inverse",
-    "theorem3_one_inverse",
-    "theorem4_one_inverse",
     "thm31_printed_kf",
     "thm41_printed_kf",
     "validate_join_structure",

@@ -26,7 +26,6 @@ from .graphs import (
     PocketSpec,
     build_pocket_graph,
     laplacian,
-    make_layout,
 )
 from .linalg import eigenvalues_sym
 from .oneinv import (
@@ -101,15 +100,16 @@ def _one_pair(layout, u: int, v: int):
     return np.array([u]), np.array([v])
 
 
-def _applicable(printed, u: int, v: int) -> list[str]:
-    """The cases stated for the block pair of (u, v), from the evaluator."""
-    return [case for case, rows, _, _ in printed.evaluate(*_one_pair(printed.layout, u, v))
+def _applicable_cases(self, u: int, v: int) -> list[str]:
+    """The cases stated for the block pair of global vertices u, v."""
+    return [case for case, rows, _, _ in self.evaluate(*_one_pair(self.layout, u, v))
             if rows.size]
 
 
-def _pair_resistance(printed, case: str, u: int, v: int) -> float:
-    """One case's printed value at (u, v), from the evaluator."""
-    for label, rows, kept, values in printed.evaluate(*_one_pair(printed.layout, u, v)):
+def _resistance(self, case: str, u: int, v: int) -> float:
+    """Evaluate the printed case expression at global vertices u, v."""
+    CaseId(self.theorem, case)
+    for label, rows, kept, values in self.evaluate(*_one_pair(self.layout, u, v)):
         if label != case:
             continue
         if not rows.size:
@@ -120,6 +120,18 @@ def _pair_resistance(printed, case: str, u: int, v: int) -> float:
             )
         return float(values[0])
     raise CaseMismatchError(f"case {case} is not a resistance case")
+
+
+def _read_factors(printed, spec: PocketSpec, structured: StructuredOneInverse) -> None:
+    """The set-up both printed classes share: the spec, the block layout and
+    its ``locate_all`` arrays, and L#(F), P^-1 and Q^-1 as ``structured``
+    (the spec's ``structured_one_inverse`` result) holds them."""
+    printed.spec = spec
+    printed.layout = structured.layout
+    printed.block, printed.local, printed.copy = printed.layout.locate_all()
+    printed.lf_sharp = structured.base_sharp
+    printed.p_inv = structured.p_inv
+    printed.q_inv = structured.q_inv
 
 
 def _pocket_cases(printed, u, v, labels) -> list[tuple]:
@@ -144,22 +156,15 @@ def _pocket_cases(printed, u, v, labels) -> list[tuple]:
 
 
 class Theorem31Printed:
-    """Printed case formulas for the all-vertices-pocketed construction.
+    """Printed case formulas for the all-vertices-pocketed construction,
+    with every factor read off ``structured``."""
 
-    The factors L#(F), P^-1 and Q^-1 are taken from ``structured`` (the
-    spec's ``structured_one_inverse`` result), computed when not given.
-    """
+    theorem = "3.1"
 
-    def __init__(self, spec: PocketSpec, structured: StructuredOneInverse | None = None):
+    def __init__(self, spec: PocketSpec, structured: StructuredOneInverse):
         if spec.k != spec.n:
             raise ValueError("printed cases of this theorem require k = n")
-        self.spec = spec
-        self.layout = make_layout(spec)
-        self.block, self.local, self.copy = self.layout.locate_all()
-        factors = (structured or structured_one_inverse(spec)).ingredients
-        self.lf_sharp = factors["base_sharp"]  # L#(F)
-        self.p_inv = factors["p_inv_factor"]
-        self.q_inv = factors["q_inv_factor"]
+        _read_factors(self, spec, structured)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> list[tuple]:
         """Every printed resistance case over the pairs (u[i], v[i]) of global
@@ -173,13 +178,8 @@ class Theorem31Printed:
             self, u, v, ("ii", "iii", "iv", "v")
         )
 
-    def applicable_cases(self, u: int, v: int) -> list[str]:
-        return _applicable(self, u, v)
-
-    def resistance(self, case: str, u: int, v: int) -> float:
-        """Evaluate the printed case expression at global vertices u, v."""
-        CaseId("3.1", case)
-        return _pair_resistance(self, case, u, v)
+    applicable_cases = _applicable_cases
+    resistance = _resistance
 
     def kirchhoff(self) -> float:
         spec = self.spec
@@ -209,33 +209,25 @@ class Theorem41Printed:
     pockets on every F1 vertex.
 
     Every factor is read off ``structured`` (the spec's
-    ``structured_one_inverse`` result, computed when not given), so the
-    audit inverts nothing of its own: L#(F), P^-1 and Q^-1 as they are, and
-    both split factors from the diagonal blocks of L#(F). On the vectors
-    summing to zero within one side, L(F) acts as L(F1) + (n-k)I or as
-    L(F2) + kI, whose inverses map 1 to itself with eigenvalue 1/(n-k) or
-    1/k; so each inverse is its block of L#(F), centred, plus J/(k(n-k)).
+    ``structured_one_inverse`` result), so the audit inverts nothing of its
+    own: L#(F), P^-1 and Q^-1 as they are, and both split factors from the
+    diagonal blocks of L#(F). On the vectors summing to zero within one
+    side, L(F) acts as L(F1) + (n-k)I or as L(F2) + kI, whose inverses map
+    1 to itself with eigenvalue 1/(n-k) or 1/k; so each inverse is its
+    block of L#(F), centred, plus J/(k(n-k)).
     """
 
-    def __init__(self, spec: PocketSpec, structured: StructuredOneInverse | None = None):
-        f1, f2 = split_base_join(spec)
-        self.spec = spec
-        self.f1, self.f2 = f1, f2
-        self.layout = make_layout(spec)
-        self.block, self.local, self.copy = self.layout.locate_all()
-        n, k = spec.n, spec.k
-        factors = (structured or structured_one_inverse(spec)).ingredients
-        self.lf_sharp = factors["base_sharp"]
-        ones = 1.0 / (k * (n - k))
+    theorem = "4.1"
+
+    def __init__(self, spec: PocketSpec, structured: StructuredOneInverse):
+        self.f1, self.f2 = split_base_join(spec)
+        _read_factors(self, spec, structured)
+        k = spec.k
+        ones = 1.0 / (k * (spec.n - k))
         self.f1_inv = _centred(self.lf_sharp[:k, :k]) + ones  # (L(F1) + (n-k)I)^-1
         self.f2_inv = _centred(self.lf_sharp[k:, k:]) + ones  # (L(F2) + kI)^-1
         self.p_mat = _p_factor(spec.H1, spec.m)
-        self.p_inv = factors["p_inv_factor"]
-        if spec.m > spec.l:
-            self.q_mat = _q_factor(spec.H2, spec.l, spec.m)
-        else:
-            self.q_mat = np.zeros((0, 0))
-        self.q_inv = factors["q_inv_factor"]
+        self.q_mat = _q_factor(spec.H2, spec.l, spec.m)
 
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> list[tuple]:
         """Every printed resistance case over the pairs (u[i], v[i]) of global
@@ -263,13 +255,8 @@ class Theorem41Printed:
         # v, vi quantify over all of V(F), F1 and F2 alike
         return out + _pocket_cases(self, u, v, ("v", "vi", "vii", "viii"))
 
-    def applicable_cases(self, u: int, v: int) -> list[str]:
-        return _applicable(self, u, v)
-
-    def resistance(self, case: str, u: int, v: int) -> float:
-        """Evaluate the printed case expression at global vertices u, v."""
-        CaseId("4.1", case)
-        return _pair_resistance(self, case, u, v)
+    applicable_cases = _applicable_cases
+    resistance = _resistance
 
     def kirchhoff(self) -> float:
         spec = self.spec
@@ -357,8 +344,8 @@ class DiscrepancyReport:
             "quantities": [r.to_dict() for r in self.records],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_table(self) -> str:
         header = f"{'quantity':<16}{'case':<10}{'oracle':>16}{'structured':>16}{'printed':>16}{'ok':>5}"
@@ -456,17 +443,17 @@ def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -
     return bool(ok.all())
 
 
-def _printed_theorem(spec: PocketSpec) -> str | None:
-    """The theorem whose printed formulas state this spec's resistances:
-    3.1 when every F vertex is attached, 4.1 when F = F1 v F2 over the
+def _printed_class(spec: PocketSpec):
+    """The printed class that states this spec's resistances: Theorem 3.1's
+    when every F vertex is attached, 4.1's when F = F1 v F2 over the
     attached vertices, None otherwise."""
     if spec.k == spec.n:
-        return "3.1"
+        return Theorem31Printed
     try:
         split_base_join(spec)
     except JoinStructureError:
         return None
-    return "4.1"
+    return Theorem41Printed
 
 
 def verify_construction(
@@ -495,11 +482,9 @@ def verify_construction(
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
 
-    theorem = _printed_theorem(spec)
-    printed = None
-    if include_printed and theorem is not None:
-        printed_class = Theorem31Printed if theorem == "3.1" else Theorem41Printed
-        printed = printed_class(spec, structured)
+    printed_class = _printed_class(spec)
+    theorem = printed_class.theorem if printed_class else None
+    printed = printed_class(spec, structured) if include_printed and printed_class else None
 
     records, pairs_ok = _pair_records(r_oracle, r_struct, tol_r, printed, theorem)
     kf_dev = float(abs(kf_struct.value - kf_oracle.value))

@@ -196,17 +196,6 @@ class PocketSpec:
     def m(self) -> int:
         return self.H1.order + self.H2.order
 
-    def gadget(self) -> Graph:
-        """The pocket gadget H_v as a graph, with v at the last index (m)."""
-        hv = join(self.H1, _disjoint_plus_one(self.H2))
-        assert hv.degree(self.m) == self.l  # deg(v) = l by construction
-        return hv
-
-
-def _disjoint_plus_one(h2: Graph) -> Graph:
-    # H2 + {v}: disjoint union with a single isolated vertex, v last
-    return Graph(h2.order + 1, h2.edges)
-
 
 BLOCKS = ("F", "H1", "H2")
 
@@ -215,10 +204,12 @@ BLOCKS = ("F", "H1", "H2")
 class BlockLayout:
     """Bijection between global vertex ids and the block ordering.
 
-    Blocks: "F" (attachment vertices first, remaining F vertices after, in
-    increasing id order), then "H1" rows j = 0..l-1 expanded over copies,
-    then "H2" rows. Within a Kronecker row the copy index varies fastest,
-    matching the A (x) I convention.
+    F vertices keep their ids; the F block lists them in ``f_order``
+    (attachment vertices first, the rest after, in increasing id order).
+    Gadget row j of copy c has global id n + j*k + c, so the copy index
+    varies fastest (the A (x) I convention) and global ids >= n are their
+    own block positions. Rows j < l form block "H1" (local index j), rows
+    l <= j < m block "H2" (local index j - l).
     """
 
     n: int
@@ -230,29 +221,29 @@ class BlockLayout:
     f_position: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        position = [0] * self.n
-        for local, g in enumerate(self.f_order):
-            position[g] = local
+        position = sorted(range(self.n), key=self.f_order.__getitem__)
         object.__setattr__(self, "f_position", tuple(position))
 
     @property
     def total(self) -> int:
         return self.n + self.m * self.k
 
+    def gadget_ids(self) -> np.ndarray:
+        """The (m, k) array of global ids: row j, column c is gadget row j
+        of copy c."""
+        return np.arange(self.n, self.total).reshape(self.m, self.k)
+
     def global_index(self, block: str, local: int, copy: int = 0) -> int:
         if block == "F":
             if not 0 <= local < self.n or copy != 0:
                 raise IndexError(f"F block index ({local},{copy}) out of range")
             return self.f_order[local]
-        if block == "H1":
-            if not (0 <= local < self.l and 0 <= copy < self.k):
-                raise IndexError(f"H1 block index ({local},{copy}) out of range")
-            return self.n + local * self.k + copy
-        if block == "H2":
-            if not (0 <= local < self.m - self.l and 0 <= copy < self.k):
-                raise IndexError(f"H2 block index ({local},{copy}) out of range")
-            return self.n + self.l * self.k + local * self.k + copy
-        raise KeyError(f"unknown block {block!r}")
+        if block not in BLOCKS:
+            raise KeyError(f"unknown block {block!r}")
+        first, rows = (0, self.l) if block == "H1" else (self.l, self.m - self.l)
+        if not (0 <= local < rows and 0 <= copy < self.k):
+            raise IndexError(f"{block} block index ({local},{copy}) out of range")
+        return self.n + (first + local) * self.k + copy
 
     def locate(self, g: int) -> tuple[str, int, int]:
         """Inverse map: global vertex id -> (block, local, copy)."""
@@ -260,66 +251,59 @@ class BlockLayout:
             raise IndexError(f"vertex {g} out of range")
         if g < self.n:
             return ("F", self.f_position[g], 0)
-        off = g - self.n
-        if off < self.l * self.k:
-            return ("H1", off // self.k, off % self.k)
-        off -= self.l * self.k
-        return ("H2", off // self.k, off % self.k)
+        row, copy = divmod(g - self.n, self.k)
+        return ("H1", row, copy) if row < self.l else ("H2", row - self.l, copy)
 
     def locate_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``locate`` over every global id at once: integer arrays (block,
         local, copy) indexed by global id, block indexing ``BLOCKS``."""
-        n, k, l = self.n, self.k, self.l
-        off = np.arange(self.total - n)
-        in_h2 = off >= l * k
-        block = np.concatenate([np.zeros(n, dtype=np.intp), 1 + in_h2])
-        local = np.concatenate([self.f_position, off // k - l * in_h2])
-        copy = np.concatenate([np.zeros(n, dtype=np.intp), off % k])
-        return block, local, copy
-
-    def block_position(self, g: int) -> int:
-        """Position of global vertex g in the block ordering."""
-        block, local, copy = self.locate(g)
-        if block == "F":
-            return local
-        if block == "H1":
-            return self.n + local * self.k + copy
-        return self.n + self.l * self.k + local * self.k + copy
-
-    def to_global(self) -> np.ndarray:
-        """Array p with p[block_position] = global id."""
-        p = np.empty(self.total, dtype=int)
-        for g in range(self.total):
-            p[self.block_position(g)] = g
-        return p
+        zeros = np.zeros(self.n, dtype=np.intp)
+        row, copy = np.divmod(np.arange(self.total - self.n), self.k)
+        in_h2 = row >= self.l
+        return (
+            np.concatenate([zeros, 1 + in_h2]),
+            np.concatenate([self.f_position, row - self.l * in_h2]),
+            np.concatenate([zeros, copy]),
+        )
 
 
 def make_layout(spec: PocketSpec) -> BlockLayout:
-    rest = tuple(u for u in range(spec.n) if u not in set(spec.attach))
+    rest = tuple(sorted(set(range(spec.n)) - set(spec.attach)))
     return BlockLayout(spec.n, spec.k, spec.l, spec.m, spec.attach + rest)
 
 
 def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
     """Assemble the pocket graph and its block layout.
 
-    Copy i of the gadget is glued at spec.attach[i]. Total order n + m*k;
+    Copy c of the gadget is glued at spec.attach[c]. Total order n + m*k;
     the result is connected, since ``PocketSpec`` requires a connected F
     and l >= 1 (every H1 vertex is adjacent to v, every H2 vertex to H1).
     """
     layout = make_layout(spec)
-    n, k, l = spec.n, spec.k, spec.l
+    ids = layout.gadget_ids().tolist()  # row j: gadget vertex j of every copy
+    h1, h2 = ids[: spec.l], ids[spec.l :]
     edges = set(spec.F.edges)
-    for c in range(k):
-        u = spec.attach[c]
-        h1 = [layout.global_index("H1", j, c) for j in range(l)]
-        h2 = [layout.global_index("H2", j, c) for j in range(spec.m - l)]
-        # v is identified with u; v is adjacent to exactly the H1 vertices
-        edges.update(_normalize_edge(u, a) for a in h1)
-        edges.update((h1[a], h1[b]) for a, b in spec.H1.edges)
-        edges.update((h2[a], h2[b]) for a, b in spec.H2.edges)
-        # join edges between H1 and H2
-        edges.update(_normalize_edge(a, b) for a in h1 for b in h2)
+    for row in h1:
+        edges.update(zip(spec.attach, row))  # v, glued at attach[c], meets all of H1
+    for rows, h in ((h1, spec.H1), (h2, spec.H2)):
+        for a, b in h.edges:
+            edges.update(zip(rows[a], rows[b]))
+    for a in h1:
+        for b in h2:
+            edges.update(zip(a, b))  # the join edges between H1 and H2
     return Graph(layout.total, frozenset(edges)), layout
+
+
+def join_split(g: Graph, left: list[int], right: list[int], message: str) -> tuple[Graph, Graph]:
+    """g induced on ``left`` and on ``right``, each relabeled in list order,
+    when every pair of left x right is an edge; otherwise JoinStructureError
+    with the first missing pair (a, b), in list order, as ``witness`` and
+    ``message.format(a, b)`` as its message."""
+    for a in left:
+        for b in right:
+            if not g.has_edge(a, b):
+                raise JoinStructureError(message.format(a, b), witness=(a, b))
+    return g.induced(left), g.induced(right)
 
 
 def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:
@@ -335,14 +319,7 @@ def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:
     if not nv:
         raise JoinStructureError(f"specified vertex {v} has no neighbours")
     rest = sorted(set(range(hv.order)) - set(nv) - {v})
-    for a in nv:
-        for b in rest:
-            if not hv.has_edge(a, b):
-                raise JoinStructureError(
-                    f"missing cross edge ({a},{b}) between N(v) and the rest",
-                    witness=(a, b),
-                )
-    return hv.induced(nv), hv.induced(rest)
+    return join_split(hv, nv, rest, "missing cross edge ({},{}) between N(v) and the rest")
 
 
 # ---------------------------------------------------------------------------

@@ -162,13 +162,3 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the second factor's index varies fastest."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
-
-def is_one_inverse(lap: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff max-abs of L X L - L is within tol."""
-    lap = np.asarray(lap, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if lap.shape != x.shape:
-        raise ValueError(f"shape mismatch {lap.shape} vs {x.shape}")
-    if lap.shape[0] == 0:
-        return True
-    return np.abs(lap @ x @ lap - lap).max() <= tol

@@ -23,9 +23,9 @@ import numpy as np
 from .graphs import (
     BlockLayout,
     Graph,
-    JoinStructureError,
     PocketSpec,
     join,
+    join_split,
     laplacian,
     make_layout,
 )
@@ -36,14 +36,16 @@ from .linalg import invert, kron, pseudo_inverse_laplacian
 class StructuredOneInverse:
     """A symmetric {1}-inverse over the full vertex set, plus its factors.
 
-    ``matrix`` is indexed by global vertex ids. ``ingredients`` keeps the
-    small factors for audit: ``base_sharp`` (L#(F), n x n, in
-    ``layout.f_order``), ``p_inv_factor`` and ``q_inv_factor``.
+    ``matrix`` is indexed by global vertex ids. The small factors are kept
+    for audit: ``base_sharp`` (L#(F), n x n, in ``layout.f_order``),
+    ``p_inv`` (P^-1, l x l) and ``q_inv`` (Q^-1, (m-l) x (m-l)).
     """
 
     matrix: np.ndarray
     layout: BlockLayout
-    ingredients: dict
+    base_sharp: np.ndarray
+    p_inv: np.ndarray
+    q_inv: np.ndarray
 
 
 def _p_factor(h1: Graph, m: int) -> np.ndarray:
@@ -192,11 +194,9 @@ def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
     return StructuredOneInverse(
         matrix=_write_one_inverse(layout, lf_sharp, p_inv, q_inv),
         layout=layout,
-        ingredients={
-            "base_sharp": lf_sharp,
-            "p_inv_factor": p_inv,
-            "q_inv_factor": q_inv,
-        },
+        base_sharp=lf_sharp,
+        p_inv=p_inv,
+        q_inv=q_inv,
     )
 
 
@@ -229,14 +229,7 @@ def split_base_join(spec: PocketSpec) -> tuple[Graph, Graph]:
     (F2 empty).
     """
     attach = list(spec.attach)
-    rest = [u for u in range(spec.n) if u not in set(attach)]
+    rest = sorted(set(range(spec.n)) - set(attach))
     if not rest:
         raise ValueError("F2 is empty: every vertex is attached")
-    for a in attach:
-        for b in rest:
-            if not spec.F.has_edge(a, b):
-                raise JoinStructureError(
-                    f"F is not F1 v F2: missing cross edge ({a},{b})",
-                    witness=(a, b),
-                )
-    return spec.F.induced(attach), spec.F.induced(rest)
+    return join_split(spec.F, attach, rest, "F is not F1 v F2: missing cross edge ({},{})")

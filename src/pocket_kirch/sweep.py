@@ -31,19 +31,22 @@ def builtin_fixtures() -> list[tuple[str, PocketSpec]]:
     ]
 
 
-def random_graph(rng: np.random.Generator, order: int, p: float = 0.5) -> Graph:
+EDGE_PROBABILITY = 0.5
+
+
+def random_graph(rng: np.random.Generator, order: int) -> Graph:
     edges = {
         (i, j)
         for i in range(order)
         for j in range(i + 1, order)
-        if rng.random() < p
+        if rng.random() < EDGE_PROBABILITY
     }
     return Graph(order, frozenset(edges))
 
 
-def random_connected_graph(rng: np.random.Generator, order: int, p: float = 0.5) -> Graph:
+def random_connected_graph(rng: np.random.Generator, order: int) -> Graph:
     """Random graph plus a random spanning tree to force connectivity."""
-    g = random_graph(rng, order, p)
+    g = random_graph(rng, order)
     if is_connected(g):
         return g
     edges = set(g.edges)

@@ -50,6 +50,11 @@ P4_SPEC = PocketSpec(complete_graph(2), (0, 1), complete_graph(1))
 PENDANT_SPEC = PocketSpec(join(complete_graph(1), complete_graph(1)), (0,), complete_graph(1))
 
 
+def _printed(cls, spec):
+    """A printed class reading its factors off the spec's structured result."""
+    return cls(spec, structured_one_inverse(spec))
+
+
 # ---------------------------------------------------------------------------
 # Reference audit: the per-pair printed methods and the per-pair record
 # loop, one Python call per vertex pair and case, which the array
@@ -305,29 +310,29 @@ class TestCaseId:
 
 class TestTheorem31Cases:
     def test_case_i_equals_base_resistance_on_p4(self):
-        printed = Theorem31Printed(P4_SPEC)
+        printed = _printed(Theorem31Printed, P4_SPEC)
         # both endpoints in the base K2: the pocket leaves this pair alone
         assert printed.resistance("i", 0, 1) == pytest.approx(1.0)
 
     def test_case_ii_on_p3(self):
-        printed = Theorem31Printed(P3_SPEC)
+        printed = _printed(Theorem31Printed, P3_SPEC)
         assert printed.resistance("ii", 0, 1) == pytest.approx(1.0)
 
     def test_case_iv_on_p3(self):
-        printed = Theorem31Printed(P3_SPEC)
+        printed = _printed(Theorem31Printed, P3_SPEC)
         assert printed.resistance("iv", 1, 2) == pytest.approx(1.0)
 
     def test_case_ii_omits_diagonal_term_on_p4(self):
         # printed value 0.25 + 1 - 0.5 = 0.75 vs oracle 1: the display drops
         # the base-block diagonal contribution of the true H1 block
-        printed = Theorem31Printed(P4_SPEC)
+        printed = _printed(Theorem31Printed, P4_SPEC)
         assert printed.resistance("ii", 0, 2) == pytest.approx(0.75)
         g, _ = build_pocket_graph(P4_SPEC)
         r, _ = oracle_resistance(g)
         assert r[0, 2] == pytest.approx(1.0)
 
     def test_block_mismatch_rejected(self):
-        printed = Theorem31Printed(P3_SPEC)
+        printed = _printed(Theorem31Printed, P3_SPEC)
         with pytest.raises(CaseMismatchError):
             printed.resistance("i", 1, 2)
 
@@ -336,7 +341,7 @@ class TestTheorem31Cases:
         for label, spec in builtin_fixtures():
             if spec.k != spec.n:
                 continue
-            printed = Theorem31Printed(spec)
+            printed = _printed(Theorem31Printed, spec)
             g, layout = build_pocket_graph(spec)
             r, _ = oracle_resistance(g)
             for u in range(spec.n):
@@ -351,14 +356,14 @@ class TestTheorem31Cases:
 class TestTheorem31Kirchhoff:
     def test_p3_printed_value(self):
         # printed 1.5 while the oracle (and the block construction) give 4
-        assert Theorem31Printed(P3_SPEC).kirchhoff() == pytest.approx(1.5)
+        assert _printed(Theorem31Printed, P3_SPEC).kirchhoff() == pytest.approx(1.5)
 
     def test_p3_direct_evaluation(self):
         assert thm31_printed_kf(0.0, [0.0], [0.0], 1, 2, 1) == pytest.approx(1.5)
 
     def test_p4_includes_empty_h2_term_verbatim(self):
         # l = m = 1: the nl/(m-l+1) term stays; hand evaluation gives 19
-        assert Theorem31Printed(P4_SPEC).kirchhoff() == pytest.approx(19.0)
+        assert _printed(Theorem31Printed, P4_SPEC).kirchhoff() == pytest.approx(19.0)
 
 
 SPLIT_SPECS = [s for _, s in builtin_fixtures() if s.k < s.n] + [
@@ -371,7 +376,7 @@ class TestTheorem41Cases:
     def test_derived_factors_match_direct_inverses(self, spec):
         # (L(F1)+(n-k)I)^-1 and (L(F2)+kI)^-1 are derived from the blocks
         # of the structured L#(F), not inverted; they equal the direct inverses
-        printed = Theorem41Printed(spec)
+        printed = _printed(Theorem41Printed, spec)
         n, k = spec.n, spec.k
         f1, f2 = split_base_join(spec)
         f1_inv = invert(laplacian(f1) + (n - k) * np.eye(k))
@@ -383,14 +388,14 @@ class TestTheorem41Cases:
         assert np.abs(printed.lf_sharp - pseudo_inverse_laplacian(lf)).max() <= 1e-13
 
     def test_case_ii_same_vertex(self):
-        printed = Theorem41Printed(PENDANT_SPEC)
+        printed = _printed(Theorem41Printed, PENDANT_SPEC)
         g, layout = build_pocket_graph(PENDANT_SPEC)
         f2_vertex = layout.global_index("F", 1)
         assert printed.resistance("ii", f2_vertex, f2_vertex) == pytest.approx(0.0)
 
     def test_case_ii_distinct_f2_vertices(self):
         spec = PocketSpec(join(complete_graph(1), empty_graph(2)), (0,), complete_graph(1))
-        printed = Theorem41Printed(spec)
+        printed = _printed(Theorem41Printed, spec)
         g, layout = build_pocket_graph(spec)
         u = layout.global_index("F", 1)
         v = layout.global_index("F", 2)
@@ -401,7 +406,7 @@ class TestTheorem41Cases:
 
     def test_case_v_on_pendant(self):
         # printed 0.25 + 1 - 0.5 = 0.75; the oracle gives 1 on the pendant
-        printed = Theorem41Printed(PENDANT_SPEC)
+        printed = _printed(Theorem41Printed, PENDANT_SPEC)
         g, layout = build_pocket_graph(PENDANT_SPEC)
         u1 = layout.global_index("F", 0)
         v1 = layout.global_index("H1", 0, 0)
@@ -412,7 +417,7 @@ class TestTheorem41Cases:
     def test_cases_iii_iv_kept_uninverted(self):
         # the displays omit the inversion on the H blocks; evaluated verbatim
         spec = PocketSpec(join(complete_graph(2), empty_graph(2)), (0, 1), complete_graph(2), complete_graph(2))
-        printed = Theorem41Printed(spec)
+        printed = _printed(Theorem41Printed, spec)
         g, layout = build_pocket_graph(spec)
         i = layout.global_index("H1", 0, 0)
         j = layout.global_index("H1", 1, 0)
@@ -422,7 +427,7 @@ class TestTheorem41Cases:
 
     def test_pendant_printed_kirchhoff(self):
         # hand evaluation of the display gives 11; oracle gives 4
-        assert Theorem41Printed(PENDANT_SPEC).kirchhoff() == pytest.approx(11.0)
+        assert _printed(Theorem41Printed, PENDANT_SPEC).kirchhoff() == pytest.approx(11.0)
         g, _ = build_pocket_graph(PENDANT_SPEC)
         _, kf = oracle_resistance(g)
         assert kf.value == pytest.approx(4.0)
@@ -504,7 +509,7 @@ class TestVerifyConstruction:
         assert len(rep.records) == 4 * 3 // 2 + 2  # the pairs, Kf, Kf[spectral]
         assert max(r.structured_dev for r in rep.records) <= 1e-9
         with pytest.raises(ValueError, match="cross edge"):
-            Theorem41Printed(spec)
+            _printed(Theorem41Printed, spec)
 
     def test_printed_audit_reuses_structured_factors(self, monkeypatch):
         from pocket_kirch import formulas, linalg, oneinv
@@ -652,9 +657,10 @@ class TestPerPairApi:
     @pytest.mark.parametrize("spec", PER_PAIR_SPECS)
     def test_matches_reference_on_every_pair_and_case(self, spec):
         if spec.k == spec.n:
-            printed, reference, labels = Theorem31Printed(spec), _Reference31(spec), THM31_CASES
+            cls, reference_cls, labels = Theorem31Printed, _Reference31, THM31_CASES
         else:
-            printed, reference, labels = Theorem41Printed(spec), _Reference41(spec), THM41_CASES
+            cls, reference_cls, labels = Theorem41Printed, _Reference41, THM41_CASES
+        printed, reference = _printed(cls, spec), _printed(reference_cls, spec)
         order = spec.n + spec.m * spec.k
         for u in range(order):
             for v in range(order):
@@ -665,7 +671,7 @@ class TestPerPairApi:
                     ), (case, u, v)
 
     def test_errors(self):
-        printed = Theorem31Printed(P3_SPEC)
+        printed = _printed(Theorem31Printed, P3_SPEC)
         with pytest.raises(ValueError, match="unknown case"):
             printed.resistance("vi", 0, 1)
         with pytest.raises(IndexError):

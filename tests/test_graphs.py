@@ -22,11 +22,20 @@ from pocket_kirch import (
 )
 from pocket_kirch.graphs import (
     BLOCKS,
+    _normalize_edge,
     graph_from_json,
     graph_to_json,
     parse_edge_list,
     to_edge_list,
 )
+from pocket_kirch.sweep import builtin_fixtures, random_specs
+
+
+def block_order(layout):
+    """The block ordering as global ids: entry i is the vertex at block
+    position i. F comes first in ``f_order``; gadget ids are their own
+    block positions."""
+    return np.r_[layout.f_order, layout.n:layout.total]
 
 
 class TestGraph:
@@ -182,6 +191,74 @@ class TestBuildPocketGraph:
         assert g.size == expected
 
 
+def _per_vertex_build(spec):
+    """build_pocket_graph as it was: every gadget vertex's id from one
+    ``global_index`` call, one copy at a time."""
+    layout = make_layout(spec)
+    k, l = spec.k, spec.l
+    edges = set(spec.F.edges)
+    for c in range(k):
+        u = spec.attach[c]
+        h1 = [layout.global_index("H1", j, c) for j in range(l)]
+        h2 = [layout.global_index("H2", j, c) for j in range(spec.m - l)]
+        edges.update(_normalize_edge(u, a) for a in h1)
+        edges.update((h1[a], h1[b]) for a, b in spec.H1.edges)
+        edges.update((h2[a], h2[b]) for a, b in spec.H2.edges)
+        edges.update(_normalize_edge(a, b) for a in h1 for b in h2)
+    return Graph(layout.total, frozenset(edges)), layout
+
+
+def _to_global_loop(layout):
+    """The block-order permutation as it was computed: one ``locate`` per
+    vertex, its block position written out per block."""
+    n, k, l = layout.n, layout.k, layout.l
+    p = np.empty(layout.total, dtype=int)
+    for g in range(layout.total):
+        block, local, copy = layout.locate(g)
+        if block == "F":
+            p[local] = g
+        elif block == "H1":
+            p[n + local * k + copy] = g
+        else:
+            p[n + l * k + local * k + copy] = g
+    return p
+
+
+# k < n with F not F1 v F2 over the attached vertices; C4 with one pocket
+NON_JOIN_SPECS = [
+    PocketSpec(path_graph(3), (0,), complete_graph(1)),
+    PocketSpec(path_graph(5), (3, 1), complete_graph(2), path_graph(2)),
+    PocketSpec(
+        Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})), (2,), path_graph(2), empty_graph(1)
+    ),
+]
+EDGE_SHAPE_SPECS = [
+    PocketSpec(path_graph(6), (4,), path_graph(3), complete_graph(2)),  # k = 1
+    PocketSpec(complete_graph(3), (1, 2), path_graph(4)),  # m = l
+    PocketSpec(path_graph(5), (3, 0), complete_graph(2), path_graph(20)),  # m - l >= 10k
+    PocketSpec(complete_graph(4), (2, 0, 3, 1), empty_graph(1), complete_graph(40)),
+]
+BUILD_SPECS = (
+    [s for _, s in builtin_fixtures()] + random_specs(300, seed=7) + NON_JOIN_SPECS + EDGE_SHAPE_SPECS
+)
+
+
+class TestBuildMatchesPerVertexReference:
+    def test_edge_shapes(self):
+        shapes = [(s.k, s.l, s.m) for s in EDGE_SHAPE_SPECS]
+        assert shapes[0][0] == 1 and shapes[1][1] == shapes[1][2]
+        assert all(m - l >= 10 * k for k, l, m in shapes[2:])
+
+    def test_equal_graph_and_layout(self):
+        for spec in BUILD_SPECS:
+            assert build_pocket_graph(spec) == _per_vertex_build(spec), spec
+
+    def test_block_order_matches_locate_loop(self):
+        for spec in BUILD_SPECS[:40] + NON_JOIN_SPECS + EDGE_SHAPE_SPECS:
+            layout = make_layout(spec)
+            np.testing.assert_array_equal(block_order(layout), _to_global_loop(layout))
+
+
 class TestBlockLayout:
     @given(
         st.integers(1, 5),  # n
@@ -257,7 +334,7 @@ class TestBlockForm:
     def test_permuted_laplacian_matches_displayed_blocks(self, spec):
         g, layout = build_pocket_graph(spec)
         lap = laplacian(g)
-        perm = layout.to_global()
+        perm = block_order(layout)
         lap_block = lap[np.ix_(perm, perm)]
         np.testing.assert_array_equal(lap_block, _displayed_block_laplacian_thm3(spec))
 
@@ -268,7 +345,7 @@ class TestBlockForm:
         spec = PocketSpec(join(f1, f2), (0, 1), h1, h2)
         g, layout = build_pocket_graph(spec)
         lap = laplacian(g)
-        perm = layout.to_global()
+        perm = block_order(layout)
         lap_block = lap[np.ix_(perm, perm)]
         n, k, l, m = spec.n, spec.k, spec.l, spec.m
         i_k = np.eye(k)
@@ -310,9 +387,29 @@ class TestValidateJoinStructure:
             validate_join_structure(hv, 0)
         assert exc.value.witness is not None
 
+    def test_pins_message_and_first_missing_pair(self):
+        # N(v) = {1, 3} and rest = {2, 4}, both scanned in increasing id
+        # order: (1, 4) and (3, 2) are missing, (1, 4) comes first
+        hv = Graph(5, frozenset([(0, 1), (0, 3), (1, 2), (3, 4), (2, 4)]))
+        with pytest.raises(JoinStructureError) as exc:
+            validate_join_structure(hv, 0)
+        assert str(exc.value) == "missing cross edge (1,4) between N(v) and the rest"
+        assert exc.value.witness == (1, 4)
+
+    def test_pins_isolated_vertex_and_range_errors(self):
+        hv = Graph(3, frozenset([(1, 2)]))
+        with pytest.raises(JoinStructureError) as exc:
+            validate_join_structure(hv, 0)
+        assert str(exc.value) == "specified vertex 0 has no neighbours"
+        assert exc.value.witness is None
+        with pytest.raises(IndexError, match=r"^vertex 3 out of range$"):
+            validate_join_structure(hv, 3)
+
     def test_round_trip_on_built_gadget(self):
         spec = PocketSpec(complete_graph(1), (0,), path_graph(2), complete_graph(3))
-        hv = spec.gadget()
+        # H_v = H1 v (H2 + {v}), with v last
+        hv = join(spec.H1, Graph(spec.H2.order + 1, spec.H2.edges))
+        assert hv.degree(spec.m) == spec.l
         h1, h2 = validate_join_structure(hv, spec.m)
         assert h1 == spec.H1
         assert h2 == spec.H2

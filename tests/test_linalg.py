@@ -13,13 +13,22 @@ from pocket_kirch import (
     complete_graph,
     eigenvalues_sym,
     invert,
-    is_one_inverse,
-    kron,
     laplacian,
     path_graph,
     pseudo_inverse_laplacian,
-    shifted_group_inverse,
 )
+from pocket_kirch.linalg import kron, shifted_group_inverse
+
+
+def is_one_inverse(lap, x, tol=1e-9):
+    """True iff max-abs of L X L - L is within tol."""
+    lap = np.asarray(lap, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if lap.shape != x.shape:
+        raise ValueError(f"shape mismatch {lap.shape} vs {x.shape}")
+    if lap.shape[0] == 0:
+        return True
+    return np.abs(lap @ x @ lap - lap).max() <= tol
 
 
 def _random_laplacian(rng, n):

@@ -13,25 +13,29 @@ from pocket_kirch import (
     complete_graph,
     empty_graph,
     invert,
-    is_one_inverse,
     join,
     kirchhoff_from_one_inverse,
-    kron,
     laplacian,
     make_layout,
     oracle_resistance,
     path_graph,
-    pocket_d_inverse,
     pseudo_inverse_laplacian,
     resistance_matrix,
-    shifted_group_inverse,
     split_base_join,
     structured_one_inverse,
+)
+from pocket_kirch.linalg import kron, shifted_group_inverse
+from pocket_kirch.oneinv import (
+    _p_factor,
+    _q_factor,
+    pocket_d_inverse,
+    release_output_buffer,
     theorem3_one_inverse,
     theorem4_one_inverse,
 )
-from pocket_kirch.oneinv import _p_factor, _q_factor, release_output_buffer
 from pocket_kirch.sweep import random_connected_graph, random_graph, random_specs
+from test_graphs import NON_JOIN_SPECS, block_order
+from test_linalg import is_one_inverse
 
 
 def _shuffled_all_pocketed(rng, n, l, m):
@@ -54,13 +58,13 @@ def _shuffled_split(rng, k, nk, l, m):
 def _assemble_reference(spec, base, c, a):
     """[[base, 1_m^T (x) C], [., J_m (x) A + D^-1]] from explicit Kronecker
     blocks in block order, scattered to global order through
-    ``layout.to_global()``."""
+    ``block_order``."""
     m = spec.m
     p_inv, q_inv, coupling = pocket_d_inverse(spec.H1, spec.H2, spec.k)
     f_pockets = kron(np.ones((1, m)), c)
     pockets = kron(np.ones((m, m)), a) + np.block([[p_inv, coupling], [coupling.T, q_inv]])
     x = np.block([[base, f_pockets], [f_pockets.T, pockets]])
-    perm = make_layout(spec).to_global()
+    perm = block_order(make_layout(spec))
     out = np.empty_like(x)
     out[np.ix_(perm, perm)] = x
     return out
@@ -69,8 +73,7 @@ def _assemble_reference(spec, base, c, a):
 def _kron_reference(spec, s):
     """The library's matrix from its base factor L#(F): C = L#(F)[:, S]
     and A = L#(F)[S, S] (the attached vertices come first in block order)."""
-    lf_sharp = s.ingredients["base_sharp"]
-    k = spec.k
+    lf_sharp, k = s.base_sharp, spec.k
     return _assemble_reference(spec, lf_sharp, lf_sharp[:, :k], lf_sharp[:k, :k])
 
 
@@ -110,14 +113,6 @@ SHUFFLED_SPECS = [
     _shuffled_split(_RNG, 1, 3, 3, 3),
     _shuffled_all_pocketed(_RNG, 4, 3, 3),
     _shuffled_all_pocketed(_RNG, 5, 2, 6),
-]
-# k < n with F not F1 v F2 over the attached vertices; C4 with one pocket
-NON_JOIN_SPECS = [
-    PocketSpec(path_graph(3), (0,), complete_graph(1)),
-    PocketSpec(path_graph(5), (3, 1), complete_graph(2), path_graph(2)),
-    PocketSpec(
-        Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})), (2,), path_graph(2), empty_graph(1)
-    ),
 ]
 
 
@@ -269,7 +264,7 @@ class TestTheorem3:
         # A - B D^-1 B^T reduces to the base Laplacian
         g, layout = build_pocket_graph(spec)
         lap = laplacian(g)
-        perm = layout.to_global()
+        perm = block_order(layout)
         lap_b = lap[np.ix_(perm, perm)]
         n = spec.n
         a, b, d = lap_b[:n, :n], lap_b[:n, n:], lap_b[n:, n:]
@@ -321,7 +316,7 @@ class TestTheorem4:
         spec = PocketSpec(join(f1, f2), tuple(range(k)), h1, h2)
         g, layout = build_pocket_graph(spec)
         lap = laplacian(g)
-        perm = layout.to_global()
+        perm = block_order(layout)
         lap_b = lap[np.ix_(perm, perm)]
         a, b, d = lap_b[:k, :k], lap_b[:k, k:], lap_b[k:, k:]
         h = a - b @ invert(d) @ b.T
@@ -338,6 +333,23 @@ class TestStructuredDispatch:
             split_base_join(spec)
         assert isinstance(exc.value, ValueError)
         assert exc.value.witness == (0, 2)
+
+    def test_split_base_join_pins_message_and_witness(self):
+        # attach (2, 0) is scanned in the spec's order, the rest {1, 3} in
+        # increasing id order: (2, 3) and (0, 1) are missing, (2, 3) first
+        f = Graph(4, frozenset([(1, 2), (1, 3), (0, 3)]))
+        spec = PocketSpec(f, (2, 0), complete_graph(1))
+        with pytest.raises(JoinStructureError) as exc:
+            split_base_join(spec)
+        assert str(exc.value) == "F is not F1 v F2: missing cross edge (2,3)"
+        assert exc.value.witness == (2, 3)
+
+    def test_split_base_join_pins_empty_f2(self):
+        spec = PocketSpec(complete_graph(2), (1, 0), complete_graph(1))
+        with pytest.raises(ValueError) as exc:
+            split_base_join(spec)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "F2 is empty: every vertex is attached"
 
     def test_split_base_join_splits(self):
         spec = PocketSpec(join(complete_graph(2), path_graph(2)), (0, 1), complete_graph(1))
@@ -446,10 +458,7 @@ class TestWriter:
     )
     def test_bit_identical_to_broadcast_writer(self, spec):
         s = structured_one_inverse(spec)
-        ing = s.ingredients
-        expected = _broadcast_writer_reference(
-            s.layout, ing["base_sharp"], ing["p_inv_factor"], ing["q_inv_factor"]
-        )
+        expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.p_inv, s.q_inv)
         assert np.array_equal(s.matrix, expected)
 
     def test_edge_shapes(self):
@@ -473,25 +482,18 @@ class TestIngredients:
     def test_factors_retained_for_audit(self):
         spec = THM3_SPECS[2]
         s = theorem3_one_inverse(spec)
-        assert "base_sharp" in s.ingredients
-        np.testing.assert_allclose(
-            s.ingredients["p_inv_factor"], invert(_p_factor(spec.H1, spec.m))
-        )
-        np.testing.assert_allclose(
-            s.ingredients["q_inv_factor"], invert(_q_factor(spec.H2, spec.l, spec.m))
-        )
+        assert s.base_sharp.shape == (spec.n, spec.n)
+        np.testing.assert_allclose(s.p_inv, invert(_p_factor(spec.H1, spec.m)))
+        np.testing.assert_allclose(s.q_inv, invert(_q_factor(spec.H2, spec.l, spec.m)))
 
     @pytest.mark.parametrize("spec", SHUFFLED_SPECS[:2])
     def test_split_path_ingredients(self, spec):
         s = structured_one_inverse(spec)
-        assert set(s.ingredients) == {"base_sharp", "p_inv_factor", "q_inv_factor"}
-        assert s.ingredients["base_sharp"].shape == (spec.n, spec.n)
+        assert s.base_sharp.shape == (spec.n, spec.n)
         order = list(s.layout.f_order)
         lf = laplacian(spec.F)[np.ix_(order, order)]
-        np.testing.assert_allclose(
-            s.ingredients["base_sharp"], pseudo_inverse_laplacian(lf), atol=1e-13
-        )
-        assert s.ingredients["q_inv_factor"].shape == (spec.m - spec.l,) * 2
+        np.testing.assert_allclose(s.base_sharp, pseudo_inverse_laplacian(lf), atol=1e-13)
+        assert s.q_inv.shape == (spec.m - spec.l,) * 2
 
 
 class TestPeakMemory:
