@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
-from itertools import accumulate
 
 import numpy as np
 
@@ -97,79 +95,202 @@ def _resist(spec: PocketSpec, args) -> int:
     return 0
 
 
-def _row_templates(n: int, line: str, label: str):
-    r"""Yield (u, template) for every source row u < n - 1.
+def _digit_tables():
+    """Lookup tables of _g12_words, built by numpy arithmetic and indexed by
+    ex = e + 4 for the decimal exponent e in -4..10.
 
-    ``line % v`` is the text of pair (u, v), with "\0" standing for u and
-    one %-field left for r_uv. The lines are built once per call; row u's
-    template is the lines for v = u+1 .. n-1 with ``label % u`` in place of
-    "\0", so ``template % tuple(r[u, u + 1:].tolist())`` formats the whole
-    row in one call.
+    A 12-digit significand D, as little-endian 64-bit words, becomes the
+    text ``PREFIX[ex] | D & ~MOVE[ex] | (D & MOVE[ex]) << SHIFT[ex]``, cut to
+    LENGTH[ex * 13 + z] bytes when D ends in z zeros. For e >= 0 the first
+    e + 1 digits stay and the rest move one byte up past the '.'; for e < 0
+    every digit moves up past "0." and -e - 1 zeros. json's LENGTH keeps
+    the ".0" of an integer.
     """
-    lines = [line % v for v in range(n)]
-    starts = list(accumulate(map(len, lines), initial=0))
-    whole = "".join(lines)
-    for u in range(n - 1):
-        yield u, whole[starts[u + 1]:].replace("\0", label % u)
+    i = np.arange(10000, dtype=np.int16)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8)
+    quad = (digits + ord("0")).view("<u4").ravel().astype("<u8")
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)  # 4 for 0000
+    e = np.arange(-4, 11)[:, None]
+    dot = np.maximum(e, 0) + 1  # text position of the '.'
+    lead = np.maximum(-e, 0)  # the zeros of "0.000" before the first digit
+    pos = np.arange(24)
+    prefix = np.where(pos == dot, ord("."), 0)
+    prefix = np.where((e < 0) & ((pos == 0) | (pos > dot) & (pos <= lead)), ord("0"), prefix)
+    move = np.where((e < 0) | (pos >= dot), 255, 0)
+    shift = 8 * np.where(e >= 0, 1, lead + 1).ravel()
+    kept = 12 - np.arange(13)  # significant digits
+    fraction = (e < 0) | (kept > dot)
+    length = np.where(fraction, lead + kept + 1, dot)
+    length_json = np.where(fraction, length, dot + 2)
+    size = np.arange(25)[:, None]
+    mask = np.where(pos < size, 255, 0)
+    spaces = np.where(pos >= size + 6, ord(" "), 0)[:19]  # 18 - size blanks, right-aligned
+
+    def words(table):
+        w = np.ascontiguousarray(table, dtype=np.uint8).view("<u8")
+        return tuple(np.ascontiguousarray(w[:, k]) for k in range(3))
+
+    return (quad, zeros, words(prefix), words(move), shift.astype("<u8"),
+            {False: length.ravel(), True: length_json.ravel()}, words(mask), words(spaces))
+
+
+_QUAD, _ZEROS, _PREFIX, _MOVE, _SHIFT, _LENGTH, _MASK, _SPACES = _digit_tables()
+_SCALE = 10.0 ** np.arange(15, 0, -1)  # 10^(11 - e), exact
+_GUARD = 0.5 - 2.0**-12
+_BLOCK = 4096  # pairs per block: its buffer and temporaries take about 0.7 MB
+
+
+def _significands(x: np.ndarray):
+    """(fast, ex, digits, zeros): where ``fast``, '%.12g' % x[i] is a
+    12-digit integer times 10^(e - 11), with ex = e + 4 in 0..14, whose
+    digits and trailing zeros _digit_words gives.
+
+    Take e = floor(log10 x) and y = fl(x 10^(11-e)), clipping e to -4..10.
+    The scale is an exact double and y < 2^40, so |y - x 10^(11-e)| <= 2^-14.
+    When y >= 1e11, rint(y) < 1e12 and frac(y) lies more than 2^-12 from
+    1/2, rint(y) is x 10^(11-e) correctly rounded and has 12 digits: the
+    significand that CPython's correctly rounded '%.12g' prints, with
+    exponent e. Ties fall inside the guard band, and so do the rare values
+    whose log10 misjudges e. Zero, negative and non-finite values fail the
+    test, as do values outside about 1e-4..1e11.
+    """
+    with np.errstate(all="ignore"):
+        ex = np.log10(x)
+        np.floor(ex, out=ex)
+        ex = (ex + 4).astype(np.intp)
+        np.clip(ex, 0, 14, out=ex)
+        y = x * _SCALE[ex]
+        sig = np.rint(y)
+        fast = (y >= 1e11) & (sig < 1e12) & (np.abs(y - sig) <= _GUARD)
+    sig[~fast] = 1e11
+    return (fast, ex, *_digit_words(sig.astype(np.int64)))
+
+
+def _digit_words(sig: np.ndarray):
+    """The 12 ASCII digits of each sig, as two little-endian words, and its
+    count of trailing zeros: floor divisions of numbers below 2^53, then
+    lookups in the table of the 10^4 four-digit groups."""
+    g0 = sig // 100000000
+    sig = sig - g0 * 100000000
+    g1 = sig // 10000
+    g2 = sig - g1 * 10000
+    zeros = _ZEROS[g2] + (g2 == 0) * (_ZEROS[g1] + (g1 == 0) * _ZEROS[g0])
+    return (_QUAD[g0] | _QUAD[g1] << np.uint64(32), _QUAD[g2]), zeros
+
+
+def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
+    """Write the text of each x[i] into words[i], three little-endian
+    64-bit words padded with NUL, and return the text lengths. The text is
+    '%.12g' % x[i], or with ``as_json`` json.dumps(float('%.12g' % x[i])).
+
+    Values on the exact fast path of _significands take their text from
+    the digit tables; in its exponent range json's text is the same, with
+    ".0" after an integer. All other values go through Python, in one ``%``
+    call per block: ties and values in the guard band of one, zero,
+    negatives, subnormals, non-finite values and exponents outside -4..10.
+    json then prints their floats in one json.dumps call (NaN, Infinity).
+    """
+    fast, ex, digits, zeros = _significands(x)
+    length = _LENGTH[as_json][ex * 13 + zeros]
+    up = _SHIFT[ex]
+    down = np.uint64(64) - up
+    carry = 0
+    for k, d in enumerate(digits):
+        moved = d & _MOVE[k][ex]
+        words[:, k] = ((d ^ moved) | (moved << up) | carry | _PREFIX[k][ex]) & _MASK[k][length]
+        carry = moved >> down
+    words[:, 2] = carry & _MASK[2][length]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = (("%.12g\0" * slow.size) % tuple(x[slow].tolist())).split("\0")[:-1]
+        if as_json:
+            texts = json.dumps(list(map(float, texts)))[1:-1].split(", ")
+        length[slow] = [len(t) for t in texts]
+        words[slow] = np.array([t.encode() for t in texts], dtype="S24").view("<u8").reshape(-1, 3)
+    return length
+
+
+def _label_words(n: int, fmt: str, right: bool) -> list:
+    """``fmt % u`` for u < n as columns of little-endian 64-bit words,
+    padded with NUL on the left (``right``) or on the right."""
+    texts = [(fmt % u).encode() for u in range(n)]
+    width = -(-max(map(len, texts)) // 8) * 8
+    pad = bytes.rjust if right else bytes.ljust
+    words = np.frombuffer(b"".join(pad(t, width, b"\0") for t in texts), "<u8").reshape(n, -1)
+    return [words[:, k].copy() for k in range(words.shape[1])]
+
+
+def _pair_blocks(n: int):
+    """(u, v) index arrays of the pairs u < v in row-major order, _BLOCK
+    pairs at a time; a block may end inside a row."""
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
+    total = int(starts[-1])
+    for p0 in range(0, total, _BLOCK):
+        p1 = min(p0 + _BLOCK, total)
+        u0 = int(np.searchsorted(starts, p0, "right")) - 1
+        u1 = int(np.searchsorted(starts, p1, "left"))
+        rows = np.minimum(starts[u0 + 1:u1 + 1], p1) - np.maximum(starts[u0:u1], p0)
+        u = np.repeat(np.arange(u0, u1), rows)
+        yield u, np.arange(p0, p1) - starts[u] + u + 1
+
+
+def _write_pairs(out, r: np.ndarray, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
+    """Write ``first % u + second % v + text(r_uv)`` for every pair u < v in
+    row-major order, without the first ``skip`` characters; text is that of
+    _g12_words. A caller puts each line's terminator at the start of
+    ``first``, so that it ends the previous line.
+
+    A block of pairs is one buffer of fixed-width slots of 64-bit words:
+    the two labels, for ``spaces`` the 18 - len blanks of '%18.12g', and
+    the value text. Every slot is padded with NUL, so dropping the NULs
+    leaves the block's text. ``first`` and the blanks are right-aligned so
+    that each joins the next slot: the fewer runs, the faster the copy.
+    """
+    n = r.shape[0]
+    if n < 2:
+        return
+    labels = [(col, 0) for col in _label_words(n, first, True)]
+    labels += [(col, 1) for col in _label_words(n, second, False)]
+    width = len(labels) + 3 * spaces + 3
+    buf = np.empty((min(_BLOCK, n * (n - 1) // 2), width), "<u8")
+    for uv in _pair_blocks(n):
+        words = buf[:len(uv[0])]
+        for k, (col, which) in enumerate(labels):
+            words[:, k] = col[uv[which]]
+        length = _g12_words(r[uv], words[:, -3:], as_json)
+        if spaces:
+            blanks = np.minimum(length, 18)
+            for k in range(3):
+                words[:, len(labels) + k] = _SPACES[k][blanks]
+        chars = words.view(np.uint8).ravel()
+        out.write(str(chars[chars != 0], "ascii")[skip:])
+        skip = 0
 
 
 def _write_csv(out, r: np.ndarray, kf) -> None:
-    """Write "u,v,r_uv" for every pair u < v, then the Kf comment line.
-
-    '%.12g' % x is format(x, '.12g') on every double, so this is the text
-    of _fmt, one row at a time."""
-    out.write("u,v,r\n")
-    for u, template in _row_templates(r.shape[0], "\0,%d,%%.12g\n", "%d"):
-        out.write(template % tuple(r[u, u + 1:].tolist()))
-    out.write(f"# Kf = {_fmt(kf.value)} ({kf.method})\n")
+    """Write "u,v,r_uv" for every pair u < v, then the Kf comment line, in
+    the text of _fmt (see _g12_words)."""
+    out.write("u,v,r")
+    _write_pairs(out, r, "\n%d,", "%d,")
+    out.write(f"\n# Kf = {_fmt(kf.value)} ({kf.method})\n")
 
 
 def _write_table(out, r: np.ndarray, kf) -> None:
     """Write u, v and _fmt(r_uv) right-aligned in 4, 4 and 18 columns for
     every pair u < v, then the Kf line."""
-    out.write(f"{'u':>4}{'v':>4}{'r':>18}\n")
-    for u, template in _row_templates(r.shape[0], "\0%4d%%18.12g\n", "%4d"):
-        out.write(template % tuple(r[u, u + 1:].tolist()))
-    out.write(f"Kf = {_fmt(kf.value)} ({kf.method})\n")
-
-
-_INTEGER_TEXT = re.compile(r", (-?\d+)\]")
+    out.write(f"{'u':>4}{'v':>4}{'r':>18}")
+    _write_pairs(out, r, "\n%4d", "%4d", spaces=True)
+    out.write(f"\nKf = {_fmt(kf.value)} ({kf.method})\n")
 
 
 def _write_json(out, r: np.ndarray, kf) -> None:
     """Write json.dumps({"kf", "method", "resistances": [[u, v, r_uv] for
-    u < v]}, sort_keys=True) + newline, one source row u at a time, so that
-    only one row's text is alive at once.
-
-    json.dumps prints r_uv as repr(float(_fmt(r_uv))). Row u is one ``%``
-    call on ", [u, v, %.12g]" repeated for v > u; that is the same text,
-    except that integer-valued text ("4", "-0") lacks its ".0", which one
-    regex over the row appends. The regex runs only on rows holding a
-    value within 1e-10 relative of an integer: below 1e11, every value
-    whose 12-digit text is an integer is within 5e-12 relative of it, so
-    no other row has text to mend. repr and '%.12g' differ otherwise only on
-    non-finite values, on decimal exponents 12 to 15 (positional under
-    repr) and on subnormals, so a row holding a non-finite value, a
-    |value| >= 1e11 or a nonzero |value| < 1e-300 is written pair by pair
-    through json.dumps instead.
-    """
-    n = r.shape[0]
+    u < v]}, sort_keys=True) + newline, where json.dumps prints r_uv as
+    repr(float(_fmt(r_uv))) (see _g12_words), one block of pairs at a time."""
     head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
     out.write(head[:-1] + ', "resistances": [')
-    sep = ""
-    for u, template in _row_templates(n, ", [\0, %d, %%.12g]", "%d"):
-        row = r[u, u + 1:]
-        a = np.abs(row)
-        if np.all((a < 1e11) & ((a >= 1e-300) | (a == 0))):
-            text = template % tuple(row.tolist())
-            if np.any(np.abs(row - np.rint(row)) <= 1e-10 * a):
-                text = _INTEGER_TEXT.sub(r", \1.0]", text)
-            text = text[2:]
-        else:
-            text = json.dumps([[u, v, float(_fmt(r[u, v]))] for v in range(u + 1, n)])[1:-1]
-        out.write(sep + text)
-        sep = ", "
-    out.write("]}\n")
+    _write_pairs(out, r, "], [%d", ", %d, ", as_json=True, skip=3)
+    out.write("]]}\n" if r.shape[0] > 1 else "]}\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json, "table": _write_table}

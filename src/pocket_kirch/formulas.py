@@ -443,17 +443,21 @@ def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -
     return bool(ok.all())
 
 
-def _printed_class(spec: PocketSpec):
-    """The printed class that states this spec's resistances: Theorem 3.1's
-    when every F vertex is attached, 4.1's when F = F1 v F2 over the
-    attached vertices, None otherwise."""
-    if spec.k == spec.n:
-        return Theorem31Printed
+def _printed(spec: PocketSpec, structured: StructuredOneInverse, include_printed: bool):
+    """(theorem, printed): the theorem whose displays state this spec's
+    resistances, 3.1 when every F vertex is attached, 4.1 when F = F1 v F2
+    over the attached vertices, else None; and with ``include_printed`` its
+    printed class on ``structured``. The join test runs once, inside
+    Theorem41Printed or on its own when no printed class is wanted."""
+    cls = Theorem31Printed if spec.k == spec.n else Theorem41Printed
     try:
-        split_base_join(spec)
+        if include_printed:
+            return cls.theorem, cls(spec, structured)
+        if cls is Theorem41Printed:
+            split_base_join(spec)
     except JoinStructureError:
-        return None
-    return Theorem41Printed
+        return None, None
+    return cls.theorem, None
 
 
 def verify_construction(
@@ -482,9 +486,7 @@ def verify_construction(
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
 
-    printed_class = _printed_class(spec)
-    theorem = printed_class.theorem if printed_class else None
-    printed = printed_class(spec, structured) if include_printed and printed_class else None
+    theorem, printed = _printed(spec, structured, include_printed)
 
     records, pairs_ok = _pair_records(r_oracle, r_struct, tol_r, printed, theorem)
     kf_dev = float(abs(kf_struct.value - kf_oracle.value))

@@ -69,12 +69,6 @@ class Graph:
     def neighbors(self, u: int) -> set[int]:
         return {b if a == u else a for a, b in self.edges if u in (a, b)}
 
-    def degree(self, u: int) -> int:
-        return sum(1 for e in self.edges if u in e)
-
-    def adjacency(self) -> np.ndarray:
-        return _edge_matrix(self.order, _edge_array(self), 1.0)
-
     def induced(self, vertices: list[int]) -> "Graph":
         """Subgraph induced on ``vertices``, relabeled to 0..len-1 in list order."""
         pos = {v: i for i, v in enumerate(vertices)}
@@ -104,15 +98,6 @@ def _edge_array(g: Graph) -> np.ndarray:
     return np.fromiter(flat, dtype=np.intp, count=2 * g.size).reshape(-1, 2)
 
 
-def _edge_matrix(order: int, edges: np.ndarray, value: float) -> np.ndarray:
-    """An order x order float matrix with ``value`` at [u, v] and [v, u] for
-    each row (u, v) of ``edges`` and zero elsewhere."""
-    mat = np.zeros((order, order))
-    mat[edges[:, 0], edges[:, 1]] = value
-    mat[edges[:, 1], edges[:, 0]] = value
-    return mat
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian matrix L = D - A (rows sum to zero, PSD).
 
@@ -120,7 +105,9 @@ def laplacian(g: Graph) -> np.ndarray:
     edge, the degrees (endpoint counts) on the diagonal.
     """
     edges = _edge_array(g)
-    lap = _edge_matrix(g.order, edges, -1.0)
+    lap = np.zeros((g.order, g.order))
+    lap[edges[:, 0], edges[:, 1]] = -1.0
+    lap[edges[:, 1], edges[:, 0]] = -1.0
     np.fill_diagonal(lap, np.bincount(edges.ravel(), minlength=g.order))
     return lap
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocket_kirch import cli
 from pocket_kirch.cli import main, make_parser
@@ -415,6 +417,114 @@ class TestResist:
         assert err.startswith("error: out of memory")
         assert "N = 6" in err  # n + m k = 2 + 2 * 2
         assert "Traceback" not in err
+
+
+def _formatted(fmt, r, kf):
+    """The text of one format on r and kf, straight from '%.12g' % x,
+    json.dumps(float('%.12g' % x)) and '%18.12g' % x."""
+    u, v = np.triu_indices(r.shape[0], 1)
+    x = r[u, v].tolist()
+    flat = [t for row in zip(u.tolist(), v.tolist(), x) for t in row]
+    if fmt == "csv":
+        return "u,v,r\n" + "%d,%d,%.12g\n" * len(x) % tuple(flat) + "# Kf = %.12g (%s)\n" % (
+            kf.value, kf.method)
+    if fmt == "table":
+        return "%4s%4s%18s\n" % ("u", "v", "r") + "%4d%4d%18.12g\n" * len(x) % tuple(flat) + (
+            "Kf = %.12g (%s)\n" % (kf.value, kf.method))
+    payload = {
+        "kf": float("%.12g" % kf.value),
+        "method": kf.method,
+        "resistances": [[a, b, float("%.12g" % c)] for a, b, c in zip(u.tolist(), v.tolist(), x)],
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _upper(values):
+    """A square matrix whose pairs u < v, in row-major order, hold
+    ``values`` and then repeat them; the lower triangle is NaN."""
+    order = 2
+    while order * (order - 1) // 2 < len(values):
+        order += 1
+    r = np.full((order, order), np.nan)
+    u, v = np.triu_indices(order, 1)
+    r[u, v] = np.resize(np.asarray(values, dtype=float), len(u))
+    return r
+
+
+def _stress_values():
+    """Over 10^6 doubles that probe the '%.12g' kernel: log-uniform values,
+    12-digit ties (k + 1/2) 10^(e-11) and their neighbours, powers of ten
+    one rounding step either side of a carry, and every fallback class."""
+    rng = np.random.default_rng(2024)
+    ties = (rng.integers(10**11, 10**12, 150_000) + 0.5) * 10.0 ** rng.integers(-17, 3, 150_000)
+    tens = 10.0 ** np.arange(-10, 17)
+    steps = [1.0, 1 - 5e-13, 1 + 5e-13, 1 - 4.99e-13, 1 - 5.01e-13, 1 - 1e-12, 1 + 1e-12]
+    log_uniform = 10.0 ** rng.uniform(-9, 15, 400_000)
+    parts = [
+        log_uniform,
+        -log_uniform[:20_000],
+        ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+        np.outer(tens, steps).ravel(),
+        rng.random(100_000) * 3.0,
+        np.arange(1, 50_001) / 8.0,
+        rng.integers(0, 10**7, 20_000).astype(float),
+        rng.random(10_000) * 2.2250738585072014e-308,  # subnormal
+        np.array(FALLBACK_TRIGGERS + [0.5, 1e-4, 99999999999.5, 99999999999.4, -1.23456789012e-308]),
+    ]
+    return np.concatenate(parts)
+
+
+class TestG12Kernel:
+    """The writers' text against '%.12g' itself, not against _fmt."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_stress_set_matches_printf(self, fmt):
+        values = _stress_values()
+        assert len(values) >= 10**6
+        chunk = 64 * 1023  # the pairs of order 1024 are 1023 * 512
+        kf = KirchhoffResult(1.0, "structured")
+        for at in range(0, len(values), chunk):
+            r = _upper(values[at:at + chunk])
+            out = io.StringIO()
+            WRITERS[fmt][0](out, r, kf)
+            _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_double_matches_printf(self, values):
+        r = _upper(values)
+        kf = KirchhoffResult(3.0, "oracle")
+        for fmt in ("csv", "table", "json"):
+            out = io.StringIO()
+            WRITERS[fmt][0](out, r, kf)
+            _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_blocks_ending_inside_a_row(self, monkeypatch, fmt):
+        # order 11: rows of 10, 9, 8, ... pairs, so blocks of 7 end at pairs
+        # 7 and 14, inside rows 0 and 1; a fallback value opens block 2
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        rng = np.random.default_rng(17)
+        r = rng.random((11, 11)) * 5.0
+        r[1, 6] = float("nan")
+        r = np.triu(r) + np.triu(r, 1).T
+        _assert_same_text(*_texts(fmt, r, KirchhoffResult(9.0, "structured")))
+        _assert_same_text(_texts(fmt, r, KirchhoffResult(9.0, "structured"))[0],
+                          _formatted(fmt, r, KirchhoffResult(9.0, "structured")))
+
+    def test_table_values_wider_than_the_column_get_no_padding(self):
+        r = np.full((4, 4), 2.5)
+        r[0, 1] = -1.23456789012e-308  # 19 characters
+        r[0, 2] = -1.5e-300  # "-1.5e-300", padded
+        r[1, 3] = -2.22507385851e-308
+        r = np.triu(r) + np.triu(r, 1).T
+        text, reference = _texts("table", r, KirchhoffResult(1.0, "oracle"))
+        _assert_same_text(text, reference)
+        _assert_same_text(text, _formatted("table", r, KirchhoffResult(1.0, "oracle")))
+        lines = text.splitlines()
+        assert lines[1] == "   0   1-1.23456789012e-308"
+        assert lines[2] == "   0   2" + "-1.5e-300".rjust(18)
 
 
 class TestVerify:

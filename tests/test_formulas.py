@@ -544,6 +544,30 @@ class TestVerifyConstruction:
             "thm4-rich": 0,
         }
 
+    def test_one_join_test_per_audit(self, monkeypatch):
+        from pocket_kirch import formulas
+
+        calls = []
+        split = formulas.split_base_join
+
+        def counting(spec):
+            calls.append(spec)
+            return split(spec)
+
+        monkeypatch.setattr(formulas, "split_base_join", counting)
+        for label, spec in builtin_fixtures():
+            for include_printed in (True, False):
+                calls.clear()
+                report = verify_construction(spec, include_printed=include_printed)
+                theorem = report.instance["theorem"]
+                assert theorem == ("3.1" if spec.k == spec.n else "4.1"), label
+                assert len(calls) == (theorem == "4.1"), (label, include_printed)
+        for include_printed in (True, False):  # a failed join test is run once too
+            calls.clear()
+            spec = PocketSpec(path_graph(3), (0,), complete_graph(1))
+            assert verify_construction(spec, include_printed=include_printed).instance["theorem"] is None
+            assert len(calls) == 1
+
 
 def _seeded_spec(seed, shape):
     """A random spec of one shape: (n, l, m) pockets every vertex of a

@@ -31,6 +31,21 @@ from pocket_kirch.graphs import (
 from pocket_kirch.sweep import builtin_fixtures, random_specs
 
 
+def adjacency(g):
+    """The 0/1 adjacency matrix of g; the library itself needs only the
+    Laplacian."""
+    adj = np.zeros((g.order, g.order))
+    if g.edges:
+        u, v = np.array(sorted(g.edges)).T
+        adj[u, v] = adj[v, u] = 1.0
+    return adj
+
+
+def degree(g, u):
+    """The number of edges of g at vertex u."""
+    return sum(1 for e in g.edges if u in e)
+
+
 def block_order(layout):
     """The block ordering as global ids: entry i is the vertex at block
     position i. F comes first in ``f_order``; gadget ids are their own
@@ -91,8 +106,8 @@ class TestLaplacian:
             deg[u, u] += 1.0
             deg[v, v] += 1.0
         lap = laplacian(g)
-        assert lap.dtype == np.float64 and g.adjacency().dtype == np.float64
-        np.testing.assert_array_equal(g.adjacency(), adj)
+        assert lap.dtype == np.float64 and adjacency(g).dtype == np.float64
+        np.testing.assert_array_equal(adjacency(g), adj)
         np.testing.assert_array_equal(lap, deg - adj)
         np.testing.assert_array_equal(lap.sum(axis=1), np.zeros(n))
 
@@ -104,7 +119,7 @@ class TestLaplacian:
         def fail(self, u):
             raise AssertionError("laplacian called Graph.degree")
 
-        monkeypatch.setattr(Graph, "degree", fail)
+        monkeypatch.setattr(Graph, "degree", fail, raising=False)  # should Graph gain one
         np.testing.assert_array_equal(
             laplacian(path_graph(3)), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
         )
@@ -409,7 +424,7 @@ class TestValidateJoinStructure:
         spec = PocketSpec(complete_graph(1), (0,), path_graph(2), complete_graph(3))
         # H_v = H1 v (H2 + {v}), with v last
         hv = join(spec.H1, Graph(spec.H2.order + 1, spec.H2.edges))
-        assert hv.degree(spec.m) == spec.l
+        assert degree(hv, spec.m) == spec.l
         h1, h2 = validate_join_structure(hv, spec.m)
         assert h1 == spec.H1
         assert h2 == spec.H2

@@ -34,7 +34,7 @@ from pocket_kirch.oneinv import (
     theorem4_one_inverse,
 )
 from pocket_kirch.sweep import random_connected_graph, random_graph, random_specs
-from test_graphs import NON_JOIN_SPECS, block_order
+from test_graphs import NON_JOIN_SPECS, adjacency, block_order
 from test_linalg import is_one_inverse
 
 
@@ -520,7 +520,7 @@ class TestPeakMemory:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * order**2
         g, _ = build_pocket_graph(spec)
-        adj = g.adjacency()
+        adj = adjacency(g)
         lap = np.diag(adj.sum(axis=1)) - adj
         assert np.abs(lap @ s.matrix @ lap - lap).max() <= 1e-9
 
