@@ -1,8 +1,8 @@
 """Time the structured construction against the dense oracle at scale.
 
 With n base vertices each carrying an m-vertex gadget, the pocket graph
-has n + m*n vertices, but the structured path only ever inverts matrices
-of size n, l, or m - l. The oracle builds the full Laplacian from the edge
+has n + m*n vertices, but the structured path only ever inverts two
+matrices, of size n and m. The oracle builds the full Laplacian from the edge
 array in a few milliseconds, so its time is the Cholesky inverse of the
 N x N matrix L + J/N. Both routes are timed as ``pocket-kirch bench``
 times them (``time_route``): the median of three calls after one untimed

@@ -21,6 +21,7 @@ from .graphs import (
     load_graph,
     make_layout,
     path_graph,
+    split_gadget,
     validate_join_structure,
 )
 from .linalg import (
@@ -94,6 +95,7 @@ __all__ = [
     "resistance_from_one_inverse",
     "resistance_matrix",
     "split_base_join",
+    "split_gadget",
     "structured_one_inverse",
     "thm31_printed_kf",
     "thm41_printed_kf",

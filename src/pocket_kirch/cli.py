@@ -17,8 +17,8 @@ from .graphs import (
     laplacian,
     layout_to_json,
     load_graph,
+    split_gadget,
     to_edge_list,
-    validate_join_structure,
 )
 from .linalg import pseudo_inverse_laplacian
 from .oneinv import structured_one_inverse
@@ -40,17 +40,21 @@ def _spec_from_args(args) -> PocketSpec:
     if args.hv is not None:
         if args.v_id is None:
             raise ValueError("--hv requires --v-id")
-        h1, h2 = validate_join_structure(load_graph(args.hv), args.v_id)
+        hv = load_graph(args.hv)
+        if not 0 <= args.v_id < hv.order:
+            raise ValueError(f"--v-id {args.v_id} is not a vertex of the {hv.order}-vertex gadget")
+        h1, h2, cross = split_gadget(hv, args.v_id)
     else:
         if args.h1 is None:
             raise ValueError("provide --h1 (with optional --h2) or --hv with --v-id")
         h1 = load_graph(args.h1)
         h2 = load_graph(args.h2) if args.h2 else empty_graph(0)
+        cross = None
     if args.attach:
         attach = tuple(int(t) for t in args.attach.split(","))
     else:
         attach = tuple(range(f.order))
-    return PocketSpec(f, attach, h1, h2)
+    return PocketSpec(f, attach, h1, h2, cross)
 
 
 def cmd_build(args) -> int:
@@ -396,7 +400,7 @@ def _add_spec_args(p):
     p.add_argument("--f", required=True, help="base graph file (edge list or JSON)")
     p.add_argument("--h1", help="H1 graph file")
     p.add_argument("--h2", help="H2 graph file (omit for an empty H2)")
-    p.add_argument("--hv", help="full gadget graph file (alternative to --h1/--h2)")
+    p.add_argument("--hv", help="whole gadget graph file, any connected graph (alternative to --h1/--h2)")
     p.add_argument("--v-id", type=int, help="attachment vertex inside --hv")
     p.add_argument("--attach", help="comma list of attachment vertices (default: all)")
 

@@ -15,6 +15,7 @@ per-pair ``resistance`` and ``applicable_cases`` are one-pair calls of it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .graphs import (
     BLOCKS,
+    Graph,
     JoinStructureError,
     PocketSpec,
     build_pocket_graph,
@@ -30,8 +32,6 @@ from .graphs import (
 from .linalg import eigenvalues_sym
 from .oneinv import (
     StructuredOneInverse,
-    _p_factor,
-    _q_factor,
     split_base_join,
     structured_one_inverse,
 )
@@ -122,16 +122,44 @@ def _resistance(self, case: str, u: int, v: int) -> float:
     raise CaseMismatchError(f"case {case} is not a resistance case")
 
 
+def _p_factor(h1: Graph, m: int) -> np.ndarray:
+    """The printed P = L(H1) + (m-l+1)I - ((m-l)/l)J."""
+    l = h1.order
+    return laplacian(h1) + (m - l + 1) * np.eye(l) - ((m - l) / l) * np.ones((l, l))
+
+
+def _q_factor(h2: Graph, l: int, m: int) -> np.ndarray:
+    """The printed Q = L(H2) + lI - (l/(m-l+1))J."""
+    q = m - l
+    return laplacian(h2) + l * np.eye(q) - (l / (m - l + 1)) * np.ones((q, q))
+
+
+def _require_join_gadget(spec: PocketSpec) -> None:
+    """JoinStructureError, with the first missing H1-H2 pair in local ids
+    as ``witness``, unless the gadget is H1 v (H2 + {v}), the only gadget
+    the printed displays state."""
+    if spec.cross is not None:
+        pairs = itertools.product(range(spec.l), range(spec.m - spec.l))
+        i, j = next(p for p in pairs if p not in spec.cross)
+        raise JoinStructureError(
+            f"H_v is not H1 v (H2 + {{v}}): missing cross edge ({i},{j})", witness=(i, j)
+        )
+
+
 def _read_factors(printed, spec: PocketSpec, structured: StructuredOneInverse) -> None:
     """The set-up both printed classes share: the spec, the block layout and
-    its ``locate_all`` arrays, and L#(F), P^-1 and Q^-1 as ``structured``
-    (the spec's ``structured_one_inverse`` result) holds them."""
+    its ``locate_all`` arrays, L#(F), and P^-1 and Q^-1 as the diagonal
+    blocks of D^-1, as ``structured`` (the spec's ``structured_one_inverse``
+    result) holds them. JoinStructureError for a gadget that is not a
+    join."""
+    _require_join_gadget(spec)
     printed.spec = spec
     printed.layout = structured.layout
     printed.block, printed.local, printed.copy = printed.layout.locate_all()
     printed.lf_sharp = structured.base_sharp
-    printed.p_inv = structured.p_inv
-    printed.q_inv = structured.q_inv
+    l = spec.l
+    printed.p_inv = structured.d_inv[:l, :l]
+    printed.q_inv = structured.d_inv[l:, l:]
 
 
 def _pocket_cases(printed, u, v, labels) -> list[tuple]:
@@ -210,11 +238,11 @@ class Theorem41Printed:
 
     Every factor is read off ``structured`` (the spec's
     ``structured_one_inverse`` result), so the audit inverts nothing of its
-    own: L#(F), P^-1 and Q^-1 as they are, and both split factors from the
-    diagonal blocks of L#(F). On the vectors summing to zero within one
-    side, L(F) acts as L(F1) + (n-k)I or as L(F2) + kI, whose inverses map
-    1 to itself with eigenvalue 1/(n-k) or 1/k; so each inverse is its
-    block of L#(F), centred, plus J/(k(n-k)).
+    own: L#(F) as it is, P^-1 and Q^-1 as the diagonal blocks of D^-1, and
+    both split factors from the diagonal blocks of L#(F). On the vectors
+    summing to zero within one side, L(F) acts as L(F1) + (n-k)I or as
+    L(F2) + kI, whose inverses map 1 to itself with eigenvalue 1/(n-k) or
+    1/k; so each inverse is its block of L#(F), centred, plus J/(k(n-k)).
     """
 
     theorem = "4.1"
@@ -446,13 +474,15 @@ def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -
 def _printed(spec: PocketSpec, structured: StructuredOneInverse, include_printed: bool):
     """(theorem, printed): the theorem whose displays state this spec's
     resistances, 3.1 when every F vertex is attached, 4.1 when F = F1 v F2
-    over the attached vertices, else None; and with ``include_printed`` its
-    printed class on ``structured``. The join test runs once, inside
-    Theorem41Printed or on its own when no printed class is wanted."""
+    over the attached vertices, else None (and None for any gadget that is
+    not H1 v (H2 + {v})); and with ``include_printed`` its printed class on
+    ``structured``. Each join test runs once, inside the printed class or
+    on its own when no printed class is wanted."""
     cls = Theorem31Printed if spec.k == spec.n else Theorem41Printed
     try:
         if include_printed:
             return cls.theorem, cls(spec, structured)
+        _require_join_gadget(spec)
         if cls is Theorem41Printed:
             split_base_join(spec)
     except JoinStructureError:
@@ -471,11 +501,11 @@ def verify_construction(
 
     Structured-vs-oracle violations flip the report's ok flag; printed
     deviations are recorded but never fatal. A spec that neither theorem
-    states (k < n with F not F1 v F2) gets no printed records and
-    ``"theorem": None``. Each printed case is evaluated over index arrays
-    of all pairs u < v at once, and the records are built in one pass over
-    the resulting columns: pairs in row-major order, then Kf, Kf[spectral]
-    and the printed Kf.
+    states (k < n with F not F1 v F2, or a gadget that is not
+    H1 v (H2 + {v})) gets no printed records and ``"theorem": None``. Each
+    printed case is evaluated over index arrays of all pairs u < v at once,
+    and the records are built in one pass over the resulting columns: pairs
+    in row-major order, then Kf, Kf[spectral] and the printed Kf.
     """
     g, layout = build_pocket_graph(spec)
     r_oracle, kf_oracle = oracle_resistance(g)

@@ -1,8 +1,10 @@
 """Simple undirected graphs, the join operation, and pocket-graph assembly.
 
-A pocket graph is built from a base graph F and a gadget H_v that splits as
-H1 joined with (H2 plus the attachment vertex v): one copy of H_v is glued
-onto each chosen vertex of F by identifying that vertex with v.
+A pocket graph is built from a base graph F and a rooted gadget H_v, any
+simple connected graph with a specified vertex v: one copy of H_v is glued
+onto each chosen vertex of F by identifying that vertex with v. The gadget
+is kept as H1 = N(v), H2 = the rest, and the H1-H2 edges between them; the
+paper's printed form H1 v (H2 + {v}) is the case where those are all pairs.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ class GraphFormatError(ValueError):
 
 
 class JoinStructureError(ValueError):
-    """Raised when a gadget graph is not of the form H1 v (H2 + {v}), or a
-    base graph is not F1 v F2 over the attachment vertices.
+    """Raised where a join is required and missing: by the printed displays,
+    which state only gadgets H1 v (H2 + {v}) and split bases F1 v F2 over
+    the attachment vertices, and by ``validate_join_structure``. Also
+    raised when a gadget's v has no neighbours.
 
-    Carries ``witness``: a missing cross edge (a, b) proving the violation.
+    Carries ``witness``: a missing cross edge (a, b) proving the violation,
+    or None.
     """
 
     def __init__(self, message, witness=None):
@@ -142,16 +147,22 @@ def is_connected(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class PocketSpec:
-    """Input tuple for a pocket graph: base F, attachment vertices, H1, H2.
+    """Input tuple for a pocket graph: base F, attachment vertices, and the
+    rooted gadget H_v as H1, H2 and cross.
 
-    The gadget is H_v = H1 v (H2 + {v}); each copy is glued at one attachment
-    vertex of F. Requires F connected, 1 <= k <= n and l = order(H1) >= 1.
+    H1 is induced on N(v), so v meets every H1 vertex and nothing else; H2
+    is induced on the rest. ``cross`` is the set of H1-H2 edges as local
+    pairs (i in H1, j in H2); None means every pair, the join
+    H_v = H1 v (H2 + {v}), and a complete set is stored as None. Each copy
+    of H_v is glued at one attachment vertex of F. Requires F connected,
+    1 <= k <= n, l = order(H1) >= 1, and every gadget vertex joined to v.
     """
 
     F: Graph
     attach: tuple[int, ...]
     H1: Graph
     H2: Graph = empty_graph(0)
+    cross: frozenset[Edge] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "attach", tuple(self.attach))
@@ -166,6 +177,23 @@ class PocketSpec:
             raise ValueError("H1 must have at least one vertex (deg(v) = l >= 1)")
         if not is_connected(self.F):
             raise ValueError("F must be connected")
+        if self.cross is not None:
+            self._normalize_cross()
+
+    def _normalize_cross(self):
+        """Store ``cross`` as a frozenset of int pairs, or None when it holds
+        every H1-H2 pair; ValueError for a pair out of range or an H2 vertex
+        with no path to H1 (and so none to v)."""
+        l, q = self.H1.order, self.H2.order
+        cross = frozenset((int(i), int(j)) for i, j in self.cross)
+        bad = [(i, j) for i, j in cross if not (0 <= i < l and 0 <= j < q)]
+        if bad:
+            raise ValueError(f"cross pair {min(bad)} outside H1 x H2 = [0,{l}) x [0,{q})")
+        # H2 plus one vertex q standing for H1: connected iff all of H2 reaches v
+        reach = Graph(q + 1, self.H2.edges | {(j, q) for _, j in cross})
+        if not is_connected(reach):
+            raise ValueError("gadget vertex cannot reach v: a part of H2 has no edge to H1")
+        object.__setattr__(self, "cross", None if len(cross) == l * q else cross)
 
     @property
     def n(self) -> int:
@@ -264,7 +292,7 @@ def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
 
     Copy c of the gadget is glued at spec.attach[c]. Total order n + m*k;
     the result is connected, since ``PocketSpec`` requires a connected F
-    and l >= 1 (every H1 vertex is adjacent to v, every H2 vertex to H1).
+    and a gadget whose every vertex reaches v.
     """
     layout = make_layout(spec)
     ids = layout.gadget_ids().tolist()  # row j: gadget vertex j of every copy
@@ -275,10 +303,38 @@ def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
     for rows, h in ((h1, spec.H1), (h2, spec.H2)):
         for a, b in h.edges:
             edges.update(zip(rows[a], rows[b]))
-    for a in h1:
-        for b in h2:
-            edges.update(zip(a, b))  # the join edges between H1 and H2
+    if spec.cross is None:
+        cross = ((a, b) for a in h1 for b in h2)  # the join: every H1-H2 pair
+    else:
+        cross = ((h1[i], h2[j]) for i, j in spec.cross)
+    for a, b in cross:
+        edges.update(zip(a, b))
     return Graph(layout.total, frozenset(edges)), layout
+
+
+def grounded_laplacian(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
+    """L_v(H): the Laplacian of the gadget H_v with v's row and column
+    deleted, in H1-then-H2 order, for the H1-H2 edges ``cross`` (None: all).
+
+    It is [[L(H1) + I + diag(B 1), -B], [-B^T, L(H2) + diag(B^T 1)]], with B
+    the H1 x H2 cross adjacency (J for the join); the I is v's edge to each
+    H1 vertex. It is positive definite for a connected gadget.
+    """
+    l, q = h1.order, h2.order
+    b = np.ones((l, q))
+    if cross is not None:
+        b[...] = 0.0
+        i, j = np.array(list(cross), dtype=np.intp).reshape(-1, 2).T
+        b[i, j] = 1.0
+    out = np.empty((l + q, l + q))
+    out[:l, :l] = laplacian(h1)
+    out[l:, l:] = laplacian(h2)
+    out[:l, l:] = -b
+    out[l:, :l] = -b.T
+    diag = out.reshape(-1)[:: l + q + 1]  # a view of the diagonal
+    diag[:l] += 1.0 + b.sum(axis=1)
+    diag[l:] += b.sum(axis=0)
+    return out
 
 
 def join_split(g: Graph, left: list[int], right: list[int], message: str) -> tuple[Graph, Graph]:
@@ -293,20 +349,46 @@ def join_split(g: Graph, left: list[int], right: list[int], message: str) -> tup
     return g.induced(left), g.induced(right)
 
 
-def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:
-    """Split a gadget graph as H1 v (H2 + {v}) or raise JoinStructureError.
-
-    H1 is induced on N(v), H2 on the remaining vertices; validity requires
-    every H1-H2 pair to be an edge. Returns (H1, H2) with vertices relabeled
-    in increasing original-id order.
-    """
+def _gadget_sides(hv: Graph, v: int) -> tuple[list[int], list[int]]:
+    """N(v) and the remaining vertices but v, each in increasing id order;
+    IndexError when v is out of range, JoinStructureError when it has no
+    neighbours."""
     if not 0 <= v < hv.order:
         raise IndexError(f"vertex {v} out of range")
     nv = sorted(hv.neighbors(v))
     if not nv:
         raise JoinStructureError(f"specified vertex {v} has no neighbours")
-    rest = sorted(set(range(hv.order)) - set(nv) - {v})
-    return join_split(hv, nv, rest, "missing cross edge ({},{}) between N(v) and the rest")
+    return nv, sorted(set(range(hv.order)) - set(nv) - {v})
+
+
+def split_gadget(hv: Graph, v: int) -> tuple[Graph, Graph, frozenset[Edge] | None]:
+    """The rooted gadget (hv, v) as ``PocketSpec`` takes it: (H1, H2, cross).
+
+    H1 is induced on N(v) and H2 on the remaining vertices, each relabeled
+    in increasing original-id order; cross holds the H1-H2 edges as local
+    pairs, or is None when every pair is an edge (the join).
+    """
+    nv, rest = _gadget_sides(hv, v)
+    i_of = {a: i for i, a in enumerate(nv)}
+    j_of = {b: j for j, b in enumerate(rest)}
+    cross = frozenset(
+        (i_of[a], j_of[b]) if a in i_of else (i_of[b], j_of[a])
+        for a, b in hv.edges
+        if (a in i_of and b in j_of) or (b in i_of and a in j_of)
+    )
+    return hv.induced(nv), hv.induced(rest), (None if len(cross) == len(nv) * len(rest) else cross)
+
+
+def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:
+    """Split a gadget graph as H1 v (H2 + {v}) or raise JoinStructureError.
+
+    ``split_gadget``, required to give the join: the error names the first
+    missing H1-H2 pair in original ids as its ``witness``. Returns (H1, H2).
+    """
+    h1, h2, cross = split_gadget(hv, v)
+    if cross is not None:
+        join_split(hv, *_gadget_sides(hv, v), "missing cross edge ({},{}) between N(v) and the rest")
+    return h1, h2
 
 
 # ---------------------------------------------------------------------------

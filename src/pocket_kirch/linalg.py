@@ -5,7 +5,8 @@ values throughout (kron identity, trace 0) so that the empty-H2 degenerate
 shapes fall out naturally.
 
 Every matrix the library inverts is symmetric positive definite (L + J/n of
-a connected graph, L + aI with a > 0, and the gadget factors P and Q), so
+a connected graph, L + aI with a > 0, and the grounded Laplacian L_v(H) of a
+connected gadget, its Laplacian with v's row and column deleted), so
 ``invert`` takes that as its contract and inverts by Cholesky (LAPACK
 potrf + potri): half the flops of an LU inverse, in place in one working
 copy, and its result is exactly symmetric.

@@ -1,15 +1,19 @@
 """Structured symmetric {1}-inverses of pocket-graph Laplacians.
 
 The full Laplacian is never assembled or inverted here: every inverse taken
-is of a matrix no larger than max(n, l, m-l). Each pocket hangs off one cut
+is of a matrix no larger than max(n, m). Each pocket hangs off one cut
 vertex, so eliminating the pockets leaves exactly L(F) as the Schur
-complement, for any connected F and any attachment set. Both theorems are
-therefore one construction: the base factor L#(F), its attached columns
-C = L#(F)[:, S] coupling F to the pockets, and the gadget factors P^-1 and
-Q^-1, each computed once. The full-size {1}-inverse is then written once,
-block by block, straight into global vertex order, so its peak memory is
-one N x N array; that array's memory is reused by the next call once the
-result is dropped (``release_output_buffer`` frees it).
+complement, for any connected F, any attachment set and any connected
+rooted gadget. The construction therefore takes two factors, each computed
+once: the base factor L#(F), whose attached columns C = L#(F)[:, S] couple
+F to the pockets, and the gadget factor D^-1 = L_v(H)^-1, the inverse of
+the gadget's Laplacian with v's row and column deleted (Bapat, *Graphs and
+Matrices*). Since L_v(H) 1 is the indicator of N(v), D^-1 maps that
+indicator to 1, which is what lets every pocket couple to F through C
+alone. The full-size {1}-inverse is then written once, block by block,
+straight into global vertex order, so its peak memory is one N x N array;
+that array's memory is reused by the next call once the result is dropped
+(``release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .graphs import (
     BlockLayout,
     Graph,
     PocketSpec,
+    grounded_laplacian,
     join,
     join_split,
     laplacian,
@@ -37,59 +42,43 @@ class StructuredOneInverse:
     """A symmetric {1}-inverse over the full vertex set, plus its factors.
 
     ``matrix`` is indexed by global vertex ids. The small factors are kept
-    for audit: ``base_sharp`` (L#(F), n x n, in ``layout.f_order``),
-    ``p_inv`` (P^-1, l x l) and ``q_inv`` (Q^-1, (m-l) x (m-l)).
+    for audit: ``base_sharp`` (L#(F), n x n, in ``layout.f_order``) and
+    ``d_inv`` (L_v(H)^-1, m x m, H1 rows first).
     """
 
     matrix: np.ndarray
     layout: BlockLayout
     base_sharp: np.ndarray
-    p_inv: np.ndarray
-    q_inv: np.ndarray
+    d_inv: np.ndarray
 
 
-def _p_factor(h1: Graph, m: int) -> np.ndarray:
-    l = h1.order
-    return (
-        laplacian(h1)
-        + (m - l + 1) * np.eye(l)
-        - ((m - l) / l) * np.ones((l, l))
-    )
+def _invert_grounded(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
+    """D^-1 = L_v(H)^-1, in H1-then-H2 order.
 
-
-def _q_factor(h2: Graph, l: int, m: int) -> np.ndarray:
-    q = m - l
-    return (
-        laplacian(h2)
-        + l * np.eye(q)
-        - (l / (m - l + 1)) * np.ones((q, q))
-    )
-
-
-def _gadget_inverses(h1: Graph, h2: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """P^-1 and Q^-1, the small gadget factors (Q^-1 is 0x0 when H2 is empty)."""
-    l, m = h1.order, h1.order + h2.order
-    p_inv = invert(_p_factor(h1, m))
-    q_inv = invert(_q_factor(h2, l, m)) if m > l else np.zeros((0, 0))
-    return p_inv, q_inv
+    The Cholesky factorization runs over the rows in reverse, H2 before H1,
+    so that vertices far from v are eliminated first: a path or a tree
+    gadget whose ids grow away from v then factors with unit pivots, and
+    its small integer inverses come out exact.
+    """
+    return invert(grounded_laplacian(h1, h2, cross)[::-1, ::-1])[::-1, ::-1]
 
 
 def pocket_d_inverse(
     h1: Graph, h2: Graph, copies: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form inverse blocks of the pocket block D.
+    """Inverse blocks of the pocket block D of the join gadget
+    H1 v (H2 + {v}) over ``copies`` copies.
 
-    D is the 2x2 block [[(L(H1)+(m-l+1)I) (x) I, -J (x) I],
-    [-J (x) I, (L(H2)+lI) (x) I]]; its inverse has diagonal blocks
-    P^-1 (x) I and Q^-1 (x) I and constant coupling (1/l) J (x) I.
+    D is L_v(H) (x) I, so D^-1 = L_v(H)^-1 (x) I; returns its H1 x H1,
+    H2 x H2 and H1 x H2 blocks. For the join these are P^-1 (x) I,
+    Q^-1 (x) I and (1/l) J (x) I, up to round-off.
     """
     if h1.order < 1 or copies < 1:
         raise ValueError("need l >= 1 and copies >= 1")
-    l, m = h1.order, h1.order + h2.order
+    l = h1.order
     eye = np.eye(copies)
-    p_inv, q_inv = _gadget_inverses(h1, h2)
-    coupling = kron(np.full((l, m - l), 1.0 / l), eye)
-    return kron(p_inv, eye), kron(q_inv, eye), coupling
+    d_inv = _invert_grounded(h1, h2)
+    return kron(d_inv[:l, :l], eye), kron(d_inv[l:, l:], eye), kron(d_inv[:l, l:], eye)
 
 
 class _OutputBuffer:
@@ -143,26 +132,20 @@ def release_output_buffer() -> None:
     _OUTPUT.release()
 
 
-def _write_one_inverse(
-    layout: BlockLayout,
-    lf_sharp: np.ndarray,
-    p_inv: np.ndarray,
-    q_inv: np.ndarray,
-) -> np.ndarray:
+def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
     """Write the full {1}-inverse once, straight into global vertex order.
 
     In block order the matrix is [[L#(F), 1_m^T (x) C], [., J_m (x) A + D^-1]]
     with C = L#(F)[:, :k] (F rows against the attached columns),
-    A = L#(F)[:k, :k] and D^-1 = [[P^-1, J/l], [J/l, Q^-1]] (x) I_k, the
-    blocks of ``pocket_d_inverse``. Global ids >= n equal their block
-    positions, so only the F rows and columns are permuted (by
+    A = L#(F)[:k, :k] and D^-1 = L_v(H)^-1 (x) I_k. Global ids >= n equal
+    their block positions, so only the F rows and columns are permuted (by
     ``layout.f_order``). Without D^-1 the k rows of gadget vertex 0 repeat
     for every gadget vertex, so they are written first, as C^T and A tiled
     m times, and copied to the other m - 1 row blocks in one contiguous
     pass; D^-1 is then added on the copy diagonal, and the F rows get
     L#(F) and C tiled m times.
     """
-    n, k, l, m = layout.n, layout.k, layout.l, layout.m
+    n, k, m = layout.n, layout.k, layout.m
     fo = np.asarray(layout.f_order)
     x = _OUTPUT.matrix(layout.total)
     pocket_rows = x[n:].reshape(m, k, layout.total, copy=False)
@@ -170,9 +153,6 @@ def _write_one_inverse(
     first[:, fo] = lf_sharp[:, :k].T
     first[:, n:].reshape(k, m, k, copy=False)[...] = lf_sharp[:k, None, :k]
     pocket_rows[1:] = first
-    d_inv = np.full((m, m), 1.0 / l)
-    d_inv[:l, :l] = p_inv
-    d_inv[l:, l:] = q_inv
     c = np.arange(k)
     pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
     pockets[:, c, :, c] += d_inv  # the copy diagonal c = c'
@@ -184,19 +164,19 @@ def _write_one_inverse(
 def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
     """The structured {1}-inverse of any spec, indexed by its global ids.
 
-    The base factor is L#(F) in attachment-first order; the pockets hang
-    off the attached vertices through its columns C = L#(F)[:, S].
+    Two inverses: the base factor L#(F) in attachment-first order, through
+    whose columns C = L#(F)[:, S] the pockets hang off the attached
+    vertices, and the gadget factor L_v(H)^-1.
     """
     layout = make_layout(spec)
     fo = np.asarray(layout.f_order)
     lf_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
-    p_inv, q_inv = _gadget_inverses(spec.H1, spec.H2)
+    d_inv = _invert_grounded(spec.H1, spec.H2, spec.cross)
     return StructuredOneInverse(
-        matrix=_write_one_inverse(layout, lf_sharp, p_inv, q_inv),
+        matrix=_write_one_inverse(layout, lf_sharp, d_inv),
         layout=layout,
         base_sharp=lf_sharp,
-        p_inv=p_inv,
-        q_inv=q_inv,
+        d_inv=d_inv,
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pocket_kirch import cli
 from pocket_kirch.cli import main, make_parser
-from pocket_kirch.graphs import build_pocket_graph, to_edge_list
+from pocket_kirch.graphs import Graph, build_pocket_graph, to_edge_list
 from pocket_kirch.oneinv import structured_one_inverse
 from pocket_kirch.resistance import (
     KirchhoffResult,
@@ -212,6 +212,62 @@ class TestBuild:
         code, _, err = _run(capsys, ["build", "--f", k2_file, "--hv", k2_file])
         assert code == 2
         assert "--v-id" in err
+
+
+class TestRootedGadgetFile:
+    """``--hv`` takes any connected rooted gadget, not only H1 v (H2 + {v})."""
+
+    def _files(self, tmp_path):
+        # base P4 with pockets on 2 and 0; the gadget is C5 rooted at 0
+        return _graph_files(tmp_path, [("p4", Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}))),
+                                       ("c5", Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})))])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_resist_matches_oracle(self, tmp_path, capsys, fmt):
+        f, hv = self._files(tmp_path)
+        base = ["resist", "--f", f, "--hv", hv, "--v-id", "0", "--attach", "2,0", "--format", fmt]
+        code_s, out_s, err = _run(capsys, base)
+        assert code_s == 0, err
+        code_o, out_o, err = _run(capsys, base + ["--oracle"])
+        assert code_o == 0, err
+        if fmt == "json":
+            s, o = json.loads(out_s), json.loads(out_o)
+            kf_s, kf_o = s["kf"], o["kf"]
+            rows_s, rows_o = s["resistances"], o["resistances"]
+        else:
+            lines_s, lines_o = out_s.splitlines(), out_o.splitlines()
+            kf_s, kf_o = (float(t[-1].split()[3]) for t in (lines_s, lines_o))
+            rows_s, rows_o = ([[float(x) for x in row.split(",")] for row in t[1:-1]]
+                              for t in (lines_s, lines_o))
+        assert len(rows_s) == len(rows_o) == 12 * 11 // 2  # N = 4 + 4 * 2
+        assert abs(kf_s - kf_o) <= 1e-8
+        for (u1, v1, r1), (u2, v2, r2) in zip(rows_s, rows_o):
+            assert (u1, v1) == (u2, v2)
+            assert abs(r1 - r2) <= 1e-9
+
+    def test_build_glues_every_gadget_edge(self, tmp_path, capsys):
+        f, hv = self._files(tmp_path)
+        code, out, err = _run(capsys, ["build", "--f", f, "--hv", hv, "--v-id", "0", "--attach", "2,0"])
+        assert code == 0, err
+        assert out.splitlines()[0] == f"12 {3 + 2 * 5}"  # n-edges + k |E(H)|
+
+    @pytest.mark.parametrize(
+        "gadget,v_id,message",
+        [
+            ("4 2\n0 1\n2 3\n", "0", "cannot reach v"),  # 2-3 cut off from v = 0
+            ("3 1\n1 2\n", "0", "has no neighbours"),
+            ("2 1\n0 1\n", "2", "not a vertex"),
+        ],
+        ids=["disconnected", "isolated-v", "v-out-of-range"],
+    )
+    @pytest.mark.parametrize("command", ["build", "resist"])
+    def test_bad_gadget_fails_cleanly(self, tmp_path, capsys, k2_file, gadget, v_id, message, command):
+        hv = tmp_path / "hv.txt"
+        hv.write_text(gadget)
+        code, out, err = _run(capsys, [command, "--f", k2_file, "--hv", str(hv), "--v-id", v_id])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 class TestResist:

@@ -5,7 +5,8 @@ and so does the benchmark's referee; this one shares no arithmetic with
 them. It takes L# = (L + J/N)^-1 - J/N by Gauss-Jordan elimination over
 ``fractions.Fraction``, so every resistance and Kirchhoff index below is
 exact, on the built-in fixtures and on small seeded instances, among them
-attachment sets over which F is not a join F1 v F2.
+attachment sets over which F is not a join F1 v F2 and rooted gadgets that
+are not H1 v (H2 + {v}).
 """
 
 from fractions import Fraction
@@ -14,13 +15,17 @@ import numpy as np
 import pytest
 
 from pocket_kirch import (
+    Graph,
     JoinStructureError,
     PocketSpec,
     build_pocket_graph,
+    complete_graph,
     kirchhoff_from_one_inverse,
     oracle_resistance,
+    path_graph,
     resistance_matrix,
     split_base_join,
+    split_gadget,
     structured_one_inverse,
 )
 from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_specs
@@ -89,19 +94,45 @@ def _non_join_specs(count=6, max_order=16, seed=99):
     return specs
 
 
+def _non_join_gadget_specs(max_order=16, seed=31):
+    """Rooted gadgets that are not H1 v (H2 + {v}): C5 at a vertex and P5
+    at an inner vertex on fixed bases, then seeded random connected gadgets
+    of order 4..5 at a random root, glued on the non-join bases of
+    ``_non_join_specs``."""
+    c5 = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
+    specs = [
+        PocketSpec(complete_graph(2), (1, 0), *split_gadget(c5, 2)),
+        PocketSpec(path_graph(3), (2,), *split_gadget(path_graph(5), 1)),
+    ]
+    rng = np.random.default_rng(seed)
+    for base in _non_join_specs():
+        while True:
+            hv = random_connected_graph(rng, int(rng.integers(4, 6)))
+            gadget = split_gadget(hv, int(rng.integers(0, hv.order)))
+            spec = PocketSpec(base.F, base.attach, *gadget)
+            if spec.cross is not None and spec.n + spec.m * spec.k <= max_order:
+                specs.append(spec)
+                break
+    return specs
+
+
 CASES = (
     [(label, spec) for label, spec in builtin_fixtures()]
     + [(f"random-{i}", spec) for i, spec in enumerate(_small_random_specs())]
     + [(f"non-join-{i}", spec) for i, spec in enumerate(_non_join_specs())]
+    + [(f"non-join-gadget-{i}", spec) for i, spec in enumerate(_non_join_gadget_specs())]
 )
 
 
 def test_cases_cover_both_paths_and_orders():
     orders = [spec.n + spec.m * spec.k for _, spec in CASES]
-    assert len(CASES) == 32
+    assert len(CASES) == 40
     assert min(orders) == 3 and max(orders) <= 16
     assert any(s.k == s.n for _, s in CASES[6:]) and any(s.k < s.n for _, s in CASES[6:])
     assert any(s.k < s.n and not _is_join(s) for _, s in CASES)
+    gadgets = [s for label, s in CASES if label.startswith("non-join-gadget")]
+    assert all(s.cross is not None for s in gadgets)
+    assert sum(s.k < s.n and not _is_join(s) for s in gadgets) >= 6
 
 
 def test_exact_inverse_small():

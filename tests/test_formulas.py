@@ -7,6 +7,7 @@ from pocket_kirch import (
     BlockLayout,
     CaseId,
     CaseMismatchError,
+    JoinStructureError,
     PocketSpec,
     Theorem31Printed,
     Theorem41Printed,
@@ -44,10 +45,19 @@ from pocket_kirch.sweep import (
     random_graph,
     random_specs,
 )
+from test_graphs import NON_JOIN_GADGET_SPECS
 
 P3_SPEC = PocketSpec(complete_graph(1), (0,), complete_graph(1), complete_graph(1))
 P4_SPEC = PocketSpec(complete_graph(2), (0, 1), complete_graph(1))
 PENDANT_SPEC = PocketSpec(join(complete_graph(1), complete_graph(1)), (0,), complete_graph(1))
+
+
+def _is_split_base(spec):
+    try:
+        split_base_join(spec)
+    except (JoinStructureError, ValueError):
+        return False
+    return True
 
 
 def _printed(cls, spec):
@@ -510,6 +520,23 @@ class TestVerifyConstruction:
         assert max(r.structured_dev for r in rep.records) <= 1e-9
         with pytest.raises(ValueError, match="cross edge"):
             _printed(Theorem41Printed, spec)
+
+    @pytest.mark.parametrize("spec", NON_JOIN_GADGET_SPECS, ids=["k=n", "non-join-base", "split-base", "k=1"])
+    def test_non_join_gadget_has_no_printed_theorem(self, spec):
+        # the construction takes any connected rooted gadget; the printed
+        # displays state only H1 v (H2 + {v}), whatever the base
+        for include_printed in (True, False):
+            rep = verify_construction(spec, include_printed=include_printed)
+            assert rep.ok
+            assert json.loads(rep.to_json())["instance"]["theorem"] is None
+            assert all(r.case is None and r.printed is None for r in rep.records)
+            assert max(r.structured_dev for r in rep.records) <= 1e-9
+        if spec.k == spec.n or _is_split_base(spec):
+            cls = Theorem31Printed if spec.k == spec.n else Theorem41Printed
+            with pytest.raises(JoinStructureError, match=r"^H_v is not H1 v \(H2 \+ \{v\}\)") as exc:
+                _printed(cls, spec)
+            i, j = exc.value.witness
+            assert (i, j) not in spec.cross and i < spec.l and j < spec.m - spec.l
 
     def test_printed_audit_reuses_structured_factors(self, monkeypatch):
         from pocket_kirch import formulas, linalg, oneinv

@@ -18,6 +18,7 @@ from pocket_kirch import (
     laplacian,
     make_layout,
     path_graph,
+    split_gadget,
     validate_join_structure,
 )
 from pocket_kirch.graphs import (
@@ -25,6 +26,7 @@ from pocket_kirch.graphs import (
     _normalize_edge,
     graph_from_json,
     graph_to_json,
+    grounded_laplacian,
     parse_edge_list,
     to_edge_list,
 )
@@ -256,6 +258,112 @@ EDGE_SHAPE_SPECS = [
 BUILD_SPECS = (
     [s for _, s in builtin_fixtures()] + random_specs(300, seed=7) + NON_JOIN_SPECS + EDGE_SHAPE_SPECS
 )
+
+
+def cycle_graph(n):
+    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+
+
+# Rooted gadgets (H_v, v) that are not H1 v (H2 + {v}): C5 at a vertex, P5
+# at an inner vertex, and a triangle at v with a path hanging off it.
+NON_JOIN_GADGETS = [
+    (cycle_graph(5), 0),
+    (path_graph(5), 1),
+    (Graph(5, frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)})), 0),
+]
+
+
+def gadget_spec(f, attach, hv, v):
+    """The spec gluing the rooted gadget (hv, v) at ``attach`` of f."""
+    return PocketSpec(f, attach, *split_gadget(hv, v))
+
+
+NON_JOIN_GADGET_SPECS = [
+    gadget_spec(complete_graph(3), (2, 0, 1), *NON_JOIN_GADGETS[0]),  # k = n
+    gadget_spec(path_graph(4), (2, 0), *NON_JOIN_GADGETS[1]),  # non-join base too
+    gadget_spec(join(path_graph(2), empty_graph(2)), (1, 0), *NON_JOIN_GADGETS[2]),  # split base
+    gadget_spec(cycle_graph(4), (3,), *NON_JOIN_GADGETS[0]),
+]
+
+
+def _glued_reference(f, attach, hv, v):
+    """The pocket graph by gluing hv itself: copy c sends v to attach[c],
+    the i-th neighbour of v to n + i*k + c and the j-th other vertex to
+    n + (l + j)*k + c (ids in increasing order within each side)."""
+    n, k = f.order, len(attach)
+    nv = sorted(hv.neighbors(v))
+    rest = sorted(set(range(hv.order)) - set(nv) - {v})
+    edges = set(f.edges)
+    for c in range(k):
+        place = {v: attach[c]}
+        place.update((u, n + row * k + c) for row, u in enumerate(nv + rest))
+        edges.update(_normalize_edge(place[a], place[b]) for a, b in hv.edges)
+    return Graph(n + (hv.order - 1) * k, frozenset(edges))
+
+
+class TestRootedGadget:
+    def test_split_of_c5(self):
+        h1, h2, cross = split_gadget(cycle_graph(5), 0)
+        # N(0) = {1, 4}, rest = {2, 3}: edges 1-2 and 4-3 cross
+        assert h1 == empty_graph(2) and h2 == path_graph(2)
+        assert cross == {(0, 0), (1, 1)}
+
+    def test_split_of_path_at_inner_vertex(self):
+        h1, h2, cross = split_gadget(path_graph(5), 1)
+        # N(1) = {0, 2}, rest = {3, 4}: only 2-3 crosses
+        assert h1 == empty_graph(2) and h2 == path_graph(2)
+        assert cross == {(1, 0)}
+
+    def test_join_gadget_splits_with_cross_none(self):
+        spec = PocketSpec(complete_graph(1), (0,), path_graph(2), complete_graph(3))
+        hv = join(spec.H1, Graph(spec.H2.order + 1, spec.H2.edges))  # v last
+        assert split_gadget(hv, spec.m) == (spec.H1, spec.H2, None)
+
+    def test_complete_cross_is_the_join(self):
+        f, h1, h2 = path_graph(3), path_graph(2), complete_graph(3)
+        every = frozenset((i, j) for i in range(2) for j in range(3))
+        spec = PocketSpec(f, (0, 2), h1, h2, every)
+        assert spec.cross is None
+        assert spec == PocketSpec(f, (0, 2), h1, h2)
+        # an empty H2 has exactly one cross set, the empty one
+        assert PocketSpec(f, (1,), h1, empty_graph(0), frozenset()).cross is None
+
+    def test_cross_is_stored_as_int_pairs(self):
+        spec = PocketSpec(complete_graph(1), (0,), empty_graph(2), path_graph(2), [[1, 1], (0, 0)])
+        assert spec.cross == frozenset({(0, 0), (1, 1)})
+
+    @pytest.mark.parametrize("hv,v", NON_JOIN_GADGETS + [(path_graph(3), 0), (complete_graph(4), 2)])
+    def test_grounded_laplacian_is_gadget_laplacian_without_v(self, hv, v):
+        nv = sorted(hv.neighbors(v))
+        rest = sorted(set(range(hv.order)) - set(nv) - {v})
+        expected = laplacian(hv)[np.ix_(nv + rest, nv + rest)]
+        np.testing.assert_array_equal(grounded_laplacian(*split_gadget(hv, v)), expected)
+
+    @pytest.mark.parametrize("hv,v", NON_JOIN_GADGETS)
+    @pytest.mark.parametrize("f,attach", [(path_graph(4), (2, 0)), (complete_graph(3), (1, 2, 0))])
+    def test_build_glues_the_gadget_itself(self, hv, v, f, attach):
+        g, layout = build_pocket_graph(gadget_spec(f, attach, hv, v))
+        assert g == _glued_reference(f, attach, hv, v)
+        assert g.size == f.size + len(attach) * hv.size
+        assert layout.total == g.order and is_connected(g)
+
+    def test_rejects_gadget_vertex_cut_off_from_v(self):
+        with pytest.raises(ValueError, match="cannot reach v"):
+            PocketSpec(complete_graph(1), (0,), complete_graph(1), complete_graph(1), frozenset())
+        # H2 = {0, 1, 2}: the edge 0-1 is joined to H1, vertex 2 is on its own
+        h2 = Graph(3, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="cannot reach v"):
+            PocketSpec(complete_graph(1), (0,), complete_graph(2), h2, frozenset({(0, 0), (1, 1)}))
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_rejects_cross_pair_out_of_range(self, pair):
+        with pytest.raises(ValueError, match="outside H1 x H2"):
+            PocketSpec(complete_graph(1), (0,), complete_graph(2), complete_graph(2),
+                       frozenset({(0, 0), pair}))
+
+    def test_v_without_neighbours_still_rejected(self):
+        with pytest.raises(JoinStructureError, match="has no neighbours"):
+            split_gadget(Graph(3, frozenset({(1, 2)})), 0)
 
 
 class TestBuildMatchesPerVertexReference:

@@ -24,17 +24,18 @@ from pocket_kirch import (
     split_base_join,
     structured_one_inverse,
 )
+from pocket_kirch.formulas import _p_factor, _q_factor
+from pocket_kirch.graphs import grounded_laplacian, split_gadget
 from pocket_kirch.linalg import kron, shifted_group_inverse
 from pocket_kirch.oneinv import (
-    _p_factor,
-    _q_factor,
+    _invert_grounded,
     pocket_d_inverse,
     release_output_buffer,
     theorem3_one_inverse,
     theorem4_one_inverse,
 )
 from pocket_kirch.sweep import random_connected_graph, random_graph, random_specs
-from test_graphs import NON_JOIN_SPECS, adjacency, block_order
+from test_graphs import NON_JOIN_GADGET_SPECS, NON_JOIN_SPECS, adjacency, block_order
 from test_linalg import is_one_inverse
 
 
@@ -416,12 +417,12 @@ class TestStructuredDispatch:
         np.testing.assert_allclose(resistance_matrix(s.matrix), r_oracle, atol=1e-9)
 
 
-def _broadcast_writer_reference(layout, lf_sharp, p_inv, q_inv):
+def _broadcast_writer_reference(layout, lf_sharp, d_inv):
     """The writer as it was before the pocket rows were replicated: every
     pocket entry by one broadcast over (m, k, m, k), then the F rows and
     their transpose. Its entries are the same single copies and additions
     as the library's, so the two must agree bit for bit."""
-    n, k, l, m = layout.n, layout.k, layout.l, layout.m
+    n, k, m = layout.n, layout.k, layout.m
     fo = np.asarray(layout.f_order)
     x = np.empty((layout.total, layout.total))
     x[np.ix_(fo, fo)] = lf_sharp
@@ -430,9 +431,6 @@ def _broadcast_writer_reference(layout, lf_sharp, p_inv, q_inv):
     x[n:, :n] = x[:n, n:].T
     pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
     pockets[...] = lf_sharp[None, :k, None, :k]
-    d_inv = np.full((m, m), 1.0 / l)
-    d_inv[:l, :l] = p_inv
-    d_inv[l:, l:] = q_inv
     c = np.arange(k)
     pockets[:, c, :, c] += d_inv
     return x
@@ -454,11 +452,11 @@ WRITER_EDGE_SPECS = [
 
 class TestWriter:
     @pytest.mark.parametrize(
-        "spec", SHUFFLED_SPECS + THM3_SPECS + NON_JOIN_SPECS + WRITER_EDGE_SPECS
+        "spec", SHUFFLED_SPECS + THM3_SPECS + NON_JOIN_SPECS + WRITER_EDGE_SPECS + NON_JOIN_GADGET_SPECS
     )
     def test_bit_identical_to_broadcast_writer(self, spec):
         s = structured_one_inverse(spec)
-        expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.p_inv, s.q_inv)
+        expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
         assert np.array_equal(s.matrix, expected)
 
     def test_edge_shapes(self):
@@ -483,8 +481,9 @@ class TestIngredients:
         spec = THM3_SPECS[2]
         s = theorem3_one_inverse(spec)
         assert s.base_sharp.shape == (spec.n, spec.n)
-        np.testing.assert_allclose(s.p_inv, invert(_p_factor(spec.H1, spec.m)))
-        np.testing.assert_allclose(s.q_inv, invert(_q_factor(spec.H2, spec.l, spec.m)))
+        l = spec.l
+        np.testing.assert_allclose(s.d_inv[:l, :l], invert(_p_factor(spec.H1, spec.m)))
+        np.testing.assert_allclose(s.d_inv[l:, l:], invert(_q_factor(spec.H2, spec.l, spec.m)))
 
     @pytest.mark.parametrize("spec", SHUFFLED_SPECS[:2])
     def test_split_path_ingredients(self, spec):
@@ -493,7 +492,70 @@ class TestIngredients:
         order = list(s.layout.f_order)
         lf = laplacian(spec.F)[np.ix_(order, order)]
         np.testing.assert_allclose(s.base_sharp, pseudo_inverse_laplacian(lf), atol=1e-13)
-        assert s.q_inv.shape == (spec.m - spec.l,) * 2
+        assert s.d_inv.shape == (spec.m, spec.m)
+
+
+JOIN_GADGET_SPECS = SHUFFLED_SPECS + THM3_SPECS + NON_JOIN_SPECS + WRITER_EDGE_SPECS
+
+
+class TestGadgetInverse:
+    """The gadget factor is one inverse, D^-1 = L_v(H)^-1, for any connected
+    rooted gadget."""
+
+    @pytest.mark.parametrize("spec", JOIN_GADGET_SPECS + NON_JOIN_GADGET_SPECS)
+    def test_two_inverts_per_spec(self, spec, monkeypatch):
+        from pocket_kirch import linalg, oneinv
+
+        orders = []
+        invert = linalg.invert
+
+        def counting(mat):
+            orders.append(np.shape(mat)[0])
+            return invert(mat)
+
+        # linalg's binding is the one pseudo_inverse_laplacian calls
+        for module in (linalg, oneinv):
+            monkeypatch.setattr(module, "invert", counting)
+        structured_one_inverse(spec)
+        assert orders == [spec.n, spec.m]  # L + J/n of F, then L_v(H)
+
+    @pytest.mark.parametrize("spec", JOIN_GADGET_SPECS + NON_JOIN_GADGET_SPECS)
+    def test_d_inv_inverts_grounded_laplacian(self, spec):
+        d_inv = structured_one_inverse(spec).d_inv
+        lv = grounded_laplacian(spec.H1, spec.H2, spec.cross)
+        assert np.array_equal(d_inv, d_inv.T)
+        assert np.abs(lv @ d_inv - np.eye(spec.m)).max() <= 1e-12
+        # L_v(H) 1 is the indicator of N(v) = H1, so D^-1 maps it to 1
+        np.testing.assert_allclose(d_inv[:, : spec.l].sum(axis=1), 1.0, rtol=1e-13)
+
+    @pytest.mark.parametrize("spec", JOIN_GADGET_SPECS)
+    def test_join_coupling_is_one_over_l(self, spec):
+        d_inv, l = structured_one_inverse(spec).d_inv, spec.l
+        np.testing.assert_allclose(d_inv[:l, l:], 1.0 / l, rtol=1e-13)
+
+    @pytest.mark.parametrize("spec", NON_JOIN_GADGET_SPECS)
+    def test_non_join_gadget_matches_oracle(self, spec):
+        g, _ = build_pocket_graph(spec)
+        s = structured_one_inverse(spec)
+        assert is_one_inverse(laplacian(g), s.matrix)
+        r_oracle, _ = oracle_resistance(g)
+        np.testing.assert_allclose(resistance_matrix(s.matrix), r_oracle, atol=1e-9)
+
+    def test_pocket_d_inverse_is_blocks_of_the_same_inverse(self):
+        spec = THM3_SPECS[2]
+        l, eye = spec.l, np.eye(spec.k)
+        d_inv = structured_one_inverse(spec).d_inv
+        blocks = pocket_d_inverse(spec.H1, spec.H2, spec.k)
+        for block, part in zip(blocks, (d_inv[:l, :l], d_inv[l:, l:], d_inv[:l, l:])):
+            assert np.array_equal(block, kron(part, eye))
+
+    @pytest.mark.parametrize("order", [2, 3, 6])
+    def test_path_gadget_inverse_is_exact(self, order):
+        # P_{order+1} rooted at an end: far-first elimination has unit
+        # pivots, and D^-1 is min(i, j) + 1 exactly
+        d_inv = _invert_grounded(*split_gadget(path_graph(order + 1), 0))
+        i = np.arange(order)
+        assert np.array_equal(d_inv, np.minimum.outer(i, i) + 1.0)
 
 
 class TestPeakMemory:
