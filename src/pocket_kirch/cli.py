@@ -38,6 +38,8 @@ def _fmt(x: float) -> str:
 def _spec_from_args(args) -> PocketSpec:
     f = load_graph(args.f)
     if args.hv is not None:
+        if args.h1 is not None or args.h2 is not None:
+            raise ValueError("--hv cannot be combined with --h1 or --h2")
         if args.v_id is None:
             raise ValueError("--hv requires --v-id")
         hv = load_graph(args.hv)
@@ -45,6 +47,8 @@ def _spec_from_args(args) -> PocketSpec:
             raise ValueError(f"--v-id {args.v_id} is not a vertex of the {hv.order}-vertex gadget")
         h1, h2, cross = split_gadget(hv, args.v_id)
     else:
+        if args.v_id is not None:
+            raise ValueError("--v-id requires --hv")
         if args.h1 is None:
             raise ValueError("provide --h1 (with optional --h2) or --hv with --v-id")
         h1 = load_graph(args.h1)

@@ -15,7 +15,6 @@ per-pair ``resistance`` and ``applicable_cases`` are one-pair calls of it.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -26,10 +25,11 @@ from .graphs import (
     Graph,
     JoinStructureError,
     PocketSpec,
+    _first_missing_pair,
     build_pocket_graph,
     laplacian,
 )
-from .linalg import eigenvalues_sym
+from .linalg import eigenvalues_sym, pseudo_inverse_laplacian
 from .oneinv import (
     StructuredOneInverse,
     split_base_join,
@@ -38,7 +38,6 @@ from .oneinv import (
 from .resistance import (
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,
-    oracle_resistance,
     resistance_matrix,
 )
 
@@ -139,8 +138,9 @@ def _require_join_gadget(spec: PocketSpec) -> None:
     as ``witness``, unless the gadget is H1 v (H2 + {v}), the only gadget
     the printed displays state."""
     if spec.cross is not None:
-        pairs = itertools.product(range(spec.l), range(spec.m - spec.l))
-        i, j = next(p for p in pairs if p not in spec.cross)
+        i, j = _first_missing_pair(
+            range(spec.l), range(spec.m - spec.l), lambda i, j: (i, j) in spec.cross
+        )
         raise JoinStructureError(
             f"H_v is not H1 v (H2 + {{v}}): missing cross edge ({i},{j})", witness=(i, j)
         )
@@ -471,30 +471,23 @@ def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -
     return bool(ok.all())
 
 
-def _printed(spec: PocketSpec, structured: StructuredOneInverse, include_printed: bool):
+def _printed(spec: PocketSpec, structured: StructuredOneInverse):
     """(theorem, printed): the theorem whose displays state this spec's
     resistances, 3.1 when every F vertex is attached, 4.1 when F = F1 v F2
-    over the attached vertices, else None (and None for any gadget that is
-    not H1 v (H2 + {v})); and with ``include_printed`` its printed class on
-    ``structured``. Each join test runs once, inside the printed class or
-    on its own when no printed class is wanted."""
+    over the attached vertices, and its printed class on ``structured``, the
+    one place each join test runs; (None, None) when neither states them,
+    as for any gadget that is not H1 v (H2 + {v})."""
     cls = Theorem31Printed if spec.k == spec.n else Theorem41Printed
     try:
-        if include_printed:
-            return cls.theorem, cls(spec, structured)
-        _require_join_gadget(spec)
-        if cls is Theorem41Printed:
-            split_base_join(spec)
+        return cls.theorem, cls(spec, structured)
     except JoinStructureError:
         return None, None
-    return cls.theorem, None
 
 
 def verify_construction(
     spec: PocketSpec,
     tol_r: float = 1e-9,
     tol_kf: float = 1e-8,
-    include_printed: bool = True,
     label: str = "",
 ) -> DiscrepancyReport:
     """Audit one instance: oracle vs block construction vs printed formulas.
@@ -505,18 +498,21 @@ def verify_construction(
     H1 v (H2 + {v})) gets no printed records and ``"theorem": None``. Each
     printed case is evaluated over index arrays of all pairs u < v at once,
     and the records are built in one pass over the resulting columns: pairs
-    in row-major order, then Kf, Kf[spectral] and the printed Kf.
+    in row-major order, then Kf, Kf[spectral] and the printed Kf. L(G) is
+    built once, for the oracle, the residual and the spectrum.
     """
     g, layout = build_pocket_graph(spec)
-    r_oracle, kf_oracle = oracle_resistance(g)
-    structured = structured_one_inverse(spec)
     lap = laplacian(g)
+    x_oracle = pseudo_inverse_laplacian(lap)
+    r_oracle = resistance_matrix(x_oracle)
+    kf_oracle = kirchhoff_from_one_inverse(x_oracle, method="oracle")
+    structured = structured_one_inverse(spec)
     residual = float(np.abs(lap @ structured.matrix @ lap - lap).max())
     r_struct = resistance_matrix(structured.matrix)
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
 
-    theorem, printed = _printed(spec, structured, include_printed)
+    theorem, printed = _printed(spec, structured)
 
     records, pairs_ok = _pair_records(r_oracle, r_struct, tol_r, printed, theorem)
     kf_dev = float(abs(kf_struct.value - kf_oracle.value))

@@ -5,6 +5,8 @@ simple connected graph with a specified vertex v: one copy of H_v is glued
 onto each chosen vertex of F by identifying that vertex with v. The gadget
 is kept as H1 = N(v), H2 = the rest, and the H1-H2 edges between them; the
 paper's printed form H1 v (H2 + {v}) is the case where those are all pairs.
+The pocket graph, L_v(H) and the gadget's checks are built from one local
+edge array of H_v (``_gadget_edges``).
 """
 
 from __future__ import annotations
@@ -97,24 +99,25 @@ def empty_graph(n: int) -> Graph:
     return Graph(n)
 
 
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges as an (|E|, 2) integer array; shape (0, 2) when edgeless."""
-    flat = itertools.chain.from_iterable(g.edges)
-    return np.fromiter(flat, dtype=np.intp, count=2 * g.size).reshape(-1, 2)
+def _pair_array(pairs) -> np.ndarray:
+    """Integer pairs as an (|pairs|, 2) integer array; shape (0, 2) when empty."""
+    flat = itertools.chain.from_iterable(pairs)
+    return np.fromiter(flat, dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+
+
+def _edge_laplacian(order: int, edges: np.ndarray) -> np.ndarray:
+    """The Laplacian of an (|E|, 2) edge array on 0..order-1: -1 scattered
+    at each edge, the degrees (endpoint counts) on the diagonal."""
+    lap = np.zeros((order, order))
+    lap[edges[:, 0], edges[:, 1]] = -1.0
+    lap[edges[:, 1], edges[:, 0]] = -1.0
+    np.fill_diagonal(lap, np.bincount(edges.ravel(), minlength=order))
+    return lap
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Laplacian matrix L = D - A (rows sum to zero, PSD).
-
-    Built in one N x N array from the edge array: -1 scattered at each
-    edge, the degrees (endpoint counts) on the diagonal.
-    """
-    edges = _edge_array(g)
-    lap = np.zeros((g.order, g.order))
-    lap[edges[:, 0], edges[:, 1]] = -1.0
-    lap[edges[:, 1], edges[:, 0]] = -1.0
-    np.fill_diagonal(lap, np.bincount(edges.ravel(), minlength=g.order))
-    return lap
+    """Laplacian matrix L = D - A (rows sum to zero, PSD)."""
+    return _edge_laplacian(g.order, _pair_array(g.edges))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -182,16 +185,15 @@ class PocketSpec:
 
     def _normalize_cross(self):
         """Store ``cross`` as a frozenset of int pairs, or None when it holds
-        every H1-H2 pair; ValueError for a pair out of range or an H2 vertex
-        with no path to H1 (and so none to v)."""
+        every H1-H2 pair; ValueError for a pair out of range or a gadget
+        vertex with no path to v."""
         l, q = self.H1.order, self.H2.order
         cross = frozenset((int(i), int(j)) for i, j in self.cross)
         bad = [(i, j) for i, j in cross if not (0 <= i < l and 0 <= j < q)]
         if bad:
             raise ValueError(f"cross pair {min(bad)} outside H1 x H2 = [0,{l}) x [0,{q})")
-        # H2 plus one vertex q standing for H1: connected iff all of H2 reaches v
-        reach = Graph(q + 1, self.H2.edges | {(j, q) for _, j in cross})
-        if not is_connected(reach):
+        hv = _gadget_edges(self.H1, self.H2, cross).tolist()
+        if not is_connected(Graph(l + q + 1, frozenset(map(tuple, hv)))):
             raise ValueError("gadget vertex cannot reach v: a part of H2 has no edge to H1")
         object.__setattr__(self, "cross", None if len(cross) == l * q else cross)
 
@@ -243,11 +245,6 @@ class BlockLayout:
     def total(self) -> int:
         return self.n + self.m * self.k
 
-    def gadget_ids(self) -> np.ndarray:
-        """The (m, k) array of global ids: row j, column c is gadget row j
-        of copy c."""
-        return np.arange(self.n, self.total).reshape(self.m, self.k)
-
     def global_index(self, block: str, local: int, copy: int = 0) -> int:
         if block == "F":
             if not 0 <= local < self.n or copy != 0:
@@ -287,28 +284,41 @@ def make_layout(spec: PocketSpec) -> BlockLayout:
     return BlockLayout(spec.n, spec.k, spec.l, spec.m, spec.attach + rest)
 
 
+def _gadget_edges(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
+    """The edges of the rooted gadget H_v as an (|E|, 2) integer array in
+    local ids: H1 is 0..l-1, H2 is l..m-1 and v is m.
+
+    They are v's edge to each H1 vertex, the edges of H1, those of H2
+    shifted by l, and the H1-H2 edges ``cross`` as local pairs (i in H1,
+    j in H2; None: every pair, the join).
+    """
+    l, q = h1.order, h2.order
+    cross = np.indices((l, q)).reshape(2, -1).T if cross is None else _pair_array(cross)
+    return np.concatenate([
+        np.stack([np.full(l, l + q), np.arange(l)], axis=1),
+        _pair_array(h1.edges),
+        _pair_array(h2.edges) + l,
+        cross + (0, l),
+    ])
+
+
 def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
     """Assemble the pocket graph and its block layout.
 
-    Copy c of the gadget is glued at spec.attach[c]. Total order n + m*k;
-    the result is connected, since ``PocketSpec`` requires a connected F
-    and a gadget whose every vertex reaches v.
+    Copy c of the gadget is glued at spec.attach[c]: the gadget's edge
+    array indexes an (m+1, k) table of global ids, one column per copy, in
+    ``BlockLayout``'s numbering with v's row m holding spec.attach. Total
+    order n + m*k; the result is connected, since ``PocketSpec`` requires a
+    connected F and a gadget whose every vertex reaches v.
     """
     layout = make_layout(spec)
-    ids = layout.gadget_ids().tolist()  # row j: gadget vertex j of every copy
-    h1, h2 = ids[: spec.l], ids[spec.l :]
+    # object ids: the edges share one Python int per vertex, not one per endpoint
+    ids = np.array(range(layout.n, layout.total + spec.k), dtype=object)
+    ids = ids.reshape(spec.m + 1, spec.k)
+    ids[spec.m] = spec.attach
+    glued = ids[_gadget_edges(spec.H1, spec.H2, spec.cross)]
     edges = set(spec.F.edges)
-    for row in h1:
-        edges.update(zip(spec.attach, row))  # v, glued at attach[c], meets all of H1
-    for rows, h in ((h1, spec.H1), (h2, spec.H2)):
-        for a, b in h.edges:
-            edges.update(zip(rows[a], rows[b]))
-    if spec.cross is None:
-        cross = ((a, b) for a in h1 for b in h2)  # the join: every H1-H2 pair
-    else:
-        cross = ((h1[i], h2[j]) for i, j in spec.cross)
-    for a, b in cross:
-        edges.update(zip(a, b))
+    edges.update(zip(glued[:, 0].ravel().tolist(), glued[:, 1].ravel().tolist()))
     return Graph(layout.total, frozenset(edges)), layout
 
 
@@ -316,37 +326,18 @@ def grounded_laplacian(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
     """L_v(H): the Laplacian of the gadget H_v with v's row and column
     deleted, in H1-then-H2 order, for the H1-H2 edges ``cross`` (None: all).
 
-    It is [[L(H1) + I + diag(B 1), -B], [-B^T, L(H2) + diag(B^T 1)]], with B
-    the H1 x H2 cross adjacency (J for the join); the I is v's edge to each
-    H1 vertex. It is positive definite for a connected gadget.
+    It is the Laplacian of the gadget's edge array, whose last vertex is v,
+    cut to its first m rows and columns; positive definite for a connected
+    gadget.
     """
-    l, q = h1.order, h2.order
-    b = np.ones((l, q))
-    if cross is not None:
-        b[...] = 0.0
-        i, j = np.array(list(cross), dtype=np.intp).reshape(-1, 2).T
-        b[i, j] = 1.0
-    out = np.empty((l + q, l + q))
-    out[:l, :l] = laplacian(h1)
-    out[l:, l:] = laplacian(h2)
-    out[:l, l:] = -b
-    out[l:, :l] = -b.T
-    diag = out.reshape(-1)[:: l + q + 1]  # a view of the diagonal
-    diag[:l] += 1.0 + b.sum(axis=1)
-    diag[l:] += b.sum(axis=0)
-    return out
+    m = h1.order + h2.order
+    return _edge_laplacian(m + 1, _gadget_edges(h1, h2, cross))[:m, :m]
 
 
-def join_split(g: Graph, left: list[int], right: list[int], message: str) -> tuple[Graph, Graph]:
-    """g induced on ``left`` and on ``right``, each relabeled in list order,
-    when every pair of left x right is an edge; otherwise JoinStructureError
-    with the first missing pair (a, b), in list order, as ``witness`` and
-    ``message.format(a, b)`` as its message."""
-    for a in left:
-        for b in right:
-            if not g.has_edge(a, b):
-                raise JoinStructureError(message.format(a, b), witness=(a, b))
-    return g.induced(left), g.induced(right)
+def _first_missing_pair(left, right, present) -> Edge | None:
+    """The first pair (a, b) of left x right, in row-major order, for which
+    ``present(a, b)`` is false; None when there is none."""
+    return next(((a, b) for a in left for b in right if not present(a, b)), None)
 
 
 def _gadget_sides(hv: Graph, v: int) -> tuple[list[int], list[int]]:
@@ -387,7 +378,10 @@ def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:
     """
     h1, h2, cross = split_gadget(hv, v)
     if cross is not None:
-        join_split(hv, *_gadget_sides(hv, v), "missing cross edge ({},{}) between N(v) and the rest")
+        a, b = _first_missing_pair(*_gadget_sides(hv, v), hv.has_edge)
+        raise JoinStructureError(
+            f"missing cross edge ({a},{b}) between N(v) and the rest", witness=(a, b)
+        )
     return h1, h2
 
 

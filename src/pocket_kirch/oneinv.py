@@ -27,10 +27,11 @@ import numpy as np
 from .graphs import (
     BlockLayout,
     Graph,
+    JoinStructureError,
     PocketSpec,
+    _first_missing_pair,
     grounded_laplacian,
     join,
-    join_split,
     laplacian,
     make_layout,
 )
@@ -212,4 +213,8 @@ def split_base_join(spec: PocketSpec) -> tuple[Graph, Graph]:
     rest = sorted(set(range(spec.n)) - set(attach))
     if not rest:
         raise ValueError("F2 is empty: every vertex is attached")
-    return join_split(spec.F, attach, rest, "F is not F1 v F2: missing cross edge ({},{})")
+    missing = _first_missing_pair(attach, rest, spec.F.has_edge)
+    if missing is not None:
+        a, b = missing
+        raise JoinStructureError(f"F is not F1 v F2: missing cross edge ({a},{b})", witness=missing)
+    return spec.F.induced(attach), spec.F.induced(rest)

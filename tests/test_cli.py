@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pocket_kirch import cli
 from pocket_kirch.cli import main, make_parser
-from pocket_kirch.graphs import Graph, build_pocket_graph, to_edge_list
+from pocket_kirch.graphs import Graph, build_pocket_graph, complete_graph, to_edge_list
 from pocket_kirch.oneinv import structured_one_inverse
 from pocket_kirch.resistance import (
     KirchhoffResult,
@@ -268,6 +268,24 @@ class TestRootedGadgetFile:
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--hv", "{k2}", "--v-id", "0", "--h1", "{k3}"], "cannot be combined"),
+            (["--hv", "{k2}", "--v-id", "0", "--h2", "{k3}"], "cannot be combined"),
+            (["--h1", "{k3}", "--v-id", "0"], "--v-id requires --hv"),
+        ],
+        ids=["hv-with-h1", "hv-with-h2", "v-id-without-hv"],
+    )
+    @pytest.mark.parametrize("command", ["build", "resist"])
+    def test_mixed_gadget_routes_fail_cleanly(self, tmp_path, capsys, k2_file, extra, message, command):
+        # a gadget comes from --hv with --v-id or from --h1/--h2, never both
+        (k3,) = _graph_files(tmp_path, [("k3", complete_graph(3))])
+        argv = [command, "--f", k2_file] + [a.format(k2=k2_file, k3=k3) for a in extra]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
 
 
 class TestResist:

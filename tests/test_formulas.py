@@ -210,7 +210,7 @@ class _Reference41(Theorem41Printed):
         raise CaseMismatchError(f"case {case} is not a resistance case")
 
 
-def _reference_report(spec, tol_r=1e-9, tol_kf=1e-8, include_printed=True, label=""):
+def _reference_report(spec, tol_r=1e-9, tol_kf=1e-8, label=""):
     """verify_construction's report, built pair by pair and case by case."""
     g, _ = build_pocket_graph(spec)
     r_oracle, kf_oracle = oracle_resistance(g)
@@ -221,9 +221,7 @@ def _reference_report(spec, tol_r=1e-9, tol_kf=1e-8, include_printed=True, label
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
     theorem = "3.1" if spec.k == spec.n else "4.1"
-    printed = None
-    if include_printed:
-        printed = (_Reference31 if theorem == "3.1" else _Reference41)(spec, structured)
+    printed = (_Reference31 if theorem == "3.1" else _Reference41)(spec, structured)
     report = DiscrepancyReport(
         instance={
             "label": label,
@@ -525,12 +523,11 @@ class TestVerifyConstruction:
     def test_non_join_gadget_has_no_printed_theorem(self, spec):
         # the construction takes any connected rooted gadget; the printed
         # displays state only H1 v (H2 + {v}), whatever the base
-        for include_printed in (True, False):
-            rep = verify_construction(spec, include_printed=include_printed)
-            assert rep.ok
-            assert json.loads(rep.to_json())["instance"]["theorem"] is None
-            assert all(r.case is None and r.printed is None for r in rep.records)
-            assert max(r.structured_dev for r in rep.records) <= 1e-9
+        rep = verify_construction(spec)
+        assert rep.ok
+        assert json.loads(rep.to_json())["instance"]["theorem"] is None
+        assert all(r.case is None and r.printed is None for r in rep.records)
+        assert max(r.structured_dev for r in rep.records) <= 1e-9
         if spec.k == spec.n or _is_split_base(spec):
             cls = Theorem31Printed if spec.k == spec.n else Theorem41Printed
             with pytest.raises(JoinStructureError, match=r"^H_v is not H1 v \(H2 \+ \{v\}\)") as exc:
@@ -551,25 +548,15 @@ class TestVerifyConstruction:
         assert not hasattr(formulas, "invert")  # the audit inverts nothing itself
         for module in (linalg, oneinv):
             monkeypatch.setattr(module, "invert", counting)
-        extra = {}
         for label, spec in builtin_fixtures():
-            counts = []
-            for include_printed in (True, False):
-                calls.clear()
-                verify_construction(spec, include_printed=include_printed)
-                counts.append(len(calls))
-            extra[label] = counts[0] - counts[1]
-        # both printed classes take every factor from the structured
-        # result; 4.1 derives (L(F1)+(n-k)I)^-1 and (L(F2)+kI)^-1 from the
-        # diagonal blocks of L#(F) instead of inverting them again.
-        assert extra == {
-            "p3": 0,
-            "p4": 0,
-            "thm3-rich": 0,
-            "thm4-pendant": 0,
-            "thm4-9v": 0,
-            "thm4-rich": 0,
-        }
+            calls.clear()
+            report = verify_construction(spec)
+            assert report.instance["theorem"] is not None, label
+            # the oracle, L#(F) and L_v(H), and nothing else: both printed
+            # classes take every factor from the structured result; 4.1
+            # derives (L(F1)+(n-k)I)^-1 and (L(F2)+kI)^-1 from the diagonal
+            # blocks of L#(F) instead of inverting them again.
+            assert sorted(calls) == sorted([report.instance["order"], spec.n, spec.m]), label
 
     def test_one_join_test_per_audit(self, monkeypatch):
         from pocket_kirch import formulas
@@ -583,17 +570,15 @@ class TestVerifyConstruction:
 
         monkeypatch.setattr(formulas, "split_base_join", counting)
         for label, spec in builtin_fixtures():
-            for include_printed in (True, False):
-                calls.clear()
-                report = verify_construction(spec, include_printed=include_printed)
-                theorem = report.instance["theorem"]
-                assert theorem == ("3.1" if spec.k == spec.n else "4.1"), label
-                assert len(calls) == (theorem == "4.1"), (label, include_printed)
-        for include_printed in (True, False):  # a failed join test is run once too
             calls.clear()
-            spec = PocketSpec(path_graph(3), (0,), complete_graph(1))
-            assert verify_construction(spec, include_printed=include_printed).instance["theorem"] is None
-            assert len(calls) == 1
+            report = verify_construction(spec)
+            theorem = report.instance["theorem"]
+            assert theorem == ("3.1" if spec.k == spec.n else "4.1"), label
+            assert len(calls) == (theorem == "4.1"), label
+        calls.clear()  # a failed join test is run once too
+        spec = PocketSpec(path_graph(3), (0,), complete_graph(1))
+        assert verify_construction(spec).instance["theorem"] is None
+        assert len(calls) == 1
 
 
 def _seeded_spec(seed, shape):
@@ -627,10 +612,9 @@ def _assert_same_report(spec, label="", **options):
 
 
 class TestAuditMatchesPerPairReference:
-    @pytest.mark.parametrize("include_printed", [True, False])
     @pytest.mark.parametrize("label,spec", builtin_fixtures())
-    def test_fixtures(self, label, spec, include_printed):
-        _assert_same_report(spec, label, include_printed=include_printed)
+    def test_fixtures(self, label, spec):
+        _assert_same_report(spec, label)
 
     @pytest.mark.parametrize("index", range(len(VERIFY_SWEEP)))
     def test_verify_sweep(self, index):
@@ -653,22 +637,35 @@ class TestAuditMatchesPerPairReference:
 
         spec = _seeded_spec(20, (12, 5, 13))
         assert verify_construction(spec).ok
-        oracle, kf_route = formulas.oracle_resistance, formulas.kirchhoff_from_one_inverse
+        pinv, resistance, kf_route = (
+            formulas.pseudo_inverse_laplacian,
+            formulas.resistance_matrix,
+            formulas.kirchhoff_from_one_inverse,
+        )
         if off == "Kf":
-            monkeypatch.setattr(
-                formulas,
-                "kirchhoff_from_one_inverse",
-                lambda x: KirchhoffResult(kf_route(x).value + 1e-6, "structured"),
-            )
-        else:
-            def one_pair_off(g):
-                r, kf = oracle(g)
-                r = r.copy()
-                r[0, 1] += 1e-6
-                r[1, 0] += 1e-6
-                return r, kf
+            def kf_off(x, method="structured"):
+                kf = kf_route(x, method)
+                return KirchhoffResult(kf.value + (method == "structured") * 1e-6, method)
 
-            monkeypatch.setattr(formulas, "oracle_resistance", one_pair_off)
+            monkeypatch.setattr(formulas, "kirchhoff_from_one_inverse", kf_off)
+        else:
+            # the oracle's r is read off the pseudoinverse of L(G); only it
+            # is put off, not the oracle's Kf
+            oracle_x = []
+
+            def recorded(lap):
+                oracle_x.append(pinv(lap))
+                return oracle_x[-1]
+
+            def one_pair_off(x):
+                r = resistance(x)
+                if oracle_x and x is oracle_x[-1]:
+                    r[0, 1] += 1e-6
+                    r[1, 0] += 1e-6
+                return r
+
+            monkeypatch.setattr(formulas, "pseudo_inverse_laplacian", recorded)
+            monkeypatch.setattr(formulas, "resistance_matrix", one_pair_off)
         report = verify_construction(spec)
         assert not report.ok
         assert [r.quantity for r in report.records if r.structured_ok is False] == [off]

@@ -30,7 +30,7 @@ from pocket_kirch.graphs import (
     parse_edge_list,
     to_edge_list,
 )
-from pocket_kirch.sweep import builtin_fixtures, random_specs
+from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_specs
 
 
 def adjacency(g):
@@ -273,6 +273,36 @@ NON_JOIN_GADGETS = [
 ]
 
 
+def _random_tree(rng, order):
+    """A random tree on 0..order-1: vertex i hangs off a vertex below it."""
+    return Graph(order, frozenset((int(rng.integers(0, i)), i) for i in range(1, order)))
+
+
+def _seeded_gadgets(seed=13):
+    """Twenty seeded random connected rooted gadgets (hv, v) of order 2-8,
+    four of each kind: a connected graph at a random vertex, a tree rooted
+    at a leaf, a tree rooted at an inner vertex, a join H1 v (H2 + {v})
+    with v last, and v joined to every other vertex (empty H2)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(4):
+        g = random_connected_graph(rng, int(rng.integers(2, 9)))
+        out.append((g, int(rng.integers(0, g.order))))
+        for inner in (False, True):
+            t = _random_tree(rng, int(rng.integers(3, 9)))
+            roots = [u for u in range(t.order) if (degree(t, u) > 1) == inner]
+            out.append((t, roots[int(rng.integers(0, len(roots)))]))
+        l, q = (int(x) for x in rng.integers(1, 4, size=2))
+        hv = join(random_graph(rng, l), Graph(q + 1, random_graph(rng, q).edges))
+        out.append((hv, l + q))
+        l = int(rng.integers(1, 8))
+        out.append((join(random_graph(rng, l), complete_graph(1)), l))
+    return out
+
+
+SEEDED_GADGETS = _seeded_gadgets()
+
+
 def gadget_spec(f, attach, hv, v):
     """The spec gluing the rooted gadget (hv, v) at ``attach`` of f."""
     return PocketSpec(f, attach, *split_gadget(hv, v))
@@ -332,14 +362,16 @@ class TestRootedGadget:
         spec = PocketSpec(complete_graph(1), (0,), empty_graph(2), path_graph(2), [[1, 1], (0, 0)])
         assert spec.cross == frozenset({(0, 0), (1, 1)})
 
-    @pytest.mark.parametrize("hv,v", NON_JOIN_GADGETS + [(path_graph(3), 0), (complete_graph(4), 2)])
+    @pytest.mark.parametrize(
+        "hv,v", NON_JOIN_GADGETS + [(path_graph(3), 0), (complete_graph(4), 2)] + SEEDED_GADGETS
+    )
     def test_grounded_laplacian_is_gadget_laplacian_without_v(self, hv, v):
         nv = sorted(hv.neighbors(v))
         rest = sorted(set(range(hv.order)) - set(nv) - {v})
         expected = laplacian(hv)[np.ix_(nv + rest, nv + rest)]
         np.testing.assert_array_equal(grounded_laplacian(*split_gadget(hv, v)), expected)
 
-    @pytest.mark.parametrize("hv,v", NON_JOIN_GADGETS)
+    @pytest.mark.parametrize("hv,v", NON_JOIN_GADGETS + SEEDED_GADGETS)
     @pytest.mark.parametrize("f,attach", [(path_graph(4), (2, 0)), (complete_graph(3), (1, 2, 0))])
     def test_build_glues_the_gadget_itself(self, hv, v, f, attach):
         g, layout = build_pocket_graph(gadget_spec(f, attach, hv, v))
