@@ -22,7 +22,6 @@ from .graphs import (
     make_layout,
     path_graph,
     split_gadget,
-    validate_join_structure,
 )
 from .linalg import (
     DisconnectedGraphError,
@@ -99,6 +98,5 @@ __all__ = [
     "structured_one_inverse",
     "thm31_printed_kf",
     "thm41_printed_kf",
-    "validate_join_structure",
     "verify_construction",
 ]

@@ -22,11 +22,7 @@ from .graphs import (
 )
 from .linalg import pseudo_inverse_laplacian
 from .oneinv import structured_one_inverse
-from .resistance import (
-    kirchhoff_from_one_inverse,
-    oracle_resistance,
-    resistance_matrix,
-)
+from .resistance import kirchhoff_from_one_inverse, pair_blocks, pair_resistances
 from .formulas import verify_construction
 from .sweep import DEFAULT_SEED, builtin_fixtures, random_connected_graph, random_graph, random_specs
 
@@ -90,15 +86,15 @@ def cmd_resist(args) -> int:
 
 
 def _resist(spec: PocketSpec, args) -> int:
+    """Write every r_uv and Kf, all read from one {1}-inverse X: the
+    pseudoinverse of L(G) for ``--oracle``, else the structured one."""
     if args.oracle:
-        g, _ = build_pocket_graph(spec)
-        r, kf = oracle_resistance(g)
+        x, method = pseudo_inverse_laplacian(laplacian(build_pocket_graph(spec)[0])), "oracle"
     else:
-        s = structured_one_inverse(spec)
-        r = resistance_matrix(s.matrix)
-        kf = kirchhoff_from_one_inverse(s.matrix)
+        x, method = structured_one_inverse(spec).matrix, "structured"
+    kf = kirchhoff_from_one_inverse(x, method)
     out = _open_out(args.out)
-    _WRITERS[args.format](out, r, kf)
+    _WRITERS[args.format](out, x, kf)
     _close_out(out)
     return 0
 
@@ -145,7 +141,6 @@ def _digit_tables():
 _QUAD, _ZEROS, _PREFIX, _MOVE, _SHIFT, _LENGTH, _MASK, _SPACES = _digit_tables()
 _SCALE = 10.0 ** np.arange(15, 0, -1)  # 10^(11 - e), exact
 _GUARD = 0.5 - 2.0**-12
-_BLOCK = 4096  # pairs per block: its buffer and temporaries take about 0.7 MB
 
 
 def _significands(x: np.ndarray):
@@ -228,24 +223,11 @@ def _label_words(n: int, fmt: str, right: bool) -> list:
     return [words[:, k].copy() for k in range(words.shape[1])]
 
 
-def _pair_blocks(n: int):
-    """(u, v) index arrays of the pairs u < v in row-major order, _BLOCK
-    pairs at a time; a block may end inside a row."""
-    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
-    total = int(starts[-1])
-    for p0 in range(0, total, _BLOCK):
-        p1 = min(p0 + _BLOCK, total)
-        u0 = int(np.searchsorted(starts, p0, "right")) - 1
-        u1 = int(np.searchsorted(starts, p1, "left"))
-        rows = np.minimum(starts[u0 + 1:u1 + 1], p1) - np.maximum(starts[u0:u1], p0)
-        u = np.repeat(np.arange(u0, u1), rows)
-        yield u, np.arange(p0, p1) - starts[u] + u + 1
-
-
-def _write_pairs(out, r: np.ndarray, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
+def _write_pairs(out, x: np.ndarray, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
     """Write ``first % u + second % v + text(r_uv)`` for every pair u < v in
-    row-major order, without the first ``skip`` characters; text is that of
-    _g12_words. A caller puts each line's terminator at the start of
+    row-major order, without the first ``skip`` characters; r_uv is read
+    from the {1}-inverse ``x`` a block of pairs at a time, and text is that
+    of _g12_words. A caller puts each line's terminator at the start of
     ``first``, so that it ends the previous line.
 
     A block of pairs is one buffer of fixed-width slots of 64-bit words:
@@ -254,18 +236,20 @@ def _write_pairs(out, r: np.ndarray, first: str, second: str, as_json=False, spa
     leaves the block's text. ``first`` and the blanks are right-aligned so
     that each joins the next slot: the fewer runs, the faster the copy.
     """
-    n = r.shape[0]
+    n = x.shape[0]
     if n < 2:
         return
     labels = [(col, 0) for col in _label_words(n, first, True)]
     labels += [(col, 1) for col in _label_words(n, second, False)]
     width = len(labels) + 3 * spaces + 3
-    buf = np.empty((min(_BLOCK, n * (n - 1) // 2), width), "<u8")
-    for uv in _pair_blocks(n):
+    buf = None
+    for uv in pair_blocks(n):
+        if buf is None:  # the first block is the largest
+            buf = np.empty((len(uv[0]), width), "<u8")
         words = buf[:len(uv[0])]
         for k, (col, which) in enumerate(labels):
             words[:, k] = col[uv[which]]
-        length = _g12_words(r[uv], words[:, -3:], as_json)
+        length = _g12_words(pair_resistances(x, *uv), words[:, -3:], as_json)
         if spaces:
             blanks = np.minimum(length, 18)
             for k in range(3):
@@ -275,30 +259,31 @@ def _write_pairs(out, r: np.ndarray, first: str, second: str, as_json=False, spa
         skip = 0
 
 
-def _write_csv(out, r: np.ndarray, kf) -> None:
-    """Write "u,v,r_uv" for every pair u < v, then the Kf comment line, in
-    the text of _fmt (see _g12_words)."""
+def _write_csv(out, x: np.ndarray, kf) -> None:
+    """Write "u,v,r_uv" for every pair u < v, r read from the {1}-inverse
+    ``x``, then the Kf comment line, in the text of _fmt (see _g12_words)."""
     out.write("u,v,r")
-    _write_pairs(out, r, "\n%d,", "%d,")
+    _write_pairs(out, x, "\n%d,", "%d,")
     out.write(f"\n# Kf = {_fmt(kf.value)} ({kf.method})\n")
 
 
-def _write_table(out, r: np.ndarray, kf) -> None:
+def _write_table(out, x: np.ndarray, kf) -> None:
     """Write u, v and _fmt(r_uv) right-aligned in 4, 4 and 18 columns for
-    every pair u < v, then the Kf line."""
+    every pair u < v, r read from the {1}-inverse ``x``, then the Kf line."""
     out.write(f"{'u':>4}{'v':>4}{'r':>18}")
-    _write_pairs(out, r, "\n%4d", "%4d", spaces=True)
+    _write_pairs(out, x, "\n%4d", "%4d", spaces=True)
     out.write(f"\nKf = {_fmt(kf.value)} ({kf.method})\n")
 
 
-def _write_json(out, r: np.ndarray, kf) -> None:
+def _write_json(out, x: np.ndarray, kf) -> None:
     """Write json.dumps({"kf", "method", "resistances": [[u, v, r_uv] for
-    u < v]}, sort_keys=True) + newline, where json.dumps prints r_uv as
-    repr(float(_fmt(r_uv))) (see _g12_words), one block of pairs at a time."""
+    u < v]}, sort_keys=True) + newline, r read from the {1}-inverse ``x``,
+    where json.dumps prints r_uv as repr(float(_fmt(r_uv))) (see
+    _g12_words), one block of pairs at a time."""
     head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
     out.write(head[:-1] + ', "resistances": [')
-    _write_pairs(out, r, "], [%d", ", %d, ", as_json=True, skip=3)
-    out.write("]]}\n" if r.shape[0] > 1 else "]}\n")
+    _write_pairs(out, x, "], [%d", ", %d, ", as_json=True, skip=3)
+    out.write("]]}\n" if x.shape[0] > 1 else "]}\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json, "table": _write_table}

@@ -9,7 +9,7 @@ the brute-force pseudoinverse oracle are the computational ground truth.
 
 Each printed class has one evaluator, ``evaluate``, which computes every
 case as one numpy expression over index arrays of vertex pairs; the audit
-calls it once over all pairs and builds its records in one pass, and the
+calls it once per block of pairs and builds its records in one pass, and the
 per-pair ``resistance`` and ``applicable_cases`` are one-pair calls of it.
 """
 
@@ -38,7 +38,8 @@ from .oneinv import (
 from .resistance import (
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,
-    resistance_matrix,
+    pair_blocks,
+    pair_resistances,
 )
 
 THM31_CASES = ("i", "ii", "iii", "iv", "v", "kf")
@@ -401,37 +402,31 @@ def _round12(x):
     return None if x is None else float(format(float(x), ".12g"))
 
 
-# Pairs per block of records: bounds the transient index arrays and
-# columns to a few hundred kB, next to the records that stay.
-_PAIRS_PER_BLOCK = 4096
-
-
 def _pair_records(
-    r_oracle, r_struct, tol_r, printed, theorem
+    x_oracle, x_struct, tol_r, printed, theorem
 ) -> tuple[list[QuantityRecord], bool]:
     """The records of the pairs u < v, in row-major order, and whether
     every structured value is within tol_r of the oracle's.
 
     A pair gets one record per printed case that applies to it, in case
     order, or one record without a printed value when none applies (or no
-    applicable display has an entry for it). Each case is evaluated over
-    index arrays of the pairs, a block of consecutive pairs at a time, and
-    each block's records are built in one pass over plain-list columns.
+    applicable display has an entry for it). A block of consecutive pairs
+    at a time (``pair_blocks``), both r columns are read from the two
+    {1}-inverses, each case is evaluated over the block's index arrays, and
+    the block's records are built in one pass over plain-list columns.
     """
-    iu, iv = np.triu_indices(r_oracle.shape[0], 1)
     records = []
     ok = True
-    for lo in range(0, iu.size, _PAIRS_PER_BLOCK):
-        u, v = iu[lo:lo + _PAIRS_PER_BLOCK], iv[lo:lo + _PAIRS_PER_BLOCK]
-        ok = _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) and ok
+    for u, v in pair_blocks(x_oracle.shape[0]):
+        ok = _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) and ok
     return records, ok
 
 
-def _block_records(u, v, r_oracle, r_struct, tol_r, printed, theorem, records) -> bool:
+def _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) -> bool:
     """Append the records of the pairs (u[i], v[i]) to ``records``; whether
     every structured value is within tol_r of the oracle's."""
-    oracle = r_oracle[u, v]
-    structured = r_struct[u, v]
+    oracle = pair_resistances(x_oracle, u, v)
+    structured = pair_resistances(x_struct, u, v)
     dev = np.abs(structured - oracle)
     ok = dev <= tol_r
     labels = [None]  # case code 0: no printed value
@@ -495,26 +490,25 @@ def verify_construction(
     Structured-vs-oracle violations flip the report's ok flag; printed
     deviations are recorded but never fatal. A spec that neither theorem
     states (k < n with F not F1 v F2, or a gadget that is not
-    H1 v (H2 + {v})) gets no printed records and ``"theorem": None``. Each
-    printed case is evaluated over index arrays of all pairs u < v at once,
-    and the records are built in one pass over the resulting columns: pairs
-    in row-major order, then Kf, Kf[spectral] and the printed Kf. L(G) is
+    H1 v (H2 + {v})) gets no printed records and ``"theorem": None``. A
+    block of pairs u < v at a time, both r columns are read from the two
+    {1}-inverses and each printed case is evaluated over index arrays, and
+    the records are built in one pass over the resulting columns: pairs in
+    row-major order, then Kf, Kf[spectral] and the printed Kf. L(G) is
     built once, for the oracle, the residual and the spectrum.
     """
     g, layout = build_pocket_graph(spec)
     lap = laplacian(g)
     x_oracle = pseudo_inverse_laplacian(lap)
-    r_oracle = resistance_matrix(x_oracle)
     kf_oracle = kirchhoff_from_one_inverse(x_oracle, method="oracle")
     structured = structured_one_inverse(spec)
     residual = float(np.abs(lap @ structured.matrix @ lap - lap).max())
-    r_struct = resistance_matrix(structured.matrix)
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
 
     theorem, printed = _printed(spec, structured)
 
-    records, pairs_ok = _pair_records(r_oracle, r_struct, tol_r, printed, theorem)
+    records, pairs_ok = _pair_records(x_oracle, structured.matrix, tol_r, printed, theorem)
     kf_dev = float(abs(kf_struct.value - kf_oracle.value))
     spec_dev = float(abs(kf_spectral.value - kf_oracle.value))
     records.append(

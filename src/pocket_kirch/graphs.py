@@ -27,8 +27,8 @@ class GraphFormatError(ValueError):
 class JoinStructureError(ValueError):
     """Raised where a join is required and missing: by the printed displays,
     which state only gadgets H1 v (H2 + {v}) and split bases F1 v F2 over
-    the attachment vertices, and by ``validate_join_structure``. Also
-    raised when a gadget's v has no neighbours.
+    the attachment vertices. Also raised when a gadget's v has no
+    neighbours.
 
     Carries ``witness``: a missing cross edge (a, b) proving the violation,
     or None.
@@ -245,18 +245,6 @@ class BlockLayout:
     def total(self) -> int:
         return self.n + self.m * self.k
 
-    def global_index(self, block: str, local: int, copy: int = 0) -> int:
-        if block == "F":
-            if not 0 <= local < self.n or copy != 0:
-                raise IndexError(f"F block index ({local},{copy}) out of range")
-            return self.f_order[local]
-        if block not in BLOCKS:
-            raise KeyError(f"unknown block {block!r}")
-        first, rows = (0, self.l) if block == "H1" else (self.l, self.m - self.l)
-        if not (0 <= local < rows and 0 <= copy < self.k):
-            raise IndexError(f"{block} block index ({local},{copy}) out of range")
-        return self.n + (first + local) * self.k + copy
-
     def locate(self, g: int) -> tuple[str, int, int]:
         """Inverse map: global vertex id -> (block, local, copy)."""
         if not 0 <= g < self.total:
@@ -340,26 +328,20 @@ def _first_missing_pair(left, right, present) -> Edge | None:
     return next(((a, b) for a in left for b in right if not present(a, b)), None)
 
 
-def _gadget_sides(hv: Graph, v: int) -> tuple[list[int], list[int]]:
-    """N(v) and the remaining vertices but v, each in increasing id order;
-    IndexError when v is out of range, JoinStructureError when it has no
-    neighbours."""
-    if not 0 <= v < hv.order:
-        raise IndexError(f"vertex {v} out of range")
-    nv = sorted(hv.neighbors(v))
-    if not nv:
-        raise JoinStructureError(f"specified vertex {v} has no neighbours")
-    return nv, sorted(set(range(hv.order)) - set(nv) - {v})
-
-
 def split_gadget(hv: Graph, v: int) -> tuple[Graph, Graph, frozenset[Edge] | None]:
     """The rooted gadget (hv, v) as ``PocketSpec`` takes it: (H1, H2, cross).
 
     H1 is induced on N(v) and H2 on the remaining vertices, each relabeled
     in increasing original-id order; cross holds the H1-H2 edges as local
-    pairs, or is None when every pair is an edge (the join).
+    pairs, or is None when every pair is an edge (the join). IndexError
+    when v is out of range, JoinStructureError when it has no neighbours.
     """
-    nv, rest = _gadget_sides(hv, v)
+    if not 0 <= v < hv.order:
+        raise IndexError(f"vertex {v} out of range")
+    nv = sorted(hv.neighbors(v))
+    if not nv:
+        raise JoinStructureError(f"specified vertex {v} has no neighbours")
+    rest = sorted(set(range(hv.order)) - set(nv) - {v})
     i_of = {a: i for i, a in enumerate(nv)}
     j_of = {b: j for j, b in enumerate(rest)}
     cross = frozenset(
@@ -368,21 +350,6 @@ def split_gadget(hv: Graph, v: int) -> tuple[Graph, Graph, frozenset[Edge] | Non
         if (a in i_of and b in j_of) or (b in i_of and a in j_of)
     )
     return hv.induced(nv), hv.induced(rest), (None if len(cross) == len(nv) * len(rest) else cross)
-
-
-def validate_join_structure(hv: Graph, v: int) -> tuple[Graph, Graph]:
-    """Split a gadget graph as H1 v (H2 + {v}) or raise JoinStructureError.
-
-    ``split_gadget``, required to give the join: the error names the first
-    missing H1-H2 pair in original ids as its ``witness``. Returns (H1, H2).
-    """
-    h1, h2, cross = split_gadget(hv, v)
-    if cross is not None:
-        a, b = _first_missing_pair(*_gadget_sides(hv, v), hv.has_edge)
-        raise JoinStructureError(
-            f"missing cross edge ({a},{b}) between N(v) and the rest", witness=(a, b)
-        )
-    return h1, h2
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocket_kirch import cli
+from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
 from pocket_kirch.graphs import Graph, build_pocket_graph, complete_graph, to_edge_list
-from pocket_kirch.oneinv import structured_one_inverse
+from pocket_kirch.oneinv import release_output_buffer, structured_one_inverse
 from pocket_kirch.resistance import (
     KirchhoffResult,
     kirchhoff_from_one_inverse,
@@ -73,6 +74,16 @@ def _reference_json(out, r, kf):
     out.write("]}\n")
 
 
+def _x_of(r):
+    """An X whose pairs u < v read exactly r_uv: -r above the diagonal,
+    -0.0 on it and 0.0 below, so that (-0.0 + -0.0) - (-r_uv) - 0.0 is r_uv
+    bit for bit, for -0.0, NaN, infinities and subnormals too. The writers
+    read r from a {1}-inverse; this hands them any r a test wants."""
+    x = np.triu(-np.asarray(r, dtype=float), 1)
+    np.fill_diagonal(x, -0.0)
+    return x
+
+
 WRITERS = {
     "csv": (cli._write_csv, _reference_csv),
     "table": (cli._write_table, _reference_table),
@@ -83,9 +94,9 @@ WRITERS = {
 def _texts(fmt, r, kf):
     """(writer text, reference text) of one format on r and kf."""
     texts = []
-    for write in WRITERS[fmt]:
+    for write, arg in zip(WRITERS[fmt], (_x_of(r), r)):
         out = io.StringIO()
-        write(out, r, kf)
+        write(out, arg, kf)
         texts.append(out.getvalue())
     return texts
 
@@ -119,6 +130,23 @@ def _reference_resist(argv):
     out = io.StringIO()
     WRITERS[args.format][1](out, r, kf)
     return out.getvalue()
+
+
+def _count_calls(monkeypatch, fn):
+    """Rebind ``fn`` to a counting wrapper under every name that refers to
+    it in the pocket_kirch modules; return the list of its calls' args."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pocket_kirch":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def _graph_files(tmp_path, graphs):
@@ -333,7 +361,7 @@ class TestResist:
         r = rng.random((order, order)) * 10.0 ** rng.integers(-3, 4, size=(order, order))
         kf = KirchhoffResult(float(r.sum()), "oracle")
         out = io.StringIO()
-        cli._write_json(out, r, kf)
+        cli._write_json(out, _x_of(r), kf)
         payload = {
             "kf": float(cli._fmt(kf.value)),
             "method": kf.method,
@@ -372,6 +400,38 @@ class TestResist:
         assert code == 0
         assert peak <= 4 * 8 * order**2
         assert len(target.read_text().splitlines()) == order * (order - 1) // 2 + 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_structured_peak_memory_is_one_dense_array(self, tmp_path, fmt):
+        # X is the only N x N array: r is read from it a block of pairs at
+        # a time, whose buffers take under 1 MB
+        argv, order = _order_300_argv(tmp_path)
+        target = tmp_path / f"r.{fmt}"
+        argv += ["--format", fmt, "--out", str(target)]
+        release_output_buffer()  # measure a call that allocates X
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 8 * order**2 + 1e6
+
+    @pytest.mark.parametrize("argv", [
+        ["resist", "--format", "json"],
+        ["resist", "--format", "csv", "--oracle"],
+        ["verify", "--sweep", "3"],
+    ], ids=["resist", "resist-oracle", "verify"])
+    def test_no_resistance_matrix_is_built(self, tmp_path, monkeypatch, argv):
+        calls = _count_calls(monkeypatch, resistance.resistance_matrix)
+        resistance.oracle_resistance(complete_graph(3))
+        assert len(calls) == 1  # the counter sees calls from inside the library
+        calls.clear()
+        if argv[0] == "resist":
+            argv = argv + _order_300_argv(tmp_path)[0][1:]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 7])
@@ -560,7 +620,7 @@ class TestG12Kernel:
         for at in range(0, len(values), chunk):
             r = _upper(values[at:at + chunk])
             out = io.StringIO()
-            WRITERS[fmt][0](out, r, kf)
+            WRITERS[fmt][0](out, _x_of(r), kf)
             _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
 
     @settings(max_examples=200, deadline=None)
@@ -571,14 +631,14 @@ class TestG12Kernel:
         kf = KirchhoffResult(3.0, "oracle")
         for fmt in ("csv", "table", "json"):
             out = io.StringIO()
-            WRITERS[fmt][0](out, r, kf)
+            WRITERS[fmt][0](out, _x_of(r), kf)
             _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_blocks_ending_inside_a_row(self, monkeypatch, fmt):
         # order 11: rows of 10, 9, 8, ... pairs, so blocks of 7 end at pairs
         # 7 and 14, inside rows 0 and 1; a fallback value opens block 2
-        monkeypatch.setattr(cli, "_BLOCK", 7)
+        monkeypatch.setattr(resistance, "_BLOCK", 7)
         rng = np.random.default_rng(17)
         r = rng.random((11, 11)) * 5.0
         r[1, 6] = float("nan")

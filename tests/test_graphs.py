@@ -19,10 +19,10 @@ from pocket_kirch import (
     make_layout,
     path_graph,
     split_gadget,
-    validate_join_structure,
 )
 from pocket_kirch.graphs import (
     BLOCKS,
+    _first_missing_pair,
     _normalize_edge,
     graph_from_json,
     graph_to_json,
@@ -46,6 +46,37 @@ def adjacency(g):
 def degree(g, u):
     """The number of edges of g at vertex u."""
     return sum(1 for e in g.edges if u in e)
+
+
+def global_index(layout, block, local, copy=0):
+    """The global id of row ``local`` of ``block`` in gadget copy ``copy``:
+    the inverse of ``layout.locate``, written out from the layout's rule."""
+    if block == "F":
+        if not 0 <= local < layout.n or copy != 0:
+            raise IndexError(f"F block index ({local},{copy}) out of range")
+        return layout.f_order[local]
+    if block not in BLOCKS:
+        raise KeyError(f"unknown block {block!r}")
+    first, rows = (0, layout.l) if block == "H1" else (layout.l, layout.m - layout.l)
+    if not (0 <= local < rows and 0 <= copy < layout.k):
+        raise IndexError(f"{block} block index ({local},{copy}) out of range")
+    return layout.n + (first + local) * layout.k + copy
+
+
+def validate_join_structure(hv, v):
+    """``split_gadget``, required to give the join H1 v (H2 + {v}): else
+    JoinStructureError whose ``witness`` is the first missing pair of
+    N(v) x rest in original ids, each side in increasing id order.
+    Returns (H1, H2)."""
+    h1, h2, cross = split_gadget(hv, v)
+    if cross is not None:
+        nv = sorted(hv.neighbors(v))
+        rest = sorted(set(range(hv.order)) - set(nv) - {v})
+        a, b = _first_missing_pair(nv, rest, hv.has_edge)
+        raise JoinStructureError(
+            f"missing cross edge ({a},{b}) between N(v) and the rest", witness=(a, b)
+        )
+    return h1, h2
 
 
 def block_order(layout):
@@ -176,9 +207,9 @@ class TestBuildPocketGraph:
         g, layout = build_pocket_graph(spec)
         assert g.order == 3
         assert sorted(g.edges) == [(0, 1), (1, 2)]
-        assert layout.global_index("F", 0) == 0
-        assert layout.global_index("H1", 0, 0) == 1
-        assert layout.global_index("H2", 0, 0) == 2
+        assert global_index(layout, "F", 0) == 0
+        assert global_index(layout, "H1", 0, 0) == 1
+        assert global_index(layout, "H2", 0, 0) == 2
 
     def test_p4_instance(self):
         spec = PocketSpec(complete_graph(2), (0, 1), complete_graph(1))
@@ -216,8 +247,8 @@ def _per_vertex_build(spec):
     edges = set(spec.F.edges)
     for c in range(k):
         u = spec.attach[c]
-        h1 = [layout.global_index("H1", j, c) for j in range(l)]
-        h2 = [layout.global_index("H2", j, c) for j in range(spec.m - l)]
+        h1 = [global_index(layout, "H1", j, c) for j in range(l)]
+        h2 = [global_index(layout, "H2", j, c) for j in range(spec.m - l)]
         edges.update(_normalize_edge(u, a) for a in h1)
         edges.update((h1[a], h1[b]) for a, b in spec.H1.edges)
         edges.update((h2[a], h2[b]) for a, b in spec.H2.edges)
@@ -433,7 +464,7 @@ class TestBlockLayout:
         seen = set()
         for g in range(layout.total):
             block, local, copy = layout.locate(g)
-            assert layout.global_index(block, local, copy) == g
+            assert global_index(layout, block, local, copy) == g
             assert (BLOCKS[blocks[g]], locals_[g], copies[g]) == (block, local, copy)
             seen.add(g)
         assert seen == set(range(layout.total))
@@ -444,9 +475,9 @@ class TestBlockLayout:
     def test_copy_varies_fastest(self):
         spec = PocketSpec(complete_graph(2), (0, 1), empty_graph(2))
         layout = make_layout(spec)
-        assert layout.global_index("H1", 0, 0) == 2
-        assert layout.global_index("H1", 0, 1) == 3
-        assert layout.global_index("H1", 1, 0) == 4
+        assert global_index(layout, "H1", 0, 0) == 2
+        assert global_index(layout, "H1", 0, 1) == 3
+        assert global_index(layout, "H1", 1, 0) == 4
 
 
 def _displayed_block_laplacian_thm3(spec):

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pocket_kirch import (
     DisconnectedGraphError,
@@ -25,6 +28,9 @@ from pocket_kirch import (
     resistance_matrix,
     structured_one_inverse,
 )
+from pocket_kirch import resistance
+from pocket_kirch.resistance import pair_blocks, pair_resistances
+
 
 def re_shape(x):
     """The shape as the error message prints it, escaped for ``match``."""
@@ -32,6 +38,8 @@ def re_shape(x):
 
 
 N_P3 = np.array([[0.0, 0, 0], [0, 1, 1], [0, 1, 2]])
+NOT_SQUARE = [np.ones((4, 3)), np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))]
+NOT_SQUARE_IDS = ["4x3", "3x4", "1-D", "3-D"]
 
 
 def _pocket_graph_1000():
@@ -57,9 +65,55 @@ class TestResistanceFromOneInverse:
         with pytest.raises(IndexError):
             resistance_from_one_inverse(N_P3, 0, 3)
 
+    @pytest.mark.parametrize("u,v", [(-1, 0), (0, -1), (-3, 2)])
+    def test_negative_index_rejected(self, u, v):
+        # numpy would wrap a negative index round to the last rows
+        with pytest.raises(IndexError, match=r"out of range for order 3"):
+            resistance_from_one_inverse(N_P3, u, v)
 
-NOT_SQUARE = [np.ones((4, 3)), np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))]
-NOT_SQUARE_IDS = ["4x3", "3x4", "1-D", "3-D"]
+    @pytest.mark.parametrize("x", NOT_SQUARE, ids=NOT_SQUARE_IDS)
+    def test_not_square_rejected(self, x):
+        # a 2x3 input once gave 0.0 for (0, 1) and a 3-D one a TypeError
+        with pytest.raises(ValueError, match=r"square 2-D matrix, got shape " + re_shape(x)):
+            resistance_from_one_inverse(x, 0, 1)
+
+
+def _square_matrices():
+    """Square float matrices of order 2..6, any doubles, not symmetric."""
+    return st.integers(2, 6).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(width=64))
+    )
+
+
+class TestPairResistances:
+    @settings(max_examples=200, deadline=None)
+    @given(_square_matrices(), st.data())
+    def test_equals_resistance_matrix_bit_for_bit(self, x, data):
+        n = x.shape[0]
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            min_size=1, max_size=12,
+        ))
+        u, v = (np.array(side) for side in zip(*pairs))
+        with np.errstate(all="ignore"):  # infinities and overflow are drawn too
+            got = pair_resistances(x, u, v)
+            want = resistance_matrix(x)[u, v]
+            one = np.array([resistance_from_one_inverse(x, a, b) for a, b in pairs])
+        nan = np.isnan(want)
+        for read in (got, one):
+            np.testing.assert_array_equal(np.isnan(read), nan)
+            np.testing.assert_array_equal(read[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_pair_blocks_walk_the_upper_triangle_in_row_major_order(self, monkeypatch):
+        monkeypatch.setattr(resistance, "_BLOCK", 7)  # blocks end inside rows
+        for n in range(0, 13):
+            blocks = list(pair_blocks(n))
+            assert all(len(u) == 7 for u, _ in blocks[:-1])
+            u = np.concatenate([u for u, _ in blocks]) if blocks else np.zeros(0)
+            v = np.concatenate([v for _, v in blocks]) if blocks else np.zeros(0)
+            iu, iv = np.triu_indices(n, 1)
+            np.testing.assert_array_equal(u, iu)
+            np.testing.assert_array_equal(v, iv)
 
 
 def _fsum_kirchhoff(x):
