@@ -1,17 +1,20 @@
 """Simple undirected graphs, the join operation, and pocket-graph assembly.
 
+A ``Graph`` holds its edges once, as a validated, sorted (|E|, 2) integer
+array; the Laplacian, the join, induced subgraphs, connectivity, assembly
+and serialization all read or write that array.
+
 A pocket graph is built from a base graph F and a rooted gadget H_v, any
 simple connected graph with a specified vertex v: one copy of H_v is glued
 onto each chosen vertex of F by identifying that vertex with v. The gadget
 is kept as H1 = N(v), H2 = the rest, and the H1-H2 edges between them; the
 paper's printed form H1 v (H2 + {v}) is the case where those are all pairs.
 The pocket graph, L_v(H) and the gadget's checks are built from one local
-edge array of H_v (``_gadget_edges``).
+edge array of H_v (``_gadget_edges``), gathered through a table of ids.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -43,66 +46,102 @@ def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: explicit vertex count plus an edge set.
+def _pair_array(pairs) -> np.ndarray:
+    """Caller-supplied pairs as an (|pairs|, 2) intp array, (0, 2) when
+    empty; GraphFormatError for a non-integer end or a row not a pair."""
+    try:
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphFormatError(f"edges must be integer pairs: {exc}") from None
+    if arr.shape in ((0,), (0, 2)):
+        return np.empty((0, 2), dtype=np.intp)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise GraphFormatError(f"edges must be integer (u, v) pairs, got {arr.dtype} of shape {arr.shape}")
+    return arr.astype(np.intp, copy=False)
 
-    Vertices are 0..order-1; isolated vertices are representable. Edges are
-    stored normalized (u < v), with self-loops and duplicates rejected.
+
+class Graph:
+    """Simple undirected graph: explicit vertex count plus an edge array.
+
+    Vertices are 0..order-1; isolated vertices are representable. ``array``
+    holds the edges once: a read-only (|E|, 2) intp array of distinct pairs
+    u < v in sorted order, built from any iterable of integer pairs or an
+    integer array in one numpy pass. Ends are normalized and duplicates
+    merged by one ``np.unique`` of u*order + v; self-loops, ends out of
+    range, rows that are not pairs and non-integer ends or orders raise
+    GraphFormatError. The order lies in [0, 2**31), so that key fits in
+    intp. ``edges`` is the same set as a frozenset of tuples, made on first
+    use, for membership tests. Graphs are immutable, hashable and equal
+    when their orders and edge arrays are.
     """
 
-    order: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    __slots__ = ("order", "array", "_edges")
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise GraphFormatError(f"negative order {self.order}")
-        normalized = set()
-        for u, v in self.edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.order and 0 <= v < self.order):
-                raise GraphFormatError(f"edge ({u},{v}) outside [0,{self.order})")
-            normalized.add(_normalize_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(normalized))
+    def __init__(self, order: int, edges=()):
+        if not isinstance(order, (int, np.integer)) or not 0 <= order < 2**31:
+            raise GraphFormatError(f"order must be an integer in [0, 2**31), got {order!r}")
+        order = int(order)
+        pairs = _pair_array(edges)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= order))
+        if bad.size:
+            u, v = pairs[bad[0]].tolist()
+            raise GraphFormatError(f"self-loop at vertex {u}" if u == v else f"edge ({u},{v}) outside [0,{order})")
+        array = np.stack(np.divmod(np.unique(lo * order + hi), max(order, 1)), axis=1)
+        array.flags.writeable = False
+        for name, value in (("order", order), ("array", array), ("_edges", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.order, self.array)
+
+    def __eq__(self, other):
+        return isinstance(other, Graph) and self.order == other.order and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.order, self.array.tobytes()))
+
+    def __repr__(self):
+        return f"Graph({self.order}, {self.array.tolist()})"
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(map(tuple, self.array.tolist())))
+        return self._edges
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return len(self.array)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edges
 
     def neighbors(self, u: int) -> set[int]:
-        return {b if a == u else a for a, b in self.edges if u in (a, b)}
+        a = self.array
+        return set(a[a[:, 0] == u, 1].tolist()) | set(a[a[:, 1] == u, 0].tolist())
 
-    def induced(self, vertices: list[int]) -> "Graph":
+    def induced(self, vertices) -> "Graph":
         """Subgraph induced on ``vertices``, relabeled to 0..len-1 in list order."""
-        pos = {v: i for i, v in enumerate(vertices)}
-        edges = {
-            (pos[u], pos[v])
-            for u, v in self.edges
-            if u in pos and v in pos
-        }
-        return Graph(len(vertices), frozenset(edges))
+        pos = np.full(self.order, -1)
+        pos[np.asarray(vertices, dtype=np.intp)] = np.arange(len(vertices))
+        ends = pos[self.array]
+        return Graph(len(vertices), ends[(ends >= 0).all(axis=1)])
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, np.transpose(np.triu_indices(n, 1)))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
 
 
 def empty_graph(n: int) -> Graph:
     return Graph(n)
-
-
-def _pair_array(pairs) -> np.ndarray:
-    """Integer pairs as an (|pairs|, 2) integer array; shape (0, 2) when empty."""
-    flat = itertools.chain.from_iterable(pairs)
-    return np.fromiter(flat, dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
 
 
 def _edge_laplacian(order: int, edges: np.ndarray) -> np.ndarray:
@@ -117,35 +156,34 @@ def _edge_laplacian(order: int, edges: np.ndarray) -> np.ndarray:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian matrix L = D - A (rows sum to zero, PSD)."""
-    return _edge_laplacian(g.order, _pair_array(g.edges))
+    return _edge_laplacian(g.order, g.array)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Join: disjoint union plus all cross edges; g2's ids shift by g1.order."""
     off = g1.order
-    edges = set(g1.edges)
-    edges.update((u + off, v + off) for u, v in g2.edges)
-    edges.update((u, v + off) for u in range(g1.order) for v in range(g2.order))
-    return Graph(g1.order + g2.order, frozenset(edges))
+    cross = np.indices((g1.order, g2.order)).reshape(2, -1).T + (0, off)
+    return Graph(g1.order + g2.order, np.concatenate([g1.array, g2.array + off, cross]))
 
 
 def is_connected(g: Graph) -> bool:
-    """BFS connectivity; order 0 and 1 count as connected."""
+    """Depth-first connectivity over the neighbour runs of the edge array
+    sorted by first end; order 0 and 1 count as connected."""
     if g.order <= 1:
         return True
-    adj = {u: set() for u in range(g.order)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == g.order
+    ends = np.concatenate([g.array, g.array[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0])]
+    start = np.searchsorted(ends[:, 0], np.arange(g.order + 1)).tolist()
+    nbr = ends[:, 1].tolist()
+    seen = [True] + [False] * (g.order - 1)
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in nbr[start[u]:start[u + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
 
 
 @dataclass(frozen=True)
@@ -188,13 +226,13 @@ class PocketSpec:
         every H1-H2 pair; ValueError for a pair out of range or a gadget
         vertex with no path to v."""
         l, q = self.H1.order, self.H2.order
-        cross = frozenset((int(i), int(j)) for i, j in self.cross)
-        bad = [(i, j) for i, j in cross if not (0 <= i < l and 0 <= j < q)]
-        if bad:
-            raise ValueError(f"cross pair {min(bad)} outside H1 x H2 = [0,{l}) x [0,{q})")
-        hv = _gadget_edges(self.H1, self.H2, cross).tolist()
-        if not is_connected(Graph(l + q + 1, frozenset(map(tuple, hv)))):
+        pairs = _pair_array(self.cross)
+        bad = pairs[((pairs < 0) | (pairs >= (l, q))).any(axis=1)]
+        if len(bad):
+            raise ValueError(f"cross pair {min(map(tuple, bad.tolist()))} outside H1 x H2 = [0,{l}) x [0,{q})")
+        if not is_connected(Graph(l + q + 1, _gadget_edges(self.H1, self.H2, pairs))):
             raise ValueError("gadget vertex cannot reach v: a part of H2 has no edge to H1")
+        cross = frozenset(map(tuple, pairs.tolist()))
         object.__setattr__(self, "cross", None if len(cross) == l * q else cross)
 
     @property
@@ -282,12 +320,8 @@ def _gadget_edges(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
     """
     l, q = h1.order, h2.order
     cross = np.indices((l, q)).reshape(2, -1).T if cross is None else _pair_array(cross)
-    return np.concatenate([
-        np.stack([np.full(l, l + q), np.arange(l)], axis=1),
-        _pair_array(h1.edges),
-        _pair_array(h2.edges) + l,
-        cross + (0, l),
-    ])
+    root = np.stack([np.full(l, l + q), np.arange(l)], axis=1)
+    return np.concatenate([root, h1.array, h2.array + l, cross + (0, l)])
 
 
 def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
@@ -300,14 +334,10 @@ def build_pocket_graph(spec: PocketSpec) -> tuple[Graph, BlockLayout]:
     connected F and a gadget whose every vertex reaches v.
     """
     layout = make_layout(spec)
-    # object ids: the edges share one Python int per vertex, not one per endpoint
-    ids = np.array(range(layout.n, layout.total + spec.k), dtype=object)
-    ids = ids.reshape(spec.m + 1, spec.k)
+    ids = np.arange(layout.n, layout.total + spec.k).reshape(spec.m + 1, spec.k)
     ids[spec.m] = spec.attach
-    glued = ids[_gadget_edges(spec.H1, spec.H2, spec.cross)]
-    edges = set(spec.F.edges)
-    edges.update(zip(glued[:, 0].ravel().tolist(), glued[:, 1].ravel().tolist()))
-    return Graph(layout.total, frozenset(edges)), layout
+    glued = ids[_gadget_edges(spec.H1, spec.H2, spec.cross).T].reshape(2, -1).T
+    return Graph(layout.total, np.concatenate([spec.F.array, glued])), layout
 
 
 def grounded_laplacian(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
@@ -342,14 +372,12 @@ def split_gadget(hv: Graph, v: int) -> tuple[Graph, Graph, frozenset[Edge] | Non
     if not nv:
         raise JoinStructureError(f"specified vertex {v} has no neighbours")
     rest = sorted(set(range(hv.order)) - set(nv) - {v})
-    i_of = {a: i for i, a in enumerate(nv)}
-    j_of = {b: j for j, b in enumerate(rest)}
-    cross = frozenset(
-        (i_of[a], j_of[b]) if a in i_of else (i_of[b], j_of[a])
-        for a, b in hv.edges
-        if (a in i_of and b in j_of) or (b in i_of and a in j_of)
-    )
-    return hv.induced(nv), hv.induced(rest), (None if len(cross) == len(nv) * len(rest) else cross)
+    l, q = len(nv), len(rest)
+    # nv then rest as 0..l+q-1, so each sorted pair u < w is in H1, H2 or across
+    e = hv.induced(nv + rest).array
+    h1, h2 = e[:, 1] < l, e[:, 0] >= l
+    cross = frozenset(map(tuple, (e[~(h1 | h2)] - (0, l)).tolist()))
+    return Graph(l, e[h1]), Graph(q, e[h2] - l), (None if len(cross) == l * q else cross)
 
 
 # ---------------------------------------------------------------------------
@@ -361,35 +389,30 @@ def parse_edge_list(text: str) -> Graph:
     if len(tokens) < 2:
         raise GraphFormatError("edge list needs an 'n m' header")
     try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
+        values = np.array(tokens).astype(np.intp)
+    except (ValueError, OverflowError) as exc:
         raise GraphFormatError(f"non-integer token in edge list: {exc}") from exc
-    n, m = values[0], values[1]
+    n, m = values[:2].tolist()
     if len(values) != 2 + 2 * m:
-        raise GraphFormatError(
-            f"expected {m} edges ({2 * m} endpoints), got {len(values) - 2} tokens"
-        )
-    edges = frozenset(zip(values[2::2], values[3::2]))
-    g = Graph(n, edges)
+        raise GraphFormatError(f"expected {m} edges ({2 * m} endpoints), got {len(values) - 2} tokens")
+    g = Graph(n, values[2:].reshape(-1, 2))
     if g.size != m:
         raise GraphFormatError("duplicate edges in edge list")
     return g
 
 
 def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.order} {g.size}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return f"{g.order} {g.size}\n" + "".join(f"{u} {v}\n" for u, v in g.array.tolist())
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps({"order": g.order, "edges": sorted(map(list, g.edges))})
+    return json.dumps({"order": g.order, "edges": g.array.tolist()})
 
 
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-        return Graph(int(obj["order"]), frozenset(tuple(e) for e in obj["edges"]))
+        return Graph(obj["order"], obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad JSON graph: {exc}") from exc
 
@@ -398,20 +421,9 @@ def load_graph(path: str) -> Graph:
     """Read a graph file, accepting either edge-list text or JSON."""
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        return graph_from_json(text)
-    return parse_edge_list(text)
+    return graph_from_json(text) if text.lstrip().startswith("{") else parse_edge_list(text)
 
 
 def layout_to_json(layout: BlockLayout) -> str:
-    return json.dumps(
-        {
-            "n": layout.n,
-            "k": layout.k,
-            "l": layout.l,
-            "m": layout.m,
-            "f_order": list(layout.f_order),
-            "total": layout.total,
-        },
-        sort_keys=True,
-    )
+    sizes = {name: getattr(layout, name) for name in ("n", "k", "l", "m", "total")}
+    return json.dumps({**sizes, "f_order": list(layout.f_order)}, sort_keys=True)

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    PocketSpec,
-    complete_graph,
-    empty_graph,
-    is_connected,
-    join,
-)
+from .graphs import Graph, PocketSpec, complete_graph, empty_graph, is_connected, join
 
 DEFAULT_SEED = 20240913
 
@@ -35,13 +28,10 @@ EDGE_PROBABILITY = 0.5
 
 
 def random_graph(rng: np.random.Generator, order: int) -> Graph:
-    edges = {
-        (i, j)
-        for i in range(order)
-        for j in range(i + 1, order)
-        if rng.random() < EDGE_PROBABILITY
-    }
-    return Graph(order, frozenset(edges))
+    """Each pair i < j an edge with EDGE_PROBABILITY, drawn in one call in
+    row-major pair order: the same draws as one ``rng.random()`` per pair."""
+    pairs = np.transpose(np.triu_indices(order, 1))
+    return Graph(order, pairs[rng.random(len(pairs)) < EDGE_PROBABILITY])
 
 
 def random_connected_graph(rng: np.random.Generator, order: int) -> Graph:
@@ -49,11 +39,8 @@ def random_connected_graph(rng: np.random.Generator, order: int) -> Graph:
     g = random_graph(rng, order)
     if is_connected(g):
         return g
-    edges = set(g.edges)
-    for v in range(1, order):
-        u = int(rng.integers(0, v))
-        edges.add((u, v))
-    return Graph(order, frozenset(edges))
+    tree = [(int(rng.integers(0, v)), v) for v in range(1, order)]
+    return Graph(order, np.concatenate([g.array, tree]))
 
 
 def random_spec(

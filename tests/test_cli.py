@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pocket_kirch
 from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
 from pocket_kirch.graphs import Graph, build_pocket_graph, complete_graph, to_edge_list
@@ -717,3 +720,43 @@ class TestParser:
         args = make_parser().parse_args(["verify"])
         assert args.sweep == 40
         assert args.format == "json"
+
+
+class TestHostileGraphFiles:
+    """A graph file with a non-integer vertex id or order, or a row that is
+    not a pair, ends the command with one error line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"order": 3, "edges": [[0.5, 1], [1, 2]]}', "integer (u, v) pairs"),
+            ('{"order": 2.7, "edges": [[0, 1]]}', "order must be an integer"),
+            ('{"order": 3, "edges": [[0, 1, 2]]}', "integer (u, v) pairs"),
+            ('{"order": 3, "edges": [[0, 1], [1]]}', "integer pairs"),
+            ("3 2\n0 1\n1 2.5\n", "non-integer token"),
+        ],
+        ids=["float-end", "float-order", "triple-row", "ragged-rows", "edge-list-float-end"],
+    )
+    @pytest.mark.parametrize("role", ["--f", "--h1", "--hv"])
+    @pytest.mark.parametrize("command", ["build", "resist"])
+    def test_fails_cleanly(self, tmp_path, capsys, k2_file, text, message, role, command):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(text)
+        argv = {
+            "--f": ["--f", str(bad), "--h1", k2_file],
+            "--h1": ["--f", k2_file, "--h1", str(bad)],
+            "--hv": ["--f", k2_file, "--hv", str(bad), "--v-id", "0"],
+        }[role]
+        code, out, err = _run(capsys, [command] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # scipy.sparse costs every process tens of milliseconds of import time
+    src = os.path.dirname(os.path.dirname(pocket_kirch.__file__))
+    probe = "import sys, pocket_kirch.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,13 @@ from pocket_kirch.graphs import (
     parse_edge_list,
     to_edge_list,
 )
-from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_specs
+from pocket_kirch.sweep import (
+    EDGE_PROBABILITY,
+    builtin_fixtures,
+    random_connected_graph,
+    random_graph,
+    random_specs,
+)
 
 
 def adjacency(g):
@@ -621,3 +628,169 @@ class TestSerialization:
     def test_wrong_edge_count(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("3 2\n0 1\n")
+
+
+# ---------------------------------------------------------------------------
+# The canonical edge array against the per-edge semantics it replaced.
+
+def _per_edge_reference(order, pairs):
+    """The edge set one pair at a time: ends normalized to u < v, duplicates
+    merged; GraphFormatError for a self-loop or an end out of range."""
+    edges = set()
+    for u, v in pairs:
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}")
+        if not (0 <= u < order and 0 <= v < order):
+            raise GraphFormatError(f"edge ({u},{v}) outside [0,{order})")
+        edges.add(_normalize_edge(u, v))
+    return frozenset(edges)
+
+
+def _reference_edge_list(order, edges):
+    lines = [f"{order} {len(edges)}"] + [f"{u} {v}" for u, v in sorted(edges)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(order, edges):
+    return json.dumps({"order": order, "edges": sorted(map(list, edges))})
+
+
+@st.composite
+def _orders_and_pairs(draw):
+    """An order and a list of pairs, mostly valid and often repeated, with
+    sometimes one pair inserted that may be a self-loop or out of range."""
+    order = draw(st.integers(0, 9))
+    end = st.integers(0, max(order - 1, 0))
+    pairs = draw(st.lists(st.tuples(end, end).filter(lambda p: p[0] != p[1]), max_size=30)) if order > 1 else []
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    if draw(st.booleans()):
+        wide = st.integers(-2, order + 1)
+        pairs.insert(draw(st.integers(0, len(pairs))), (draw(wide), draw(wide)))
+    return order, pairs
+
+
+class TestCanonicalEdgeArray:
+    @given(_orders_and_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge_reference(self, order_and_pairs):
+        order, pairs = order_and_pairs
+        try:
+            expected = _per_edge_reference(order, pairs)
+        except GraphFormatError:
+            for given_as in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+                with pytest.raises(GraphFormatError):
+                    Graph(order, given_as)
+            return
+        g = Graph(order, pairs)
+        assert g.edges == expected and g.size == len(expected)
+        # an iterable and an integer array give one graph, with one hash
+        from_array = Graph(order, np.array(pairs, dtype=np.int32).reshape(-1, 2))
+        assert from_array == g and hash(from_array) == hash(g)
+        a = g.array
+        assert a.dtype == np.intp and a.shape == (len(expected), 2)
+        assert a.tolist() == sorted(map(list, expected))  # sorted, hence unique
+        assert (a[:, 0] < a[:, 1]).all()
+        assert not a.flags.writeable
+        assert g.edges == frozenset(map(tuple, a.tolist()))
+        assert to_edge_list(g) == _reference_edge_list(order, expected)
+        assert graph_to_json(g) == _reference_json(order, expected)
+
+    def test_array_cannot_be_written(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            g.array[0, 0] = 2
+        with pytest.raises(AttributeError):
+            g.order = 4
+
+    def test_caller_array_is_left_writeable(self):
+        pairs = np.array([[1, 0], [1, 2]])
+        Graph(3, pairs)
+        assert pairs.flags.writeable and pairs.tolist() == [[1, 0], [1, 2]]
+
+    def test_graphs_key_sets_and_specs(self):
+        assert len({path_graph(3), Graph(3, [(2, 1), (0, 1)]), complete_graph(3)}) == 2
+        spec = PocketSpec(path_graph(3), (0, 2), complete_graph(2))
+        assert spec == PocketSpec(Graph(3, [(1, 2), (1, 0)]), (0, 2), Graph(2, [(1, 0)]))
+
+
+class TestHostileInput:
+    """Malformed vertex ids, orders and rows fail as GraphFormatError (a
+    ValueError), never as another exception or a silent truncation."""
+
+    @pytest.mark.parametrize(
+        "order,edges",
+        [
+            (3, [(0.5, 1), (1, 2)]),
+            (3, np.array([[0.0, 1.0]])),
+            (3, [("0", "1")]),
+            (3, [(0, 10**30)]),
+        ],
+        ids=["float-end", "float-array", "string-end", "end-beyond-int64"],
+    )
+    def test_non_integer_end(self, order, edges):
+        with pytest.raises(GraphFormatError, match="integer"):
+            Graph(order, edges)
+
+    @pytest.mark.parametrize("order", [2.7, 3.0, "3", None, 2**40], ids=repr)
+    def test_non_integer_order(self, order):
+        with pytest.raises(GraphFormatError, match="order must be an integer"):
+            Graph(order, [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1, 2)], [(0, 1), (1,)], [()], np.arange(6), 5],
+        ids=["triple", "ragged", "empty-row", "flat-array", "scalar"],
+    )
+    def test_non_pair_rows(self, edges):
+        with pytest.raises(GraphFormatError):
+            Graph(3, edges)
+
+    def test_non_integer_json_order_is_not_truncated(self):
+        with pytest.raises(GraphFormatError, match="2.7"):
+            graph_from_json('{"order": 2.7, "edges": [[0, 1]]}')
+
+    def test_non_integer_json_end(self):
+        with pytest.raises(GraphFormatError, match="integer"):
+            graph_from_json('{"order": 3, "edges": [[0.5, 1], [1, 2]]}')
+
+    def test_non_integer_cross_pair(self):
+        with pytest.raises(ValueError, match="integer"):
+            PocketSpec(complete_graph(2), (0,), complete_graph(2), complete_graph(2), {(0.7, 0), (1, 1.9)})
+
+    def test_non_pair_cross_row(self):
+        with pytest.raises(ValueError, match="pairs"):
+            PocketSpec(complete_graph(2), (0,), complete_graph(2), complete_graph(2), {(0, 1, 1)})
+
+
+# ---------------------------------------------------------------------------
+# Seeded draws: the one-call generators against the per-pair loops they
+# replaced, so that a seeded sweep never drifts.
+
+def _per_pair_random_graph(rng, order):
+    return frozenset(
+        (i, j) for i in range(order) for j in range(i + 1, order) if rng.random() < EDGE_PROBABILITY
+    )
+
+
+def _per_pair_connected_graph(rng, order):
+    edges = set(_per_pair_random_graph(rng, order))
+    if is_connected(Graph(order, edges)):
+        return frozenset(edges)
+    for v in range(1, order):
+        edges.add((int(rng.integers(0, v)), v))
+    return frozenset(edges)
+
+
+class TestSeededDraws:
+    @pytest.mark.parametrize("seed", [0, 3, 17, 20240913])
+    @pytest.mark.parametrize(
+        "draw,reference",
+        [(random_graph, _per_pair_random_graph), (random_connected_graph, _per_pair_connected_graph)],
+        ids=["random_graph", "random_connected_graph"],
+    )
+    def test_same_edges_and_next_draw_as_per_pair_loop(self, seed, draw, reference):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for order in [0, 1, 2, 3, 5, 8, 9, 13, 4, 1, 21]:
+            assert draw(fast, order).edges == reference(slow, order)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert fast.random() == slow.random()
