@@ -15,6 +15,7 @@ per-pair ``resistance`` and ``applicable_cases`` are one-pair calls of it.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 
@@ -417,8 +418,17 @@ def _pair_records(
     """
     records = []
     ok = True
-    for u, v in pair_blocks(x_oracle.shape[0]):
-        ok = _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) and ok
+    # The records hold no reference cycles, so a collection while they are
+    # built frees nothing: it re-scans them and moves them on to older
+    # generations, setting off full collections inside large audits.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for u, v in pair_blocks(x_oracle.shape[0]):
+            ok = _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) and ok
+    finally:
+        if enabled:
+            gc.enable()
     return records, ok
 
 

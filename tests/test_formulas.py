@@ -499,6 +499,31 @@ class TestVerifyConstruction:
         assert "PASS" in table
         assert "3.1(kf)" in table
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, enabled, monkeypatch):
+        # the pair records are built with the cyclic collector held off;
+        # the caller's setting must come back, also when the build raises
+        import gc
+
+        from pocket_kirch import formulas
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert verify_construction(P4_SPEC).ok
+            assert gc.isenabled() is enabled
+
+            def fail(*args):
+                assert not gc.isenabled()
+                raise RuntimeError("record build failed")
+
+            monkeypatch.setattr(formulas, "_block_records", fail)
+            with pytest.raises(RuntimeError, match="record build failed"):
+                verify_construction(P4_SPEC)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_printed_deviations_not_fatal(self):
         rep = verify_construction(P4_SPEC)
         printed = [r for r in rep.records if r.printed is not None]
