@@ -186,6 +186,20 @@ def is_connected(g: Graph) -> bool:
     return all(seen)
 
 
+def _attach_tuple(attach) -> tuple[int, ...]:
+    """Attachment vertices as a tuple of Python ints; ValueError unless
+    ``attach`` is an iterable of integers, the rule edge ends follow:
+    floats (even 2.0) and bools are rejected."""
+    try:
+        attach = tuple(attach)
+    except TypeError:
+        raise ValueError(f"attachment vertices must be integers, got {attach!r}") from None
+    for u in attach:
+        if not isinstance(u, (int, np.integer)) or isinstance(u, bool):
+            raise ValueError(f"attachment vertices must be integers, got {u!r}")
+    return tuple(map(int, attach))
+
+
 @dataclass(frozen=True)
 class PocketSpec:
     """Input tuple for a pocket graph: base F, attachment vertices, and the
@@ -195,8 +209,10 @@ class PocketSpec:
     is induced on the rest. ``cross`` is the set of H1-H2 edges as local
     pairs (i in H1, j in H2); None means every pair, the join
     H_v = H1 v (H2 + {v}), and a complete set is stored as None. Each copy
-    of H_v is glued at one attachment vertex of F. Requires F connected,
-    1 <= k <= n, l = order(H1) >= 1, and every gadget vertex joined to v.
+    of H_v is glued at one attachment vertex of F, given as an integer and
+    stored as a Python int. Requires F connected, 1 <= k <= n distinct
+    attachment vertices, l = order(H1) >= 1, and every gadget vertex joined
+    to v.
     """
 
     F: Graph
@@ -206,7 +222,7 @@ class PocketSpec:
     cross: frozenset[Edge] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "attach", tuple(self.attach))
+        object.__setattr__(self, "attach", _attach_tuple(self.attach))
         n, k = self.F.order, len(self.attach)
         if not (1 <= k <= n):
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")

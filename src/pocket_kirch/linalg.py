@@ -10,6 +10,13 @@ connected gadget, its Laplacian with v's row and column deleted), so
 ``invert`` takes that as its contract and inverts by Cholesky (LAPACK
 potrf + potri): half the flops of an LU inverse, in place in one working
 copy, and its result is exactly symmetric.
+
+Memory contract: ``invert`` holds its input and one working copy, which
+becomes the result; neither it nor ``pseudo_inverse_laplacian`` writes its
+input. ``pseudo_inverse_laplacian`` lets go of L once L + J/n exists, so a
+caller that passes L as a temporary (the oracle, ``resist --oracle``,
+``bench`` and the structured base factor) holds two N x N arrays during the
+inverse and one after; a caller that keeps L (the audit) holds three.
 """
 
 from __future__ import annotations
@@ -134,14 +141,25 @@ def pseudo_inverse_laplacian(lap: np.ndarray) -> np.ndarray:
     connected Laplacians; L + J/n is then positive definite, and its
     singularity signals a disconnected graph. J/n is added and subtracted as
     a scalar, so no N x N array of it is built.
+
+    Memory: ``lap`` is rebound to the sum L + J/n before ``invert`` makes
+    its working copy, so this frame no longer holds L. When the caller
+    passed L as a temporary, as in ``pseudo_inverse_laplacian(laplacian(g))``,
+    L is freed there and two N x N arrays are live during the inverse (the
+    sum and the working copy, which becomes the result), then one. This
+    relies on CPython >= 3.11, where a Python-to-Python call moves its
+    arguments into the callee's frame; on older versions, or when the
+    caller keeps L (the audit does, for its residual and spectrum), L stays
+    alive and three are held. L itself is never written.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     shift = 1.0 / n
+    lap = lap + shift  # drops this frame's reference to L
     try:
-        x = invert(lap + shift)
+        x = invert(lap)
     except SingularMatrixError as exc:
         raise DisconnectedGraphError(
             "L + J/n singular: graph is disconnected"

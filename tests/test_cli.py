@@ -3,13 +3,13 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MOVES_ARGUMENTS
 import pocket_kirch
 from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
@@ -376,50 +376,48 @@ class TestResist:
         }
         assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
 
-    def test_json_peak_memory_stays_near_the_dense_arrays(self, tmp_path):
+    def test_json_peak_memory_stays_near_the_dense_arrays(self, tmp_path, traced_peak):
         argv, order = _order_300_argv(tmp_path)
         target = tmp_path / "r.json"
         argv += ["--format", "json", "--out", str(target)]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, argv)
         assert code == 0
         assert peak <= 4 * 8 * order**2
         assert len(json.loads(target.read_text())["resistances"]) == order * (order - 1) // 2
 
-    def test_csv_peak_memory_stays_near_the_dense_arrays(self, tmp_path):
+    def test_csv_peak_memory_stays_near_the_dense_arrays(self, tmp_path, traced_peak):
         argv, order = _order_300_argv(tmp_path)
         target = tmp_path / "r.csv"
         argv += ["--format", "csv", "--out", str(target)]
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, argv)
         assert code == 0
         assert peak <= 4 * 8 * order**2
         assert len(target.read_text().splitlines()) == order * (order - 1) // 2 + 2
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
-    def test_structured_peak_memory_is_one_dense_array(self, tmp_path, fmt):
+    def test_structured_peak_memory_is_one_dense_array(self, tmp_path, fmt, traced_peak):
         # X is the only N x N array: r is read from it a block of pairs at
         # a time, whose buffers take under 1 MB
         argv, order = _order_300_argv(tmp_path)
         target = tmp_path / f"r.{fmt}"
         argv += ["--format", fmt, "--out", str(target)]
         release_output_buffer()  # measure a call that allocates X
-        tracemalloc.start()
-        try:
-            code = main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, argv)
         assert code == 0
         assert peak <= 8 * order**2 + 1e6
+
+    @MOVES_ARGUMENTS
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_oracle_peak_memory_is_two_dense_arrays(self, tmp_path, fmt, traced_peak):
+        # L(G) is freed once L + J/n exists: that sum and invert's working
+        # copy, which becomes X, plus the writers' blocks of pairs
+        argv, order = _order_300_argv(tmp_path)
+        target = tmp_path / f"r.{fmt}"
+        argv += ["--oracle", "--format", fmt, "--out", str(target)]
+        release_output_buffer()
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak <= 2 * 8 * order**2 + 1e6
 
     @pytest.mark.parametrize("argv", [
         ["resist", "--format", "json"],

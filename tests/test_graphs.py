@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from pocket_kirch import (
     make_layout,
     path_graph,
     split_gadget,
+    verify_construction,
 )
 from pocket_kirch.graphs import (
     BLOCKS,
@@ -164,18 +164,13 @@ class TestLaplacian:
             laplacian(path_graph(3)), [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
         )
 
-    def test_peak_is_one_dense_array(self):
+    def test_peak_is_one_dense_array(self, traced_peak):
         rng = np.random.default_rng(3)
         n = 1000
         g = Graph(n, frozenset(
             (int(u), int(v)) for u, v in rng.integers(0, n, size=(10 * n, 2)) if u != v
         ))
-        tracemalloc.start()
-        try:
-            lap = laplacian(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        lap, peak = traced_peak(laplacian, g)
         assert peak <= 1.25 * 8 * n**2
         assert lap.trace() == 2 * g.size
 
@@ -235,6 +230,25 @@ class TestBuildPocketGraph:
     def test_rejects_duplicate_attach(self):
         with pytest.raises(ValueError, match="duplicate"):
             PocketSpec(complete_graph(2), (0, 0), complete_graph(1))
+
+    @pytest.mark.parametrize(
+        "attach",
+        [(0.5, 2), (2.0, 0), (True, 0), (np.float64(1.0), 0), (np.bool_(True), 0),
+         ("1", 0), (None, 0), np.array([0.0, 2.0]), 1],
+        ids=["0.5", "2.0", "True", "np.float64", "np.bool_", "str", "None", "float-array", "scalar"],
+    )
+    def test_rejects_non_integer_attach(self, attach):
+        with pytest.raises(ValueError, match="attachment vertices must be integers"):
+            PocketSpec(path_graph(3), attach, complete_graph(2))
+
+    def test_numpy_integer_attach_stored_as_int(self):
+        spec = PocketSpec(path_graph(3), (np.int64(1), np.intp(2)), complete_graph(2))
+        plain = PocketSpec(path_graph(3), (1, 2), complete_graph(2))
+        assert spec == plain
+        assert all(type(u) is int for u in spec.attach)
+        text = verify_construction(spec).to_json()
+        assert json.loads(text)["instance"]["attach"] == [1, 2]
+        assert text == verify_construction(plain).to_json()
 
     def test_edge_count_formula(self):
         f = complete_graph(4)

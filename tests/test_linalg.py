@@ -1,10 +1,11 @@
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MOVES_ARGUMENTS
 from pocket_kirch import (
     DisconnectedGraphError,
     PocketSpec,
@@ -17,7 +18,9 @@ from pocket_kirch import (
     path_graph,
     pseudo_inverse_laplacian,
 )
+from pocket_kirch import linalg
 from pocket_kirch.linalg import kron, shifted_group_inverse
+from pocket_kirch.sweep import random_connected_graph
 
 
 def is_one_inverse(lap, x, tol=1e-9):
@@ -168,20 +171,42 @@ class TestPseudoInverseLaplacian:
         np.testing.assert_allclose(x @ np.ones(n), 0, atol=1e-10)
         assert is_one_inverse(lap, x, 1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_held_laplacian_left_bit_identical(self, seed):
+        lap = laplacian(random_connected_graph(np.random.default_rng(seed), 30))
+        before = lap.tobytes()
+        pseudo_inverse_laplacian(lap)
+        assert lap.tobytes() == before
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_held_and_temporary_laplacian_give_the_same_inverse(self, seed):
+        g = random_connected_graph(np.random.default_rng(seed), 30)
+        lap = laplacian(g)
+        assert np.array_equal(pseudo_inverse_laplacian(lap), pseudo_inverse_laplacian(laplacian(g)))
+
+    @MOVES_ARGUMENTS
+    def test_temporary_laplacian_freed_before_invert(self, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(0), 30)
+        refs, alive = [], []
+        invert = linalg.invert
+
+        def temporary_laplacian():
+            lap = laplacian(g)
+            refs.append(weakref.ref(lap))
+            return lap
+
+        def watching(mat):
+            alive.append(refs[0]() is not None)
+            return invert(mat)
+
+        monkeypatch.setattr(linalg, "invert", watching)
+        pseudo_inverse_laplacian(temporary_laplacian())
+        assert alive == [False]
+
 
 class TestPeakMemory:
     """The J/n and aI shifts are scalars: one shifted copy of L plus
     invert's working copy, which becomes the result."""
-
-    @staticmethod
-    def _peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
 
     @pytest.fixture(scope="class")
     def lap(self):
@@ -190,13 +215,13 @@ class TestPeakMemory:
         assert g.order == 1000
         return laplacian(g)
 
-    def test_pseudo_inverse_laplacian(self, lap):
+    def test_pseudo_inverse_laplacian(self, lap, traced_peak):
         n = lap.shape[0]
-        assert self._peak(pseudo_inverse_laplacian, lap) <= 3.25 * 8 * n * n
+        assert traced_peak(pseudo_inverse_laplacian, lap)[1] <= 3.25 * 8 * n * n
 
-    def test_shifted_group_inverse(self, lap):
+    def test_shifted_group_inverse(self, lap, traced_peak):
         n = lap.shape[0]
-        assert self._peak(shifted_group_inverse, lap, 2.0) <= 3.25 * 8 * n * n
+        assert traced_peak(shifted_group_inverse, lap, 2.0)[1] <= 3.25 * 8 * n * n
 
 
 class TestEigenvaluesSym:

@@ -1,6 +1,5 @@
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,17 +568,12 @@ class TestPeakMemory:
         ],
         ids=["all-pocketed", "split-base"],
     )
-    def test_peak_is_one_dense_array(self, make):
+    def test_peak_is_one_dense_array(self, make, traced_peak):
         spec = make(np.random.default_rng(11))
         order = spec.n + spec.m * spec.k
         assert order == 1000
         release_output_buffer()  # measure a call that allocates its result
-        tracemalloc.start()
-        try:
-            s = structured_one_inverse(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        s, peak = traced_peak(structured_one_inverse, spec)
         assert peak <= 1.25 * 8 * order**2
         g, _ = build_pocket_graph(spec)
         adj = adjacency(g)

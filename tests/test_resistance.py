@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import MOVES_ARGUMENTS
 from pocket_kirch import (
     DisconnectedGraphError,
     Graph,
@@ -30,6 +30,7 @@ from pocket_kirch import (
 )
 from pocket_kirch import resistance
 from pocket_kirch.resistance import pair_blocks, pair_resistances
+from pocket_kirch.sweep import random_connected_graph, random_spec
 
 
 def re_shape(x):
@@ -266,18 +267,32 @@ class TestOracle:
         oracle_resistance(path_graph(7))
         assert calls == [7]
 
-    def test_peak_memory(self):
+    def test_peak_memory(self, traced_peak):
         # the Laplacian, one shifted copy and invert's working copy; the
         # result and the resistance matrix reuse what those release
         g = _pocket_graph_1000()
         n = g.order
-        tracemalloc.start()
-        try:
-            oracle_resistance(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(oracle_resistance, g)
         assert peak <= 4.25 * 8 * n * n
+
+    @MOVES_ARGUMENTS
+    def test_peak_memory_is_two_dense_arrays(self, traced_peak):
+        # the Laplacian is gone before invert's working copy is made: the
+        # sum L + J/n and that copy, then X and the resistance matrix
+        g = _pocket_graph_1000()
+        n = g.order
+        _, peak = traced_peak(oracle_resistance, g)
+        assert peak <= 2.5 * 8 * n * n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_its_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng)
+        for g in (random_connected_graph(rng, int(rng.integers(2, 40))), build_pocket_graph(spec)[0]):
+            x = pseudo_inverse_laplacian(laplacian(g))
+            r, kf = oracle_resistance(g)
+            assert np.array_equal(r, resistance_matrix(x))
+            assert kf == kirchhoff_from_one_inverse(x, method="oracle")
 
     def test_all_ones_annihilated_so_trace_suffices(self):
         g = path_graph(5)
@@ -314,13 +329,8 @@ class TestMetricProperties:
         r[-1, :-1] = r[:-1, -1] = 1.0  # now r_uw = r_uv + r_vw exactly
         check_metric(r)
 
-    def test_triangle_check_peak_memory(self):
+    def test_triangle_check_peak_memory(self, traced_peak):
         n = 300
         r = np.ones((n, n)) - np.eye(n)
-        tracemalloc.start()
-        try:
-            check_metric(r)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(check_metric, r)
         assert peak <= 16 * 8 * n * n
