@@ -11,15 +11,26 @@ connected gadget, its Laplacian with v's row and column deleted), so
 potrf + potri): half the flops of an LU inverse, in place in one working
 copy, and its result is exactly symmetric.
 
-Memory contract: ``invert`` holds its input and one working copy, which
-becomes the result; neither it nor ``pseudo_inverse_laplacian`` writes its
-input. ``pseudo_inverse_laplacian`` lets go of L once L + J/n exists, so a
-caller that passes L as a temporary (the oracle, ``resist --oracle``,
-``bench`` and the structured base factor) holds two N x N arrays during the
-inverse and one after; a caller that keeps L (the audit) holds three.
+Memory contract: neither ``invert`` nor ``pseudo_inverse_laplacian`` ever
+writes an array its caller keeps, and each makes at most one copy. An
+input that is a C-ordered, writeable float64 array owning its data, with
+no reference but the argument itself, is private to the call: a matrix
+passed as a temporary, as in ``pseudo_inverse_laplacian(laplacian(g))``.
+``pseudo_inverse_laplacian`` shifts such an L by J/n in place and hands it
+on to ``invert`` without keeping a reference, and ``invert`` then factors
+and inverts it in place, so the oracle route (``oracle_resistance``,
+``resist --oracle``, ``bench``) and the structured base factor hold one
+N x N array from L to the result. Any other input gets one shifted copy,
+which ``invert`` inverts in place: a caller that keeps L (the audit) holds
+two. A caller that holds the argument itself, such as a wrapper around
+``invert``, gets the copy path. Whether nothing else refers to an array is
+read from ``sys.getrefcount`` against the count of a temporary argument,
+measured at import, not assumed.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -50,15 +61,18 @@ def _symmetric_scale(mat: np.ndarray) -> float:
     """max|entry| of a square matrix; ValueError unless it is finite and
     symmetric to a relative 1e-12.
 
-    The asymmetry is taken one row block at a time, upper triangle against
-    lower, so no N x N temporary is built.
+    One walk of row blocks: each block's max and min, then its asymmetry,
+    upper triangle against lower, so the block is read while it is in
+    cache and no N x N temporary is built.
     """
-    scale = float(max(mat.max(), -mat.min()))
-    if not np.isfinite(scale):
-        raise ValueError("matrix has non-finite entries")
-    asym = 0.0
+    scale = asym = 0.0
     for r0, r1 in _row_blocks(mat.shape[0]):
-        diff = mat[r0:r1, r0:] - mat[r0:, r0:r1].T
+        rows = mat[r0:r1]
+        block_scale = float(max(rows.max(), -rows.min()))
+        if not np.isfinite(block_scale):
+            raise ValueError("matrix has non-finite entries")
+        scale = max(scale, block_scale)
+        diff = rows[:, r0:] - mat[r0:, r0:r1].T
         asym = max(asym, float(np.abs(diff, out=diff).max()))
     if asym > SYMMETRY_REL_TOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
@@ -74,16 +88,39 @@ def _mirror_lower(a: np.ndarray) -> None:
         np.copyto(diag, diag.T, where=_STRICT_UPPER[: r1 - r0, : r1 - r0])
 
 
-def invert(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, by Cholesky.
+def _arg_refs(a) -> int:
+    return sys.getrefcount(a)
 
-    Raises ValueError when the matrix is not square, not finite or not
-    symmetric to a relative 1e-12 (the test of ``eigenvalues_sym``), and
-    SingularMatrixError when it is not positive definite or when a pivot
-    (a squared diagonal entry of the Cholesky factor) falls below
-    1e-12 times the max-abs entry. The result is exactly symmetric.
-    """
-    a = np.array(mat, dtype=float, order="C")  # the working copy
+
+def _probe_arg_refs() -> tuple[int, int]:
+    held = np.empty(0)
+    return _arg_refs(np.empty(0)), _arg_refs(held)
+
+
+# What sys.getrefcount reads on entry for a parameter passed a temporary,
+# and for one whose caller keeps the array; measured, not assumed, since
+# interpreter versions count differently. Only where the two differ can a
+# temporary be told apart, so only there is an input ever written.
+_TEMPORARY_REFS, _HELD_REFS = _probe_arg_refs()
+
+
+def _private(a, refs: int) -> bool:
+    """True when the call may overwrite ``a``: a C-ordered, writeable
+    float64 ndarray that owns its data, on whose parameter sys.getrefcount
+    read ``refs`` on entry, no more than for a temporary."""
+    return (
+        refs <= _TEMPORARY_REFS < _HELD_REFS
+        and type(a) is np.ndarray
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and a.flags.c_contiguous
+        and a.flags.writeable
+    )
+
+
+def _cholesky_invert(a: np.ndarray) -> np.ndarray:
+    """Overwrite ``a``, a C-ordered float64 array, with its inverse and
+    return it; the checks and errors are ``invert``'s."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
@@ -116,6 +153,25 @@ def invert(mat: np.ndarray) -> np.ndarray:
     return a
 
 
+def invert(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive definite matrix, by Cholesky.
+
+    Raises ValueError when the matrix is not square, not finite or not
+    symmetric to a relative 1e-12 (the test of ``eigenvalues_sym``), and
+    SingularMatrixError when it is not positive definite or when a pivot
+    (a squared diagonal entry of the Cholesky factor) falls below
+    1e-12 times the max-abs entry. The result is exactly symmetric.
+
+    A C-ordered float64 temporary, which no one else can see, is inverted
+    in place and returned; any other input is left as it is, and a working
+    copy of it is inverted instead (the module's memory contract).
+    """
+    refs = sys.getrefcount(mat)  # first, before this frame refers to mat again
+    return _cholesky_invert(
+        mat if _private(mat, refs) else np.array(mat, dtype=float, order="C")
+    )
+
+
 def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:
     """Group inverse of L + aI - (a/n)J for a Laplacian L and a > 0.
 
@@ -142,24 +198,26 @@ def pseudo_inverse_laplacian(lap: np.ndarray) -> np.ndarray:
     singularity signals a disconnected graph. J/n is added and subtracted as
     a scalar, so no N x N array of it is built.
 
-    Memory: ``lap`` is rebound to the sum L + J/n before ``invert`` makes
-    its working copy, so this frame no longer holds L. When the caller
-    passed L as a temporary, as in ``pseudo_inverse_laplacian(laplacian(g))``,
-    L is freed there and two N x N arrays are live during the inverse (the
-    sum and the working copy, which becomes the result), then one. This
-    relies on CPython >= 3.11, where a Python-to-Python call moves its
-    arguments into the callee's frame; on older versions, or when the
-    caller keeps L (the audit does, for its residual and spectrum), L stays
-    alive and three are held. L itself is never written.
+    Memory: when L is a C-ordered float64 temporary, as in
+    ``pseudo_inverse_laplacian(laplacian(g))``, it is shifted to L + J/n in
+    place and handed to ``invert`` with no reference kept here, so it is
+    inverted in place too: one N x N array throughout, which becomes the
+    result. Any other L, one the caller keeps above all, is never written;
+    one shifted copy is made, and that copy is inverted in place.
     """
-    lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
+    refs = sys.getrefcount(lap)  # first, before this frame refers to lap again
+    n = np.shape(lap)[0]
     if n == 0:
         return np.zeros((0, 0))
     shift = 1.0 / n
-    lap = lap + shift  # drops this frame's reference to L
+    if _private(lap, refs):
+        lap += shift
+    else:
+        lap = np.add(lap, shift, dtype=float, order="C")
+    work = [lap]
+    del lap  # so that invert receives the only reference
     try:
-        x = invert(lap)
+        x = invert(work.pop())
     except SingularMatrixError as exc:
         raise DisconnectedGraphError(
             "L + J/n singular: graph is disconnected"

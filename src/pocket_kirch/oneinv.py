@@ -133,6 +133,11 @@ def release_output_buffer() -> None:
     _OUTPUT.release()
 
 
+# Bytes of pocket rows copied per step of _write_one_inverse: few enough
+# that they are still in cache when their share of D^-1 is added.
+_STEP_BYTES = 1 << 18
+
+
 def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
     """Write the full {1}-inverse once, straight into global vertex order.
 
@@ -142,9 +147,10 @@ def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndar
     their block positions, so only the F rows and columns are permuted (by
     ``layout.f_order``). Without D^-1 the k rows of gadget vertex 0 repeat
     for every gadget vertex, so they are written first, as C^T and A tiled
-    m times, and copied to the other m - 1 row blocks in one contiguous
-    pass; D^-1 is then added on the copy diagonal, and the F rows get
-    L#(F) and C tiled m times.
+    m times, and copied to the other m - 1 row blocks a few at a time,
+    each step adding its blocks' share of D^-1 on the copy diagonal while
+    they are in cache; block 0, the source, gets its share last. The F
+    rows then get L#(F) and C tiled m times.
     """
     n, k, m = layout.n, layout.k, layout.m
     fo = np.asarray(layout.f_order)
@@ -153,10 +159,14 @@ def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndar
     first = pocket_rows[0]  # the k rows of gadget vertex 0
     first[:, fo] = lf_sharp[:, :k].T
     first[:, n:].reshape(k, m, k, copy=False)[...] = lf_sharp[:k, None, :k]
-    pocket_rows[1:] = first
-    c = np.arange(k)
-    pockets = x[n:, n:].reshape(m, k, m, k, copy=False)
-    pockets[:, c, :, c] += d_inv  # the copy diagonal c = c'
+    # the copy diagonal c = c' of the pocket block, as an (m, k, m) view
+    diag = np.einsum("akbk->akb", x[n:, n:].reshape(m, k, m, k, copy=False))
+    step = max(1, _STEP_BYTES // first.nbytes)
+    for a0 in range(1, m, step):
+        a1 = min(a0 + step, m)
+        pocket_rows[a0:a1] = first
+        diag[a0:a1] += d_inv[a0:a1, None, :]
+    diag[0] += d_inv[0]  # last, as block 0 is the others' source
     x[np.ix_(fo, fo)] = lf_sharp
     x[:n, n:].reshape(n, m, k, copy=False)[fo] = lf_sharp[:, None, :k]
     return x

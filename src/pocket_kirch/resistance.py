@@ -128,12 +128,44 @@ def kirchhoff_spectral(spectrum: np.ndarray, n: int) -> KirchhoffResult:
     return KirchhoffResult(float(n * np.sum(1.0 / spectrum[1:])), "spectral")
 
 
+# Rows per block when r is written over X in place.
+_ROWS = 64
+
+
+def _resistances_over(x: np.ndarray) -> np.ndarray:
+    """Overwrite an exactly symmetric X with r and return it, one row
+    block at a time: r_uv = (d_u + d_v - x_uv) - x_uv with d = diag X.
+
+    Since x_vu == x_uv, each entry is bit-identical to
+    ``resistance_matrix(x)``'s d_u + d_v - x_uv - x_vu; unlike that, only
+    block-sized temporaries are built.
+    """
+    d = x.diagonal().copy()
+    for r0 in range(0, x.shape[0], _ROWS):
+        rows = x[r0:r0 + _ROWS]
+        s = d[r0:r0 + _ROWS, None] + d
+        s -= rows
+        np.subtract(s, rows, out=rows)
+    np.fill_diagonal(x, 0.0)
+    return x
+
+
 def oracle_resistance(g: Graph) -> tuple[np.ndarray, KirchhoffResult]:
-    """Ground-truth path: pseudoinverse of the assembled Laplacian."""
+    """Ground-truth path: r and Kf from the pseudoinverse X of the
+    assembled Laplacian, both bit-identical to ``resistance_matrix(x)`` and
+    ``kirchhoff_from_one_inverse(x)``.
+
+    One N x N array serves from L(G) to r. L(G) goes to
+    ``pseudo_inverse_laplacian`` as a temporary, so it is shifted and
+    inverted in place (the ``linalg`` memory contract); X is private to
+    this call and exactly symmetric, so Kf is read from it first and r is
+    then written over it.
+    """
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
     x = pseudo_inverse_laplacian(laplacian(g))
-    return resistance_matrix(x), kirchhoff_from_one_inverse(x, method="oracle")
+    kf = kirchhoff_from_one_inverse(x, method="oracle")
+    return _resistances_over(x), kf
 
 
 def check_metric(r: np.ndarray, tol: float = 1e-9) -> None:

@@ -1,17 +1,17 @@
 """Helpers shared by the test modules."""
 
-import sys
 import tracemalloc
 
 import pytest
 
-# pseudo_inverse_laplacian frees a Laplacian passed as a temporary before
-# invert copies L + J/n only where a call moves its arguments into the
-# callee's frame
-MOVES_ARGUMENTS = pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info < (3, 11),
-    reason="before CPython 3.11 the caller's stack holds a temporary "
-    "argument for the whole call, so L stays alive through the inverse",
+from pocket_kirch import linalg
+
+# The oracle route works in place on a Laplacian passed as a temporary only
+# where reference counts tell a temporary argument from one the caller keeps
+IN_PLACE = pytest.mark.skipif(
+    not linalg._TEMPORARY_REFS < linalg._HELD_REFS,
+    reason="this interpreter's reference counts do not tell a temporary "
+    "argument from a held one, so every input is copied",
 )
 
 

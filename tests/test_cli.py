@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOVES_ARGUMENTS
+from conftest import IN_PLACE
 import pocket_kirch
 from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
@@ -406,11 +406,11 @@ class TestResist:
         assert code == 0
         assert peak <= 8 * order**2 + 1e6
 
-    @MOVES_ARGUMENTS
+    @IN_PLACE
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_oracle_peak_memory_is_two_dense_arrays(self, tmp_path, fmt, traced_peak):
-        # L(G) is freed once L + J/n exists: that sum and invert's working
-        # copy, which becomes X, plus the writers' blocks of pairs
+        # a loose bound; test_oracle_peak_memory_is_one_dense_array is the
+        # tight one
         argv, order = _order_300_argv(tmp_path)
         target = tmp_path / f"r.{fmt}"
         argv += ["--oracle", "--format", fmt, "--out", str(target)]
@@ -419,6 +419,19 @@ class TestResist:
         assert code == 0
         assert peak <= 2 * 8 * order**2 + 1e6
 
+    @IN_PLACE
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_oracle_peak_memory_is_one_dense_array(self, tmp_path, fmt, traced_peak):
+        # L(G) is shifted to L + J/n and inverted in place, so it becomes X;
+        # plus the writers' blocks of pairs
+        argv, order = _order_300_argv(tmp_path)
+        target = tmp_path / f"r.{fmt}"
+        argv += ["--oracle", "--format", fmt, "--out", str(target)]
+        release_output_buffer()
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak <= 8 * order**2 + 1e6
+
     @pytest.mark.parametrize("argv", [
         ["resist", "--format", "json"],
         ["resist", "--format", "csv", "--oracle"],
@@ -426,8 +439,12 @@ class TestResist:
     ], ids=["resist", "resist-oracle", "verify"])
     def test_no_resistance_matrix_is_built(self, tmp_path, monkeypatch, argv):
         calls = _count_calls(monkeypatch, resistance.resistance_matrix)
+        # the counter sees calls through the library's bindings of the name;
+        # no library route calls it, oracle_resistance included
+        resistance.resistance_matrix(np.zeros((1, 1)))
+        pocket_kirch.resistance_matrix(np.zeros((1, 1)))
         resistance.oracle_resistance(complete_graph(3))
-        assert len(calls) == 1  # the counter sees calls from inside the library
+        assert len(calls) == 2
         calls.clear()
         if argv[0] == "resist":
             argv = argv + _order_300_argv(tmp_path)[0][1:]

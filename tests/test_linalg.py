@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOVES_ARGUMENTS
+from conftest import IN_PLACE
 from pocket_kirch import (
     DisconnectedGraphError,
     PocketSpec,
@@ -85,6 +85,18 @@ class TestInvert:
     def test_fortran_ordered_input(self):
         m = np.asfortranarray([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
         np.testing.assert_allclose(invert(m) @ m, np.eye(3), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scale_is_the_whole_matrix_max_abs(self, n, sign):
+        # taken block by block, the scale is still the float of one
+        # whole-matrix max and min, and so is every pivot threshold
+        rng = np.random.default_rng(n)
+        a = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, n))
+        m = sign * (a + a.T)
+        u, v = rng.integers(n, size=2)
+        m[u, v] = m[v, u] = sign * 1e5
+        assert linalg._symmetric_scale(m) == float(max(m.max(), -m.min()))
 
     def test_non_symmetric_raises(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -184,10 +196,12 @@ class TestPseudoInverseLaplacian:
         lap = laplacian(g)
         assert np.array_equal(pseudo_inverse_laplacian(lap), pseudo_inverse_laplacian(laplacian(g)))
 
-    @MOVES_ARGUMENTS
-    def test_temporary_laplacian_freed_before_invert(self, monkeypatch):
+    @IN_PLACE
+    def test_invert_receives_the_temporary_laplacian(self, monkeypatch):
+        # the caller's temporary L is shifted to L + J/n in place and handed
+        # on to invert: it is the working array, so no second one exists
         g = random_connected_graph(np.random.default_rng(0), 30)
-        refs, alive = [], []
+        refs, shared = [], []
         invert = linalg.invert
 
         def temporary_laplacian():
@@ -196,17 +210,132 @@ class TestPseudoInverseLaplacian:
             return lap
 
         def watching(mat):
-            alive.append(refs[0]() is not None)
+            lap = refs[0]()
+            shared.append(lap is not None and np.shares_memory(mat, lap))
             return invert(mat)
 
         monkeypatch.setattr(linalg, "invert", watching)
-        pseudo_inverse_laplacian(temporary_laplacian())
-        assert alive == [False]
+        x = pseudo_inverse_laplacian(temporary_laplacian())
+        assert shared == [True]
+        assert np.array_equal(x, pseudo_inverse_laplacian(laplacian(g).copy()))
+
+    def test_wrapper_holding_invert_argument_leaves_it_unchanged(self, monkeypatch):
+        # a wrapper around invert that keeps its argument, as a tracer does,
+        # gets the copy path: the array it holds is never written
+        g = random_connected_graph(np.random.default_rng(1), 70)
+        held = []
+        invert = linalg.invert
+
+        def holding(mat):
+            held.append((mat, mat.copy()))
+            return invert(mat)
+
+        expected = pseudo_inverse_laplacian(laplacian(g))
+        monkeypatch.setattr(linalg, "invert", holding)
+        x = pseudo_inverse_laplacian(laplacian(g))
+        (mat, before), = held
+        assert np.array_equal(mat, before)
+        assert not np.shares_memory(x, mat)
+        assert np.array_equal(x, expected)
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def _read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+# Forms of a matrix the call may not write: each makes a new array with a's
+# values; "view" shares the memory of a base no one else holds
+INPUT_FORMS = {
+    "view": lambda a: np.append(a.ravel(), 0.0)[:-1].reshape(a.shape),
+    "fortran": np.asfortranarray,
+    "integer": lambda a: a.astype(np.int64),
+    "read-only": _read_only,
+    "list": lambda a: a.tolist(),
+}
+
+
+def _lap_70():
+    return laplacian(random_connected_graph(np.random.default_rng(70), 70))
+
+
+# (function, its integer-valued input) on both sides of the 64-row block
+ROUTES = {
+    "invert": (invert, lambda: _lap_70() + np.eye(70)),
+    "pseudo_inverse_laplacian": (pseudo_inverse_laplacian, _lap_70),
+}
+
+
+class TestCallerInputNeverWritten:
+    """Only a C-ordered writeable float64 temporary that owns its data is
+    worked on in place; any other input is copied, with the same result."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("form", ["c-order", *INPUT_FORMS])
+    def test_held_input_left_unchanged(self, route, form):
+        fn, make = ROUTES[route]
+        expected = fn(make())
+        mat = INPUT_FORMS.get(form, np.copy)(make())
+        before = np.array(mat)
+        x = fn(mat)
+        assert np.array_equal(np.asarray(mat), before)
+        assert np.array_equal(x, expected)
+        if isinstance(mat, np.ndarray):
+            assert not np.shares_memory(x, mat)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_temporary_input_gives_the_copy_path_result(self, route, form):
+        fn, make = ROUTES[route]
+        mat = make()
+        assert np.array_equal(fn(INPUT_FORMS[form](make())), fn(mat))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_view_of_held_base_left_unchanged(self, route):
+        fn, make = ROUTES[route]
+        base = np.append(make().ravel(), 0.0)
+        before = base.copy()
+        x = fn(base[:-1].reshape(70, 70))
+        assert np.array_equal(base, before)
+        assert np.array_equal(x, fn(make()))
+
+    @IN_PLACE
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_temporary_worked_on_in_place(self, route, monkeypatch):
+        # the result is the very array passed in
+        fn, make = ROUTES[route]
+        refs = []
+
+        def temporary():
+            mat = make()
+            refs.append(weakref.ref(mat))
+            return mat
+
+        x = fn(temporary())
+        assert refs[0]() is x
+        assert np.array_equal(x, fn(make().copy()))
+
+    def test_private_needs_every_property(self):
+        refs = linalg._TEMPORARY_REFS
+        a = np.eye(3)
+        assert linalg._private(a, refs) == (refs < linalg._HELD_REFS)
+        assert not linalg._private(a, linalg._HELD_REFS)
+        for form in INPUT_FORMS.values():
+            assert not linalg._private(form(np.eye(3)), refs)
+        assert not linalg._private(np.eye(3, dtype=np.float32), refs)
+        assert not linalg._private(_Subclass((3, 3)), refs)
 
 
 class TestPeakMemory:
-    """The J/n and aI shifts are scalars: one shifted copy of L plus
-    invert's working copy, which becomes the result."""
+    """The J/n and aI shifts are scalars. ``pseudo_inverse_laplacian`` makes
+    one shifted copy of a held L, which becomes the result;
+    ``shifted_group_inverse`` holds its shifted copy through invert's
+    working copy."""
 
     @pytest.fixture(scope="class")
     def lap(self):
@@ -218,6 +347,12 @@ class TestPeakMemory:
     def test_pseudo_inverse_laplacian(self, lap, traced_peak):
         n = lap.shape[0]
         assert traced_peak(pseudo_inverse_laplacian, lap)[1] <= 3.25 * 8 * n * n
+
+    def test_held_laplacian_gets_one_shifted_copy(self, lap, traced_peak):
+        # the held L is not written: its one shifted copy is inverted in
+        # place and becomes the result
+        n = lap.shape[0]
+        assert traced_peak(pseudo_inverse_laplacian, lap)[1] <= 1.25 * 8 * n * n
 
     def test_shifted_group_inverse(self, lap, traced_peak):
         n = lap.shape[0]

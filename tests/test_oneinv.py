@@ -458,6 +458,18 @@ class TestWriter:
         expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
         assert np.array_equal(s.matrix, expected)
 
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("spec", SHUFFLED_SPECS + WRITER_EDGE_SPECS)
+    def test_bit_identical_in_steps_of_few_blocks(self, spec, blocks, monkeypatch):
+        # at large orders a step copies one or a few row blocks; the last
+        # step may be short
+        from pocket_kirch import oneinv
+
+        monkeypatch.setattr(oneinv, "_STEP_BYTES", blocks * spec.k * (spec.n + spec.m * spec.k) * 8)
+        s = structured_one_inverse(spec)
+        expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
+        assert np.array_equal(s.matrix, expected)
+
     def test_edge_shapes(self):
         shapes = [(s.m, s.k, s.l) for s in WRITER_EDGE_SPECS]
         assert shapes[0][0] == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import MOVES_ARGUMENTS
+from conftest import IN_PLACE
 from pocket_kirch import (
     DisconnectedGraphError,
     Graph,
@@ -268,21 +268,46 @@ class TestOracle:
         assert calls == [7]
 
     def test_peak_memory(self, traced_peak):
-        # the Laplacian, one shifted copy and invert's working copy; the
-        # result and the resistance matrix reuse what those release
+        # a loose bound; test_peak_memory_is_one_dense_array is the tight one
         g = _pocket_graph_1000()
         n = g.order
         _, peak = traced_peak(oracle_resistance, g)
         assert peak <= 4.25 * 8 * n * n
 
-    @MOVES_ARGUMENTS
+    @IN_PLACE
     def test_peak_memory_is_two_dense_arrays(self, traced_peak):
-        # the Laplacian is gone before invert's working copy is made: the
-        # sum L + J/n and that copy, then X and the resistance matrix
+        # a loose bound; test_peak_memory_is_one_dense_array is the tight one
         g = _pocket_graph_1000()
         n = g.order
         _, peak = traced_peak(oracle_resistance, g)
         assert peak <= 2.5 * 8 * n * n
+
+    @IN_PLACE
+    def test_peak_memory_is_one_dense_array(self, traced_peak):
+        # L(G) is shifted, inverted and turned into r in place
+        g = _pocket_graph_1000()
+        n = g.order
+        _, peak = traced_peak(oracle_resistance, g)
+        assert peak <= 1.25 * 8 * n * n
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 63, 64, 65, 130])
+    def test_bit_identical_to_resistance_matrix(self, order):
+        # orders on both sides of the row blocks r is written in
+        g = random_connected_graph(np.random.default_rng(order), order)
+        x = pseudo_inverse_laplacian(laplacian(g))
+        r, kf = oracle_resistance(g)
+        assert np.array_equal(r, resistance_matrix(x))
+        assert kf == kirchhoff_from_one_inverse(x, method="oracle")
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 150))
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_resistance_matrix_sweep(self, seed, order):
+        g = random_connected_graph(np.random.default_rng(seed), order)
+        lap = laplacian(g)
+        x = pseudo_inverse_laplacian(lap)
+        r, kf = oracle_resistance(g)
+        assert np.array_equal(r, resistance_matrix(x))
+        assert kf == kirchhoff_from_one_inverse(x, method="oracle")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_its_parts(self, seed):
