@@ -20,7 +20,7 @@ from .graphs import (
     split_gadget,
     to_edge_list,
 )
-from .linalg import pseudo_inverse_laplacian
+from .linalg import _pseudo_inverse_in_place
 from .oneinv import structured_one_inverse
 from .resistance import kirchhoff_from_one_inverse, pair_blocks, pair_resistances
 from .formulas import verify_construction
@@ -89,7 +89,7 @@ def _resist(spec: PocketSpec, args) -> int:
     """Write every r_uv and Kf, all read from one {1}-inverse X: the
     pseudoinverse of L(G) for ``--oracle``, else the structured one."""
     if args.oracle:
-        x, method = pseudo_inverse_laplacian(laplacian(build_pocket_graph(spec)[0])), "oracle"
+        x, method = _pseudo_inverse_in_place(laplacian(build_pocket_graph(spec)[0])), "oracle"
     else:
         x, method = structured_one_inverse(spec).matrix, "structured"
     kf = kirchhoff_from_one_inverse(x, method)
@@ -361,7 +361,7 @@ def cmd_bench(args) -> int:
         )
         t_oracle, kf_o = time_route(
             lambda: kirchhoff_from_one_inverse(
-                pseudo_inverse_laplacian(laplacian(build_pocket_graph(spec)[0])),
+                _pseudo_inverse_in_place(laplacian(build_pocket_graph(spec)[0])),
                 method="oracle",
             )
         )

@@ -11,26 +11,18 @@ connected gadget, its Laplacian with v's row and column deleted), so
 potrf + potri): half the flops of an LU inverse, in place in one working
 copy, and its result is exactly symmetric.
 
-Memory contract: neither ``invert`` nor ``pseudo_inverse_laplacian`` ever
-writes an array its caller keeps, and each makes at most one copy. An
-input that is a C-ordered, writeable float64 array owning its data, with
-no reference but the argument itself, is private to the call: a matrix
-passed as a temporary, as in ``pseudo_inverse_laplacian(laplacian(g))``.
-``pseudo_inverse_laplacian`` shifts such an L by J/n in place and hands it
-on to ``invert`` without keeping a reference, and ``invert`` then factors
-and inverts it in place, so the oracle route (``oracle_resistance``,
-``resist --oracle``, ``bench``) and the structured base factor hold one
-N x N array from L to the result. Any other input gets one shifted copy,
-which ``invert`` inverts in place: a caller that keeps L (the audit) holds
-two. A caller that holds the argument itself, such as a wrapper around
-``invert``, gets the copy path. Whether nothing else refers to an array is
-read from ``sys.getrefcount`` against the count of a temporary argument,
-measured at import, not assumed.
+Memory contract: the public functions never write their input and never
+return it; ``invert`` and ``pseudo_inverse_laplacian`` each work on one
+C-ordered float64 copy, which becomes the result. The in-place kernels
+``_cholesky_invert`` and ``_pseudo_inverse_in_place`` overwrite the array
+they are given and return it. Only callers that build L(G) themselves and
+keep no other reference to it hand it to ``_pseudo_inverse_in_place``
+(``oracle_resistance``, ``resist --oracle``, ``bench``), so the oracle
+route holds one N x N array from L to the result. Every other caller goes
+through the public functions: a caller that keeps L (the audit) holds two.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -88,36 +80,6 @@ def _mirror_lower(a: np.ndarray) -> None:
         np.copyto(diag, diag.T, where=_STRICT_UPPER[: r1 - r0, : r1 - r0])
 
 
-def _arg_refs(a) -> int:
-    return sys.getrefcount(a)
-
-
-def _probe_arg_refs() -> tuple[int, int]:
-    held = np.empty(0)
-    return _arg_refs(np.empty(0)), _arg_refs(held)
-
-
-# What sys.getrefcount reads on entry for a parameter passed a temporary,
-# and for one whose caller keeps the array; measured, not assumed, since
-# interpreter versions count differently. Only where the two differ can a
-# temporary be told apart, so only there is an input ever written.
-_TEMPORARY_REFS, _HELD_REFS = _probe_arg_refs()
-
-
-def _private(a, refs: int) -> bool:
-    """True when the call may overwrite ``a``: a C-ordered, writeable
-    float64 ndarray that owns its data, on whose parameter sys.getrefcount
-    read ``refs`` on entry, no more than for a temporary."""
-    return (
-        refs <= _TEMPORARY_REFS < _HELD_REFS
-        and type(a) is np.ndarray
-        and a.dtype == np.float64
-        and a.flags.owndata
-        and a.flags.c_contiguous
-        and a.flags.writeable
-    )
-
-
 def _cholesky_invert(a: np.ndarray) -> np.ndarray:
     """Overwrite ``a``, a C-ordered float64 array, with its inverse and
     return it; the checks and errors are ``invert``'s."""
@@ -162,14 +124,10 @@ def invert(mat: np.ndarray) -> np.ndarray:
     (a squared diagonal entry of the Cholesky factor) falls below
     1e-12 times the max-abs entry. The result is exactly symmetric.
 
-    A C-ordered float64 temporary, which no one else can see, is inverted
-    in place and returned; any other input is left as it is, and a working
-    copy of it is inverted instead (the module's memory contract).
+    The input is never written: a C-ordered float64 copy of it is inverted
+    in place and returned.
     """
-    refs = sys.getrefcount(mat)  # first, before this frame refers to mat again
-    return _cholesky_invert(
-        mat if _private(mat, refs) else np.array(mat, dtype=float, order="C")
-    )
+    return _cholesky_invert(np.array(mat, dtype=float, order="C"))
 
 
 def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:
@@ -190,6 +148,25 @@ def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:
     return x
 
 
+def _pseudo_inverse_in_place(lap: np.ndarray) -> np.ndarray:
+    """Overwrite ``lap``, a C-ordered float64 Laplacian, with its
+    pseudoinverse and return it; the errors are
+    ``pseudo_inverse_laplacian``'s."""
+    n = lap.shape[0]
+    if n == 0:
+        return lap
+    shift = 1.0 / n
+    lap += shift
+    try:
+        _cholesky_invert(lap)
+    except SingularMatrixError as exc:
+        raise DisconnectedGraphError(
+            "L + J/n singular: graph is disconnected"
+        ) from exc
+    lap -= shift
+    return lap
+
+
 def pseudo_inverse_laplacian(lap: np.ndarray) -> np.ndarray:
     """Group/Moore-Penrose inverse of a connected-graph Laplacian.
 
@@ -198,32 +175,10 @@ def pseudo_inverse_laplacian(lap: np.ndarray) -> np.ndarray:
     singularity signals a disconnected graph. J/n is added and subtracted as
     a scalar, so no N x N array of it is built.
 
-    Memory: when L is a C-ordered float64 temporary, as in
-    ``pseudo_inverse_laplacian(laplacian(g))``, it is shifted to L + J/n in
-    place and handed to ``invert`` with no reference kept here, so it is
-    inverted in place too: one N x N array throughout, which becomes the
-    result. Any other L, one the caller keeps above all, is never written;
-    one shifted copy is made, and that copy is inverted in place.
+    L is never written: one C-ordered float64 copy of it is shifted,
+    inverted in place and returned.
     """
-    refs = sys.getrefcount(lap)  # first, before this frame refers to lap again
-    n = np.shape(lap)[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    shift = 1.0 / n
-    if _private(lap, refs):
-        lap += shift
-    else:
-        lap = np.add(lap, shift, dtype=float, order="C")
-    work = [lap]
-    del lap  # so that invert receives the only reference
-    try:
-        x = invert(work.pop())
-    except SingularMatrixError as exc:
-        raise DisconnectedGraphError(
-            "L + J/n singular: graph is disconnected"
-        ) from exc
-    x -= shift
-    return x
+    return _pseudo_inverse_in_place(np.array(lap, dtype=float, order="C"))
 
 
 def eigenvalues_sym(mat: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
-from .linalg import DisconnectedGraphError, pseudo_inverse_laplacian
+from .linalg import DisconnectedGraphError, _pseudo_inverse_in_place
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,13 @@ def pair_resistances(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def resistance_from_one_inverse(x: np.ndarray, u: int, v: int) -> float:
-    """r_uv = X_uu + X_vv - X_uv - X_vu; IndexError unless 0 <= u, v < n.
-
-    The one pair (0, 1) of X's 2 x 2 submatrix on rows and columns u, v,
-    so that no layout of X is copied whole."""
+    """r_uv = X_uu + X_vv - X_uv - X_vu, in ``pair_resistances``' operand
+    order; IndexError unless 0 <= u, v < n."""
     x = _square(x)
     n = x.shape[0]
     if not (0 <= u < n and 0 <= v < n):
         raise IndexError(f"vertex pair ({u},{v}) out of range for order {n}")
-    pair = [u, v]
-    return float(pair_resistances(x[np.ix_(pair, pair)], np.array([0]), np.array([1]))[0])
+    return float(x[u, u] + x[v, v] - x[u, v] - x[v, u])
 
 
 def resistance_matrix(x: np.ndarray) -> np.ndarray:
@@ -155,15 +152,14 @@ def oracle_resistance(g: Graph) -> tuple[np.ndarray, KirchhoffResult]:
     assembled Laplacian, both bit-identical to ``resistance_matrix(x)`` and
     ``kirchhoff_from_one_inverse(x)``.
 
-    One N x N array serves from L(G) to r. L(G) goes to
-    ``pseudo_inverse_laplacian`` as a temporary, so it is shifted and
-    inverted in place (the ``linalg`` memory contract); X is private to
-    this call and exactly symmetric, so Kf is read from it first and r is
-    then written over it.
+    One N x N array serves from L(G) to r. This call builds L(G) and
+    holds the only reference to it, so it hands it to linalg's in-place
+    kernel, which shifts and inverts it into X; X is exactly symmetric, so
+    Kf is read from it first and r is then written over it.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
-    x = pseudo_inverse_laplacian(laplacian(g))
+    x = _pseudo_inverse_in_place(laplacian(g))
     kf = kirchhoff_from_one_inverse(x, method="oracle")
     return _resistances_over(x), kf
 

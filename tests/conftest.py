@@ -4,16 +4,6 @@ import tracemalloc
 
 import pytest
 
-from pocket_kirch import linalg
-
-# The oracle route works in place on a Laplacian passed as a temporary only
-# where reference counts tell a temporary argument from one the caller keeps
-IN_PLACE = pytest.mark.skipif(
-    not linalg._TEMPORARY_REFS < linalg._HELD_REFS,
-    reason="this interpreter's reference counts do not tell a temporary "
-    "argument from a held one, so every input is copied",
-)
-
 
 def _traced_peak(fn, *args):
     """(fn(*args), the tracemalloc peak in bytes during the call).

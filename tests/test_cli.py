@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IN_PLACE
 import pocket_kirch
 from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
@@ -406,7 +405,6 @@ class TestResist:
         assert code == 0
         assert peak <= 8 * order**2 + 1e6
 
-    @IN_PLACE
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_oracle_peak_memory_is_two_dense_arrays(self, tmp_path, fmt, traced_peak):
         # a loose bound; test_oracle_peak_memory_is_one_dense_array is the
@@ -419,7 +417,6 @@ class TestResist:
         assert code == 0
         assert peak <= 2 * 8 * order**2 + 1e6
 
-    @IN_PLACE
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_oracle_peak_memory_is_one_dense_array(self, tmp_path, fmt, traced_peak):
         # L(G) is shifted to L + J/n and inverted in place, so it becomes X;

@@ -561,18 +561,17 @@ class TestVerifyConstruction:
             assert (i, j) not in spec.cross and i < spec.l and j < spec.m - spec.l
 
     def test_printed_audit_reuses_structured_factors(self, monkeypatch):
-        from pocket_kirch import formulas, linalg, oneinv
+        from pocket_kirch import formulas, linalg
 
         calls = []
-        invert = linalg.invert
+        kernel = linalg._cholesky_invert
 
         def counting(mat):
             calls.append(mat.shape[0])
-            return invert(mat)
+            return kernel(mat)
 
         assert not hasattr(formulas, "invert")  # the audit inverts nothing itself
-        for module in (linalg, oneinv):
-            monkeypatch.setattr(module, "invert", counting)
+        monkeypatch.setattr(linalg, "_cholesky_invert", counting)
         for label, spec in builtin_fixtures():
             calls.clear()
             report = verify_construction(spec)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IN_PLACE
 from pocket_kirch import (
     DisconnectedGraphError,
     PocketSpec,
@@ -196,51 +195,24 @@ class TestPseudoInverseLaplacian:
         lap = laplacian(g)
         assert np.array_equal(pseudo_inverse_laplacian(lap), pseudo_inverse_laplacian(laplacian(g)))
 
-    @IN_PLACE
     def test_invert_receives_the_temporary_laplacian(self, monkeypatch):
-        # the caller's temporary L is shifted to L + J/n in place and handed
-        # on to invert: it is the working array, so no second one exists
+        # the in-place kernel shifts L to L + J/n and hands that very array
+        # on to the Cholesky kernel: it is the working array, so no second
+        # one exists
         g = random_connected_graph(np.random.default_rng(0), 30)
-        refs, shared = [], []
-        invert = linalg.invert
-
-        def temporary_laplacian():
-            lap = laplacian(g)
-            refs.append(weakref.ref(lap))
-            return lap
+        lap = laplacian(g)
+        shared = []
+        kernel = linalg._cholesky_invert
 
         def watching(mat):
-            lap = refs[0]()
-            shared.append(lap is not None and np.shares_memory(mat, lap))
-            return invert(mat)
+            shared.append(mat is lap)
+            return kernel(mat)
 
-        monkeypatch.setattr(linalg, "invert", watching)
-        x = pseudo_inverse_laplacian(temporary_laplacian())
+        monkeypatch.setattr(linalg, "_cholesky_invert", watching)
+        x = linalg._pseudo_inverse_in_place(lap)
         assert shared == [True]
-        assert np.array_equal(x, pseudo_inverse_laplacian(laplacian(g).copy()))
-
-    def test_wrapper_holding_invert_argument_leaves_it_unchanged(self, monkeypatch):
-        # a wrapper around invert that keeps its argument, as a tracer does,
-        # gets the copy path: the array it holds is never written
-        g = random_connected_graph(np.random.default_rng(1), 70)
-        held = []
-        invert = linalg.invert
-
-        def holding(mat):
-            held.append((mat, mat.copy()))
-            return invert(mat)
-
-        expected = pseudo_inverse_laplacian(laplacian(g))
-        monkeypatch.setattr(linalg, "invert", holding)
-        x = pseudo_inverse_laplacian(laplacian(g))
-        (mat, before), = held
-        assert np.array_equal(mat, before)
-        assert not np.shares_memory(x, mat)
-        assert np.array_equal(x, expected)
-
-
-class _Subclass(np.ndarray):
-    pass
+        assert x is lap
+        assert np.array_equal(x, pseudo_inverse_laplacian(laplacian(g)))
 
 
 def _read_only(a):
@@ -269,11 +241,17 @@ ROUTES = {
     "invert": (invert, lambda: _lap_70() + np.eye(70)),
     "pseudo_inverse_laplacian": (pseudo_inverse_laplacian, _lap_70),
 }
+# the in-place kernel behind each public function
+KERNELS = {
+    "invert": linalg._cholesky_invert,
+    "pseudo_inverse_laplacian": linalg._pseudo_inverse_in_place,
+}
 
 
 class TestCallerInputNeverWritten:
-    """Only a C-ordered writeable float64 temporary that owns its data is
-    worked on in place; any other input is copied, with the same result."""
+    """The public functions copy every input, a C-ordered float64
+    temporary too, and work on the copy; only the private kernels work in
+    place."""
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("form", ["c-order", *INPUT_FORMS])
@@ -289,11 +267,24 @@ class TestCallerInputNeverWritten:
             assert not np.shares_memory(x, mat)
 
     @pytest.mark.parametrize("route", ROUTES)
-    @pytest.mark.parametrize("form", INPUT_FORMS)
+    @pytest.mark.parametrize("form", ["c-order", *INPUT_FORMS])
     def test_temporary_input_gives_the_copy_path_result(self, route, form):
+        # a temporary that is still alive after the call shares no memory
+        # with the result
         fn, make = ROUTES[route]
-        mat = make()
-        assert np.array_equal(fn(INPUT_FORMS[form](make())), fn(mat))
+        refs = []
+
+        def temporary():
+            mat = INPUT_FORMS.get(form, np.copy)(make())
+            if isinstance(mat, np.ndarray):
+                refs.append(weakref.ref(mat))
+            return mat
+
+        x = fn(temporary())
+        assert np.array_equal(x, fn(make()))
+        for ref in refs:
+            mat = ref()
+            assert mat is None or not np.shares_memory(x, mat)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_view_of_held_base_left_unchanged(self, route):
@@ -304,31 +295,14 @@ class TestCallerInputNeverWritten:
         assert np.array_equal(base, before)
         assert np.array_equal(x, fn(make()))
 
-    @IN_PLACE
     @pytest.mark.parametrize("route", ROUTES)
-    def test_temporary_worked_on_in_place(self, route, monkeypatch):
-        # the result is the very array passed in
+    def test_temporary_worked_on_in_place(self, route):
+        # the kernel returns the very array it was given
         fn, make = ROUTES[route]
-        refs = []
-
-        def temporary():
-            mat = make()
-            refs.append(weakref.ref(mat))
-            return mat
-
-        x = fn(temporary())
-        assert refs[0]() is x
-        assert np.array_equal(x, fn(make().copy()))
-
-    def test_private_needs_every_property(self):
-        refs = linalg._TEMPORARY_REFS
-        a = np.eye(3)
-        assert linalg._private(a, refs) == (refs < linalg._HELD_REFS)
-        assert not linalg._private(a, linalg._HELD_REFS)
-        for form in INPUT_FORMS.values():
-            assert not linalg._private(form(np.eye(3)), refs)
-        assert not linalg._private(np.eye(3, dtype=np.float32), refs)
-        assert not linalg._private(_Subclass((3, 3)), refs)
+        mat = make()
+        x = KERNELS[route](mat)
+        assert x is mat
+        assert np.array_equal(x, fn(make()))
 
 
 class TestPeakMemory:

@@ -515,18 +515,17 @@ class TestGadgetInverse:
 
     @pytest.mark.parametrize("spec", JOIN_GADGET_SPECS + NON_JOIN_GADGET_SPECS)
     def test_two_inverts_per_spec(self, spec, monkeypatch):
-        from pocket_kirch import linalg, oneinv
+        from pocket_kirch import linalg
 
         orders = []
-        invert = linalg.invert
+        kernel = linalg._cholesky_invert
 
         def counting(mat):
-            orders.append(np.shape(mat)[0])
-            return invert(mat)
+            orders.append(mat.shape[0])
+            return kernel(mat)
 
-        # linalg's binding is the one pseudo_inverse_laplacian calls
-        for module in (linalg, oneinv):
-            monkeypatch.setattr(module, "invert", counting)
+        # every inverse, public or in place, is taken by this kernel
+        monkeypatch.setattr(linalg, "_cholesky_invert", counting)
         structured_one_inverse(spec)
         assert orders == [spec.n, spec.m]  # L + J/n of F, then L_v(H)
 
