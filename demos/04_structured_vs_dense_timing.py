@@ -4,11 +4,12 @@ With n base vertices each carrying an m-vertex gadget, the pocket graph
 has n + m*n vertices, but the structured path only ever inverts two
 matrices, of size n and m. The oracle builds the full Laplacian from the edge
 array in a few milliseconds, so its time is the Cholesky inverse of the
-N x N matrix L + J/N. Both routes are timed as ``pocket-kirch bench``
-times them (``time_route``): the median of three calls after one untimed
-call, with each result dropped before the next call, so the structured
-route writes into the output buffer it keeps. At total order 1000 the
-structured path is about 8-18 times faster.
+N x N matrix L + J/N, which ``oracle_one_inverse`` shifts and inverts in
+place, as ``resist --oracle`` and the audit do. Both routes are timed as
+``pocket-kirch bench`` times them (``time_route``): the median of three
+calls after one untimed call, with each result dropped before the next
+call, so the structured route writes into the output buffer it keeps. At
+total order 1000 the structured path is about 8-18 times faster.
 """
 
 import numpy as np
@@ -17,8 +18,7 @@ from pocket_kirch import (
     PocketSpec,
     build_pocket_graph,
     kirchhoff_from_one_inverse,
-    laplacian,
-    pseudo_inverse_laplacian,
+    oracle_one_inverse,
     structured_one_inverse,
 )
 from pocket_kirch.cli import time_route
@@ -41,8 +41,7 @@ def structured_kf():
 
 def oracle_kf():
     g, _ = build_pocket_graph(spec)
-    x = pseudo_inverse_laplacian(laplacian(g))
-    return kirchhoff_from_one_inverse(x, method="oracle")
+    return kirchhoff_from_one_inverse(oracle_one_inverse(g), method="oracle")
 
 
 t_structured, kf_structured = time_route(structured_kf)

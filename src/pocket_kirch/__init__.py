@@ -40,6 +40,7 @@ from .resistance import (
     check_metric,
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,
+    oracle_one_inverse,
     oracle_resistance,
     resistance_from_one_inverse,
     resistance_matrix,
@@ -87,6 +88,7 @@ __all__ = [
     "laplacian",
     "load_graph",
     "make_layout",
+    "oracle_one_inverse",
     "oracle_resistance",
     "path_graph",
     "pseudo_inverse_laplacian",

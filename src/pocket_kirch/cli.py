@@ -14,15 +14,13 @@ from .graphs import (
     build_pocket_graph,
     empty_graph,
     graph_to_json,
-    laplacian,
     layout_to_json,
     load_graph,
     split_gadget,
     to_edge_list,
 )
-from .linalg import _pseudo_inverse_in_place
 from .oneinv import structured_one_inverse
-from .resistance import kirchhoff_from_one_inverse, pair_blocks, pair_resistances
+from .resistance import kirchhoff_from_one_inverse, oracle_one_inverse, pair_blocks, pair_resistances
 from .formulas import verify_construction
 from .sweep import DEFAULT_SEED, builtin_fixtures, random_connected_graph, random_graph, random_specs
 
@@ -50,10 +48,13 @@ def _spec_from_args(args) -> PocketSpec:
         h1 = load_graph(args.h1)
         h2 = load_graph(args.h2) if args.h2 else empty_graph(0)
         cross = None
-    if args.attach:
-        attach = tuple(int(t) for t in args.attach.split(","))
-    else:
+    if args.attach is None:
         attach = tuple(range(f.order))
+    else:
+        try:
+            attach = tuple(int(t) for t in args.attach.split(","))
+        except ValueError:
+            raise ValueError(f"--attach takes a comma list of vertex ids, got {args.attach!r}") from None
     return PocketSpec(f, attach, h1, h2, cross)
 
 
@@ -85,13 +86,17 @@ def cmd_resist(args) -> int:
         ) from None
 
 
+def _one_inverse(spec: PocketSpec, oracle: bool):
+    """(X, method): the pseudoinverse of L(G) for ``oracle``, else the
+    structured {1}-inverse; the one place each route is spelled."""
+    if oracle:
+        return oracle_one_inverse(build_pocket_graph(spec)[0]), "oracle"
+    return structured_one_inverse(spec).matrix, "structured"
+
+
 def _resist(spec: PocketSpec, args) -> int:
-    """Write every r_uv and Kf, all read from one {1}-inverse X: the
-    pseudoinverse of L(G) for ``--oracle``, else the structured one."""
-    if args.oracle:
-        x, method = _pseudo_inverse_in_place(laplacian(build_pocket_graph(spec)[0])), "oracle"
-    else:
-        x, method = structured_one_inverse(spec).matrix, "structured"
+    """Write every r_uv and Kf, all read from one {1}-inverse X."""
+    x, method = _one_inverse(spec, args.oracle)
     kf = kirchhoff_from_one_inverse(x, method)
     out = _open_out(args.out)
     _WRITERS[args.format](out, x, kf)
@@ -290,6 +295,13 @@ _WRITERS = {"csv": _write_csv, "json": _write_json, "table": _write_table}
 
 
 def cmd_verify(args) -> int:
+    for option, tol in (("--tol-r", args.tol_r), ("--tol-kf", args.tol_kf)):
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{option} must be a finite number >= 0, got {tol}")
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+    if args.sweep < 0:
+        raise ValueError(f"--sweep must be at least 0, got {args.sweep}")
     instances = [(label, spec) for label, spec in builtin_fixtures()]
     sweep = random_specs(
         args.sweep,
@@ -356,15 +368,8 @@ def cmd_bench(args) -> int:
         h2 = random_graph(rng, m - l)
         spec = PocketSpec(f, tuple(range(n)), h1, h2)
         order = n + m * n
-        t_struct, kf_s = time_route(
-            lambda: kirchhoff_from_one_inverse(structured_one_inverse(spec).matrix)
-        )
-        t_oracle, kf_o = time_route(
-            lambda: kirchhoff_from_one_inverse(
-                _pseudo_inverse_in_place(laplacian(build_pocket_graph(spec)[0])),
-                method="oracle",
-            )
-        )
+        t_struct, kf_s = time_route(lambda: kirchhoff_from_one_inverse(*_one_inverse(spec, False)))
+        t_oracle, kf_o = time_route(lambda: kirchhoff_from_one_inverse(*_one_inverse(spec, True)))
         tol = 1e-8 if order < 50 else 1e-6
         agree = abs(kf_s.value - kf_o.value) <= tol
         speedup = t_oracle / t_struct if t_struct > 0 else float("inf")

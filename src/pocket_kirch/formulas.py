@@ -30,7 +30,7 @@ from .graphs import (
     build_pocket_graph,
     laplacian,
 )
-from .linalg import eigenvalues_sym, pseudo_inverse_laplacian
+from .linalg import eigenvalues_sym
 from .oneinv import (
     StructuredOneInverse,
     split_base_join,
@@ -39,6 +39,7 @@ from .oneinv import (
 from .resistance import (
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,
+    oracle_one_inverse,
     pair_blocks,
     pair_resistances,
 )
@@ -504,12 +505,14 @@ def verify_construction(
     block of pairs u < v at a time, both r columns are read from the two
     {1}-inverses and each printed case is evaluated over index arrays, and
     the records are built in one pass over the resulting columns: pairs in
-    row-major order, then Kf, Kf[spectral] and the printed Kf. L(G) is
-    built once, for the oracle, the residual and the spectrum.
+    row-major order, then Kf, Kf[spectral] and the printed Kf. The oracle
+    X is ``oracle_one_inverse(g)``, the route ``oracle_resistance`` and
+    ``resist --oracle`` take; L(G) is then built again for the residual
+    and the spectrum.
     """
     g, layout = build_pocket_graph(spec)
+    x_oracle = oracle_one_inverse(g)
     lap = laplacian(g)
-    x_oracle = pseudo_inverse_laplacian(lap)
     kf_oracle = kirchhoff_from_one_inverse(x_oracle, method="oracle")
     structured = structured_one_inverse(spec)
     residual = float(np.abs(lap @ structured.matrix @ lap - lap).max())

@@ -15,11 +15,11 @@ Memory contract: the public functions never write their input and never
 return it; ``invert`` and ``pseudo_inverse_laplacian`` each work on one
 C-ordered float64 copy, which becomes the result. The in-place kernels
 ``_cholesky_invert`` and ``_pseudo_inverse_in_place`` overwrite the array
-they are given and return it. Only callers that build L(G) themselves and
-keep no other reference to it hand it to ``_pseudo_inverse_in_place``
-(``oracle_resistance``, ``resist --oracle``, ``bench``), so the oracle
-route holds one N x N array from L to the result. Every other caller goes
-through the public functions: a caller that keeps L (the audit) holds two.
+they are given and return it. ``_pseudo_inverse_in_place`` has one caller
+outside this module, ``resistance.oracle_one_inverse``, which builds L(G)
+itself and keeps no other reference to it, so the oracle holds one N x N
+array from L to the result. Every other caller goes through the public
+functions.
 """
 
 from __future__ import annotations
@@ -133,17 +133,17 @@ def invert(mat: np.ndarray) -> np.ndarray:
 def shifted_group_inverse(lap: np.ndarray, a: float) -> np.ndarray:
     """Group inverse of L + aI - (a/n)J for a Laplacian L and a > 0.
 
-    Computed as (L + aI)^-1 - J/(an).
+    Computed as (L + aI)^-1 - J/(an), with one N x N array: a C-ordered
+    float64 copy of L, shifted and inverted in place.
     """
-    lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
     if a <= 0:
         raise ValueError("shift must be positive")
+    shifted = np.array(lap, dtype=float, order="C")
+    n = shifted.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    shifted = lap.copy()
     shifted[np.diag_indices(n)] += a
-    x = invert(shifted)
+    x = _cholesky_invert(shifted)
     x -= 1.0 / (a * n)
     return x
 

@@ -147,19 +147,29 @@ def _resistances_over(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def oracle_resistance(g: Graph) -> tuple[np.ndarray, KirchhoffResult]:
-    """Ground-truth path: r and Kf from the pseudoinverse X of the
-    assembled Laplacian, both bit-identical to ``resistance_matrix(x)`` and
-    ``kirchhoff_from_one_inverse(x)``.
+def oracle_one_inverse(g: Graph) -> np.ndarray:
+    """The ground truth X = L(G)#, the pseudoinverse of a connected graph's
+    Laplacian; DisconnectedGraphError otherwise.
 
-    One N x N array serves from L(G) to r. This call builds L(G) and
-    holds the only reference to it, so it hands it to linalg's in-place
-    kernel, which shifts and inverts it into X; X is exactly symmetric, so
-    Kf is read from it first and r is then written over it.
+    Every oracle route takes X from here. This call builds L(G) and holds
+    the only reference to it, so linalg's in-place kernel shifts and
+    inverts it into X: one N x N array from L(G) to X, which is exactly
+    symmetric and equal to ``pseudo_inverse_laplacian(laplacian(g))``.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
-    x = _pseudo_inverse_in_place(laplacian(g))
+    return _pseudo_inverse_in_place(laplacian(g))
+
+
+def oracle_resistance(g: Graph) -> tuple[np.ndarray, KirchhoffResult]:
+    """Ground-truth path: r and Kf from X = ``oracle_one_inverse(g)``,
+    both bit-identical to ``resistance_matrix(x)`` and
+    ``kirchhoff_from_one_inverse(x)``.
+
+    One N x N array serves from L(G) to r: Kf is read from X first and r
+    is then written over it.
+    """
+    x = oracle_one_inverse(g)
     kf = kirchhoff_from_one_inverse(x, method="oracle")
     return _resistances_over(x), kf
 

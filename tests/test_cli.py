@@ -20,7 +20,8 @@ from pocket_kirch.resistance import (
     oracle_resistance,
     resistance_matrix,
 )
-from pocket_kirch.sweep import random_connected_graph, random_graph
+from pocket_kirch.formulas import verify_construction
+from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph
 
 
 @pytest.fixture
@@ -228,6 +229,16 @@ class TestBuild:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("attach", ["", ",", "0,,1", "0,", ",1", "0,x"])
+    @pytest.mark.parametrize("command", ["build", "resist"])
+    def test_malformed_attach_rejected(self, capsys, k2_file, k1_file, attach, command):
+        # an empty list must not fall back to every vertex, and the error
+        # names the option rather than int()'s parse
+        code, out, err = _run(capsys, [command, "--f", k2_file, "--h1", k1_file, f"--attach={attach}"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --attach") and repr(attach) in err
+        assert err.count("\n") == 1
 
     def test_gadget_file_route(self, tmp_path, capsys, k2_file):
         # H_v given whole: P2 with v = 0 splits into H1 = K1, empty H2
@@ -709,6 +720,78 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert json.loads(open(target).read())["ok"] is True
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--tol-r", "nan"], "--tol-r"),
+        (["--tol-kf", "nan"], "--tol-kf"),
+        (["--tol-r", "inf"], "--tol-r"),
+        (["--tol-r=-1e-9"], "--tol-r"),
+        (["--tol-kf=-inf"], "--tol-kf"),
+        (["--max-n", "0"], "--max-n"),
+        (["--max-n=-2"], "--max-n"),
+        (["--sweep=-3"], "--sweep"),
+    ])
+    def test_bad_arguments_rejected(self, capsys, argv, option):
+        # a nan tolerance would fail every correct construction, --max-n 0
+        # end in numpy's "low >= high" and a negative sweep run nothing
+        code, out, err = _run(capsys, ["verify", "--sweep", "0"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--tol-r", "0", "--sweep", "0"], ["--max-n", "1", "--sweep", "3"]])
+    def test_edge_arguments_accepted(self, capsys, argv):
+        code, out, _ = _run(capsys, ["verify"] + argv)
+        assert code in (0, 1)
+        assert json.loads(out)["instances"]
+
+
+class TestOracleOneInverse:
+    """Every oracle route takes X from ``resistance.oracle_one_inverse``,
+    once per X, and no module but it and linalg binds linalg's in-place
+    kernel. The calls are counted through every module binding."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return _count_calls(monkeypatch, resistance.oracle_one_inverse)
+
+    def test_oracle_resistance(self, calls):
+        oracle_resistance(complete_graph(3))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_resist_oracle(self, tmp_path, calls, fmt):
+        argv = ["resist"] + _order_300_argv(tmp_path)[0][1:]
+        assert main(argv + ["--oracle", "--format", fmt, "--out", str(tmp_path / "r")]) == 0
+        assert [args[0].order for args in calls] == [300]
+
+    def test_resist_structured_takes_none(self, tmp_path, calls):
+        argv = ["resist"] + _order_300_argv(tmp_path)[0][1:]
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+        assert calls == []
+
+    def test_bench(self, capsys, calls):
+        # time_route calls the oracle route four times: one untimed, three timed
+        code, _, _ = _run(capsys, ["bench", "--max-n", "10", "--max-m", "6"])
+        assert code == 0
+        assert [args[0].order for args in calls] == [70] * 4
+
+    def test_verify_construction(self, calls):
+        fixtures = builtin_fixtures()
+        for _, spec in fixtures:
+            verify_construction(spec)
+        assert [args[0].order for args in calls] == [s.n + s.m * s.k for _, s in fixtures]
+
+    def test_no_other_module_binds_the_kernel(self):
+        from pocket_kirch import formulas
+
+        assert not hasattr(cli, "_pseudo_inverse_in_place")
+        assert not hasattr(cli, "laplacian")
+        assert not hasattr(formulas, "pseudo_inverse_laplacian")
+        kernel = sys.modules["pocket_kirch.linalg"]._pseudo_inverse_in_place
+        bound = {name for name, module in sys.modules.items()
+                 if name.split(".")[0] == "pocket_kirch"
+                 and any(value is kernel for value in vars(module).values())}
+        assert bound == {"pocket_kirch.linalg", "pocket_kirch.resistance"}
 
 
 class TestBench:

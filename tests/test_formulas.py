@@ -661,8 +661,8 @@ class TestAuditMatchesPerPairReference:
 
         spec = _seeded_spec(20, (12, 5, 13))
         assert verify_construction(spec).ok
-        pinv, resistance, kf_route = (
-            formulas.pseudo_inverse_laplacian,
+        one_inverse, resistance, kf_route = (
+            formulas.oracle_one_inverse,
             formulas.pair_resistances,
             formulas.kirchhoff_from_one_inverse,
         )
@@ -677,8 +677,8 @@ class TestAuditMatchesPerPairReference:
             # is put off, not the oracle's Kf
             oracle_x = []
 
-            def recorded(lap):
-                oracle_x.append(pinv(lap))
+            def recorded(g):
+                oracle_x.append(one_inverse(g))
                 return oracle_x[-1]
 
             def one_pair_off(x, u, v):
@@ -687,7 +687,7 @@ class TestAuditMatchesPerPairReference:
                     r[(u == 0) & (v == 1)] += 1e-6
                 return r
 
-            monkeypatch.setattr(formulas, "pseudo_inverse_laplacian", recorded)
+            monkeypatch.setattr(formulas, "oracle_one_inverse", recorded)
             monkeypatch.setattr(formulas, "pair_resistances", one_pair_off)
         report = verify_construction(spec)
         assert not report.ok

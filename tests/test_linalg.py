@@ -304,12 +304,27 @@ class TestCallerInputNeverWritten:
         assert x is mat
         assert np.array_equal(x, fn(make()))
 
+    @pytest.mark.parametrize("form", ["c-order", *INPUT_FORMS])
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_shifted_group_inverse_bit_identical_to_invert(self, form, a):
+        # the reference inverts L + aI by the public ``invert``, which
+        # copies it again; the one-copy route gives the same bits and
+        # does not write L
+        lap = _lap_70()
+        shifted = lap.copy()
+        shifted[np.diag_indices(70)] += a
+        expected = invert(shifted)
+        expected -= 1.0 / (a * 70)
+        mat = INPUT_FORMS.get(form, np.copy)(lap)
+        x = shifted_group_inverse(mat, a)
+        assert np.array_equal(x, expected)
+        assert np.array_equal(np.asarray(mat), lap)
+
 
 class TestPeakMemory:
-    """The J/n and aI shifts are scalars. ``pseudo_inverse_laplacian`` makes
-    one shifted copy of a held L, which becomes the result;
-    ``shifted_group_inverse`` holds its shifted copy through invert's
-    working copy."""
+    """The J/n and aI shifts are scalars. ``pseudo_inverse_laplacian`` and
+    ``shifted_group_inverse`` each make one shifted copy of a held L, which
+    becomes the result."""
 
     @pytest.fixture(scope="class")
     def lap(self):
@@ -331,6 +346,10 @@ class TestPeakMemory:
     def test_shifted_group_inverse(self, lap, traced_peak):
         n = lap.shape[0]
         assert traced_peak(shifted_group_inverse, lap, 2.0)[1] <= 3.25 * 8 * n * n
+
+    def test_shifted_group_inverse_makes_one_copy(self, lap, traced_peak):
+        n = lap.shape[0]
+        assert traced_peak(shifted_group_inverse, lap, 2.0)[1] <= 1.25 * 8 * n * n
 
 
 class TestEigenvaluesSym:

@@ -20,7 +20,9 @@ from pocket_kirch import (
     empty_graph,
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,
+    join,
     laplacian,
+    oracle_one_inverse,
     oracle_resistance,
     path_graph,
     pseudo_inverse_laplacian,
@@ -30,7 +32,7 @@ from pocket_kirch import (
 )
 from pocket_kirch import resistance
 from pocket_kirch.resistance import pair_blocks, pair_resistances
-from pocket_kirch.sweep import random_connected_graph, random_spec
+from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_spec
 
 
 def re_shape(x):
@@ -349,6 +351,48 @@ class TestOracle:
         x = pseudo_inverse_laplacian(laplacian(g))
         kf = kirchhoff_from_one_inverse(x).value
         assert abs(g.order * np.trace(x) - kf) <= 1e-8
+
+
+def _oracle_dense_specs():
+    """Specs of the benchmark's dense-oracle shapes, N = 1000, 1000, 1200:
+    every vertex of F pocketed for (n, l, m) = (40, 4, 24) and (48, 4, 24),
+    and F = F1 v F2 with pockets on F1 for (k, n - k, l, m) = (30, 10, 4, 32)."""
+    rng = np.random.default_rng(951)
+    specs = []
+    for n, l, m in [(40, 4, 24), (48, 4, 24)]:
+        f = random_connected_graph(rng, n)
+        specs.append(PocketSpec(f, tuple(range(n)), random_graph(rng, l), random_graph(rng, m - l)))
+    f = join(random_graph(rng, 30), random_graph(rng, 10))
+    specs.insert(1, PocketSpec(f, tuple(range(30)), random_graph(rng, 4), random_graph(rng, 28)))
+    assert [s.n + s.m * s.k for s in specs] == [1000, 1000, 1200]
+    return specs
+
+
+ORACLE_SPECS = [s for _, s in builtin_fixtures()] + _oracle_dense_specs()
+ORACLE_IDS = [label for label, _ in builtin_fixtures()] + ["dense-1000", "dense-split-1000", "dense-1200"]
+
+
+class TestOracleOneInverse:
+    """``oracle_one_inverse(g)`` is the one builder of the oracle's X."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+    def test_equals_the_copying_route(self, spec):
+        g, _ = build_pocket_graph(spec)
+        x = pseudo_inverse_laplacian(laplacian(g))
+        assert np.array_equal(oracle_one_inverse(g), x)
+        r, kf = oracle_resistance(g)
+        assert np.array_equal(r, resistance_matrix(x))
+        assert kf == kirchhoff_from_one_inverse(x, method="oracle")
+
+    @pytest.mark.parametrize("g", [empty_graph(2), Graph(4, frozenset([(0, 1), (2, 3)]))],
+                             ids=["edgeless", "two-components"])
+    def test_disconnected_rejected(self, g):
+        with pytest.raises(DisconnectedGraphError, match="connected graph"):
+            oracle_one_inverse(g)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_trivial_orders(self, order):
+        assert np.array_equal(oracle_one_inverse(empty_graph(order)), np.zeros((order, order)))
 
 
 class TestMetricProperties:
