@@ -37,12 +37,12 @@ from .oneinv import (
 )
 from .resistance import (
     KirchhoffResult,
+    PocketResistance,
     check_metric,
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,
     oracle_one_inverse,
     oracle_resistance,
-    resistance_from_one_inverse,
     resistance_matrix,
 )
 from .formulas import (
@@ -69,6 +69,7 @@ __all__ = [
     "GraphFormatError",
     "JoinStructureError",
     "KirchhoffResult",
+    "PocketResistance",
     "PocketSpec",
     "SingularMatrixError",
     "StructuredOneInverse",
@@ -93,7 +94,6 @@ __all__ = [
     "path_graph",
     "pseudo_inverse_laplacian",
     "random_specs",
-    "resistance_from_one_inverse",
     "resistance_matrix",
     "split_base_join",
     "split_gadget",

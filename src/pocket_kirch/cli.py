@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +22,13 @@ from .graphs import (
     to_edge_list,
 )
 from .oneinv import structured_one_inverse
-from .resistance import kirchhoff_from_one_inverse, oracle_one_inverse, pair_blocks, pair_resistances
+from .resistance import (
+    PocketResistance,
+    kirchhoff_from_one_inverse,
+    oracle_one_inverse,
+    pair_blocks,
+    pair_resistances,
+)
 from .formulas import verify_construction
 from .sweep import DEFAULT_SEED, builtin_fixtures, random_connected_graph, random_graph, random_specs
 
@@ -80,10 +88,11 @@ def cmd_resist(args) -> int:
     try:
         return _resist(spec, args)
     except MemoryError:
-        raise MemoryError(
-            f"out of memory: the dense result has order N = {order} "
-            f"({order} x {order} entries)"
-        ) from None
+        if args.oracle:
+            need = f"the dense result has order N = {order} ({order} x {order} entries)"
+        else:
+            need = f"the pocket graph has order N = {order} (factors {spec.n} x {spec.n} and {spec.m} x {spec.m})"
+        raise MemoryError(f"out of memory: {need}") from None
 
 
 def _one_inverse(spec: PocketSpec, oracle: bool):
@@ -95,11 +104,16 @@ def _one_inverse(spec: PocketSpec, oracle: bool):
 
 
 def _resist(spec: PocketSpec, args) -> int:
-    """Write every r_uv and Kf, all read from one {1}-inverse X."""
-    x, method = _one_inverse(spec, args.oracle)
-    kf = kirchhoff_from_one_inverse(x, method)
+    """Write every r_uv and Kf: with ``--oracle`` read from the dense X,
+    otherwise from the two small factors of a ``PocketResistance``."""
+    if args.oracle:
+        source, method = _one_inverse(spec, True)
+        kf = kirchhoff_from_one_inverse(source, method)
+    else:
+        source = PocketResistance(spec)
+        kf = source.kirchhoff()
     out = _open_out(args.out)
-    _WRITERS[args.format](out, x, kf)
+    _WRITERS[args.format](out, source, kf)
     _close_out(out)
     return 0
 
@@ -228,12 +242,21 @@ def _label_words(n: int, fmt: str, right: bool) -> list:
     return [words[:, k].copy() for k in range(words.shape[1])]
 
 
-def _write_pairs(out, x: np.ndarray, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
-    """Write ``first % u + second % v + text(r_uv)`` for every pair u < v in
-    row-major order, without the first ``skip`` characters; r_uv is read
-    from the {1}-inverse ``x`` a block of pairs at a time, and text is that
-    of _g12_words. A caller puts each line's terminator at the start of
-    ``first``, so that it ends the previous line.
+def _pair_values(source) -> tuple:
+    """(N, values): ``values(u, v)`` is r at index arrays of pairs, read
+    from a ``PocketResistance``, or by ``pair_resistances`` from a dense
+    {1}-inverse X."""
+    if isinstance(source, np.ndarray):
+        return source.shape[0], partial(pair_resistances, source)
+    return source.order, source.pair_resistances
+
+
+def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
+    """Write ``first % u + second % v + text(r_uv)`` for every pair u < v of
+    order n in row-major order, without the first ``skip`` characters;
+    r_uv comes from ``values(u, v)`` a block of pairs at a time, and text
+    is that of _g12_words. A caller puts each line's terminator at the
+    start of ``first``, so that it ends the previous line.
 
     A block of pairs is one buffer of fixed-width slots of 64-bit words:
     the two labels, for ``spaces`` the 18 - len blanks of '%18.12g', and
@@ -241,7 +264,6 @@ def _write_pairs(out, x: np.ndarray, first: str, second: str, as_json=False, spa
     leaves the block's text. ``first`` and the blanks are right-aligned so
     that each joins the next slot: the fewer runs, the faster the copy.
     """
-    n = x.shape[0]
     if n < 2:
         return
     labels = [(col, 0) for col in _label_words(n, first, True)]
@@ -254,7 +276,7 @@ def _write_pairs(out, x: np.ndarray, first: str, second: str, as_json=False, spa
         words = buf[:len(uv[0])]
         for k, (col, which) in enumerate(labels):
             words[:, k] = col[uv[which]]
-        length = _g12_words(pair_resistances(x, *uv), words[:, -3:], as_json)
+        length = _g12_words(values(*uv), words[:, -3:], as_json)
         if spaces:
             blanks = np.minimum(length, 18)
             for k in range(3):
@@ -264,31 +286,34 @@ def _write_pairs(out, x: np.ndarray, first: str, second: str, as_json=False, spa
         skip = 0
 
 
-def _write_csv(out, x: np.ndarray, kf) -> None:
-    """Write "u,v,r_uv" for every pair u < v, r read from the {1}-inverse
-    ``x``, then the Kf comment line, in the text of _fmt (see _g12_words)."""
+def _write_csv(out, source, kf) -> None:
+    """Write "u,v,r_uv" for every pair u < v, r read from ``source`` (see
+    _pair_values), then the Kf comment line, in the text of _fmt (see
+    _g12_words)."""
     out.write("u,v,r")
-    _write_pairs(out, x, "\n%d,", "%d,")
+    _write_pairs(out, *_pair_values(source), "\n%d,", "%d,")
     out.write(f"\n# Kf = {_fmt(kf.value)} ({kf.method})\n")
 
 
-def _write_table(out, x: np.ndarray, kf) -> None:
+def _write_table(out, source, kf) -> None:
     """Write u, v and _fmt(r_uv) right-aligned in 4, 4 and 18 columns for
-    every pair u < v, r read from the {1}-inverse ``x``, then the Kf line."""
+    every pair u < v, r read from ``source`` (see _pair_values), then the
+    Kf line."""
     out.write(f"{'u':>4}{'v':>4}{'r':>18}")
-    _write_pairs(out, x, "\n%4d", "%4d", spaces=True)
+    _write_pairs(out, *_pair_values(source), "\n%4d", "%4d", spaces=True)
     out.write(f"\nKf = {_fmt(kf.value)} ({kf.method})\n")
 
 
-def _write_json(out, x: np.ndarray, kf) -> None:
+def _write_json(out, source, kf) -> None:
     """Write json.dumps({"kf", "method", "resistances": [[u, v, r_uv] for
-    u < v]}, sort_keys=True) + newline, r read from the {1}-inverse ``x``,
-    where json.dumps prints r_uv as repr(float(_fmt(r_uv))) (see
-    _g12_words), one block of pairs at a time."""
+    u < v]}, sort_keys=True) + newline, r read from ``source`` (see
+    _pair_values), where json.dumps prints r_uv as repr(float(_fmt(r_uv)))
+    (see _g12_words), one block of pairs at a time."""
+    n, values = _pair_values(source)
     head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
     out.write(head[:-1] + ', "resistances": [')
-    _write_pairs(out, x, "], [%d", ", %d, ", as_json=True, skip=3)
-    out.write("]]}\n" if x.shape[0] > 1 else "]}\n")
+    _write_pairs(out, n, values, "], [%d", ", %d, ", as_json=True, skip=3)
+    out.write("]]}\n" if n > 1 else "]}\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json, "table": _write_table}
@@ -298,10 +323,7 @@ def cmd_verify(args) -> int:
     for option, tol in (("--tol-r", args.tol_r), ("--tol-kf", args.tol_kf)):
         if not (np.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"{option} must be a finite number >= 0, got {tol}")
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-    if args.sweep < 0:
-        raise ValueError(f"--sweep must be at least 0, got {args.sweep}")
+    _check_at_least(args, ("seed", 0), ("max_n", 1), ("max_m", 1), ("sweep", 0))
     instances = [(label, spec) for label, spec in builtin_fixtures()]
     sweep = random_specs(
         args.sweep,
@@ -357,6 +379,8 @@ def time_route(route):
 
 
 def cmd_bench(args) -> int:
+    n0, m0, _ = BENCH_SIZES[0]  # below the smallest size, nothing is timed
+    _check_at_least(args, ("seed", 0), ("max_n", n0), ("max_m", m0))
     rng = np.random.default_rng(args.seed)
     out = _open_out(args.out)
     out.write("n,m,l,total_order,t_structured,t_oracle,speedup,agree\n")
@@ -379,6 +403,14 @@ def cmd_bench(args) -> int:
         )
     _close_out(out)
     return 0
+
+
+def _check_at_least(args, *bounds) -> None:
+    """ValueError naming the first option (dest, least) below its least."""
+    for dest, least in bounds:
+        value = getattr(args, dest)
+        if value < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def _open_out(path):
@@ -443,7 +475,18 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout is seen here
+        return code
+    except BrokenPipeError:
+        # The reader went away (``resist ... | head``): stop quietly. As
+        # the Python docs advise, point stdout at devnull, so that the
+        # flush at interpreter exit does not fail again.
+        if args.out is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

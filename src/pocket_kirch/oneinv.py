@@ -10,10 +10,13 @@ F to the pockets, and the gadget factor D^-1 = L_v(H)^-1, the inverse of
 the gadget's Laplacian with v's row and column deleted (Bapat, *Graphs and
 Matrices*). Since L_v(H) 1 is the indicator of N(v), D^-1 maps that
 indicator to 1, which is what lets every pocket couple to F through C
-alone. The full-size {1}-inverse is then written once, block by block,
-straight into global vertex order, so its peak memory is one N x N array;
-that array's memory is reused by the next call once the result is dropped
-(``release_output_buffer`` frees it).
+alone. ``pocket_factors`` is the one place the two factors are computed.
+``resistance.PocketResistance`` reads r and Kf straight from them, with no
+N x N array; ``resist`` takes that route. ``structured_one_inverse`` writes
+the full-size {1}-inverse for callers that want the matrix (the audit,
+``bench``): once, block by block, straight into global vertex order, so
+its peak memory is one N x N array, whose memory is reused by the next
+call once the result is dropped (``release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
@@ -172,17 +175,25 @@ def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndar
     return x
 
 
-def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
-    """The structured {1}-inverse of any spec, indexed by its global ids.
+def pocket_factors(spec: PocketSpec) -> tuple[BlockLayout, np.ndarray, np.ndarray]:
+    """(layout, L#(F), D^-1): the two small factors of any spec, the only
+    place either is computed.
 
-    Two inverses: the base factor L#(F) in attachment-first order, through
-    whose columns C = L#(F)[:, S] the pockets hang off the attached
-    vertices, and the gadget factor L_v(H)^-1.
+    Two inverses: the base factor L#(F) in attachment-first order
+    (``layout.f_order``), through whose columns C = L#(F)[:, S] the pockets
+    hang off the attached vertices, and the gadget factor D^-1 = L_v(H)^-1,
+    H1 rows first. Both are exactly symmetric.
     """
     layout = make_layout(spec)
     fo = np.asarray(layout.f_order)
     lf_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
-    d_inv = _invert_grounded(spec.H1, spec.H2, spec.cross)
+    return layout, lf_sharp, _invert_grounded(spec.H1, spec.H2, spec.cross)
+
+
+def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
+    """The structured {1}-inverse of any spec, indexed by its global ids,
+    written from the two factors of ``pocket_factors``."""
+    layout, lf_sharp, d_inv = pocket_factors(spec)
     return StructuredOneInverse(
         matrix=_write_one_inverse(layout, lf_sharp, d_inv),
         layout=layout,

@@ -440,6 +440,23 @@ class TestResist:
         assert code == 0
         assert peak <= 8 * order**2 + 1e6
 
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_structured_peak_memory_is_far_below_one_dense_array(self, tmp_path, fmt, traced_peak):
+        # r and Kf come from the two small factors: no N x N array at all,
+        # only O(N) index maps and the writers' blocks of pairs
+        rng = np.random.default_rng(8)
+        f, h1, h2 = _graph_files(tmp_path, [
+            ("f", random_connected_graph(rng, 40)), ("h1", random_graph(rng, 4)), ("h2", random_graph(rng, 20)),
+        ])
+        order = 40 + 24 * 40
+        target = tmp_path / f"r.{fmt}"
+        argv = ["resist", "--f", f, "--h1", h1, "--h2", h2, "--format", fmt, "--out", str(target)]
+        release_output_buffer()
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak <= 8 * order**2 / 4
+        assert target.stat().st_size > order * (order - 1) // 2 * 10
+
     @pytest.mark.parametrize("argv", [
         ["resist", "--format", "json"],
         ["resist", "--format", "csv", "--oracle"],
@@ -568,7 +585,7 @@ class TestResist:
         def no_memory(spec):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "structured_one_inverse", no_memory)
+        monkeypatch.setattr(cli, "PocketResistance", no_memory)
         code, out, err = _run(
             capsys, ["resist", "--f", k2_file, "--h1", k1_file, "--h2", k1_file]
         )
@@ -576,6 +593,20 @@ class TestResist:
         assert out == ""
         assert err.startswith("error: out of memory")
         assert "N = 6" in err  # n + m k = 2 + 2 * 2
+        assert "dense" not in err  # the structured route builds no N x N array
+        assert "Traceback" not in err
+
+    def test_oracle_out_of_memory_reports_dense_order(self, monkeypatch, capsys, k2_file, k1_file):
+        def no_memory(g):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "oracle_one_inverse", no_memory)
+        code, out, err = _run(
+            capsys, ["resist", "--oracle", "--f", k2_file, "--h1", k1_file, "--h2", k1_file]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory: the dense result has order N = 6 (6 x 6 entries)")
         assert "Traceback" not in err
 
 
@@ -730,10 +761,15 @@ class TestVerify:
         (["--max-n", "0"], "--max-n"),
         (["--max-n=-2"], "--max-n"),
         (["--sweep=-3"], "--sweep"),
+        (["--max-m=-5"], "--max-m"),
+        (["--max-m", "0"], "--max-m"),
+        (["--seed=-1"], "--seed"),
     ])
     def test_bad_arguments_rejected(self, capsys, argv, option):
         # a nan tolerance would fail every correct construction, --max-n 0
-        # end in numpy's "low >= high" and a negative sweep run nothing
+        # end in numpy's "low >= high", a negative sweep run nothing,
+        # --max-m -5 be written into the report as given and --seed -1
+        # fail with a numpy message that does not name the option
         code, out, err = _run(capsys, ["verify", "--sweep", "0"] + argv)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {option} ") and err.count("\n") == 1
@@ -805,6 +841,18 @@ class TestBench:
         assert fields[:4] == ["10", "6", "2", "70"]
         assert fields[7] == "yes"
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--max-n", "0"], "--max-n"),
+        (["--max-n", "9"], "--max-n"),
+        (["--max-m", "5"], "--max-m"),
+        (["--seed=-1"], "--seed"),
+    ])
+    def test_bad_arguments_rejected(self, capsys, argv, option):
+        # a bound below the smallest size wrote only the csv header
+        code, out, err = _run(capsys, ["bench"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {option} must be at least ") and err.count("\n") == 1
+
 
 class TestParser:
     def test_subcommand_required(self):
@@ -855,3 +903,19 @@ def test_cli_import_loads_no_scipy_sparse():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_closed_stdout_ends_resist_quietly(tmp_path):
+    # ``resist ... | head -1``: the reader goes after one line, long before
+    # the order-300 output (about 1 MB) is written
+    argv, _ = _order_300_argv(tmp_path)
+    src = os.path.dirname(os.path.dirname(pocket_kirch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "pocket_kirch.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"u,v,r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -17,6 +17,7 @@ import pytest
 from pocket_kirch import (
     Graph,
     JoinStructureError,
+    PocketResistance,
     PocketSpec,
     build_pocket_graph,
     complete_graph,
@@ -157,3 +158,15 @@ def test_float_routes_match_exact_referee(label, spec):
         assert (np.abs(r - exact)[off] / exact[off]).max() <= RTOL, label
     for kf in (kf_oracle.value, kf_struct.value):
         assert abs(kf - kf_exact) <= RTOL * kf_exact, label
+
+
+@pytest.mark.parametrize("label,spec", CASES, ids=[label for label, _ in CASES])
+def test_pocket_resistance_matches_exact_referee(label, spec):
+    g, _ = build_pocket_graph(spec)
+    r_exact, kf_exact = exact_resistances(g)
+    exact = np.array([[float(x) for x in row] for row in r_exact])
+    pr = PocketResistance(spec)
+    u, v = np.triu_indices(g.order, 1)
+    r = pr.pair_resistances(u, v)
+    assert (np.abs(r - exact[u, v]) / exact[u, v]).max() <= RTOL, label
+    assert abs(pr.kirchhoff().value - kf_exact) <= RTOL * kf_exact, label

@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from pocket_kirch import (
     DisconnectedGraphError,
     Graph,
+    JoinStructureError,
+    PocketResistance,
     PocketSpec,
     build_pocket_graph,
     check_metric,
@@ -26,18 +28,29 @@ from pocket_kirch import (
     oracle_resistance,
     path_graph,
     pseudo_inverse_laplacian,
-    resistance_from_one_inverse,
     resistance_matrix,
+    split_base_join,
+    split_gadget,
     structured_one_inverse,
 )
 from pocket_kirch import resistance
-from pocket_kirch.resistance import pair_blocks, pair_resistances
-from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_spec
+from pocket_kirch.resistance import _square, pair_blocks, pair_resistances
+from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_spec, random_specs
 
 
 def re_shape(x):
     """The shape as the error message prints it, escaped for ``match``."""
     return re.escape(str(x.shape))
+
+
+def resistance_from_one_inverse(x: np.ndarray, u: int, v: int) -> float:
+    """Reference for one pair: r_uv = X_uu + X_vv - X_uv - X_vu, in
+    ``pair_resistances``' operand order; IndexError unless 0 <= u, v < n."""
+    x = _square(x)
+    n = x.shape[0]
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexError(f"vertex pair ({u},{v}) out of range for order {n}")
+    return float(x[u, u] + x[v, v] - x[u, v] - x[v, u])
 
 
 N_P3 = np.array([[0.0, 0, 0], [0, 1, 1], [0, 1, 2]])
@@ -117,6 +130,93 @@ class TestPairResistances:
             iu, iv = np.triu_indices(n, 1)
             np.testing.assert_array_equal(u, iu)
             np.testing.assert_array_equal(v, iv)
+
+
+def _non_join_gadget_specs(count=8, seed=17):
+    """Seeded specs with a rooted gadget that is not H1 v (H2 + {v}), on
+    k < n bases, so F is mostly not a join F1 v F2 either."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        n = int(rng.integers(3, 8))
+        f = random_connected_graph(rng, n)
+        attach = tuple(int(x) for x in rng.permutation(n)[: int(rng.integers(1, n))])
+        hv = random_connected_graph(rng, int(rng.integers(3, 8)))
+        spec = PocketSpec(f, attach, *split_gadget(hv, int(rng.integers(0, hv.order))))
+        if spec.cross is not None:
+            specs.append(spec)
+    return specs
+
+
+def _order_300_spec():
+    """The order-300 instance of ``resist``'s tests: 20 + 14 * 20."""
+    rng = np.random.default_rng(5)
+    f, h1, h2 = random_connected_graph(rng, 20), random_graph(rng, 3), random_graph(rng, 11)
+    return PocketSpec(f, tuple(range(20)), h1, h2)
+
+
+POCKET_CASES = (
+    [(label, spec) for label, spec in builtin_fixtures()]
+    + [(f"sweep-{i}", spec) for i, spec in enumerate(random_specs(40, seed=20240913))]
+    + [(f"non-join-gadget-{i}", spec) for i, spec in enumerate(_non_join_gadget_specs())]
+    + [("order-300", _order_300_spec())]
+)
+
+
+class TestPocketResistance:
+    """r and Kf from the two small factors, against the dense structured X."""
+
+    def test_cases_cover_non_join_specs(self):
+        specs = [spec for _, spec in POCKET_CASES]
+        assert sum(s.cross is not None for s in specs) >= 8
+        assert sum(s.k < s.n and not _is_join(s) for s in specs) >= 4
+
+    @pytest.mark.parametrize("label,spec", POCKET_CASES, ids=[label for label, _ in POCKET_CASES])
+    def test_pairs_bit_identical_to_dense_x(self, label, spec):
+        pr = PocketResistance(spec)
+        x = structured_one_inverse(spec).matrix
+        assert pr.order == x.shape[0] == spec.n + spec.m * spec.k
+        # every ordered pair, the diagonal included
+        u, v = (a.ravel() for a in np.indices((pr.order, pr.order)))
+        got = pr.pair_resistances(u, v)
+        np.testing.assert_array_equal(got.view(np.uint64), pair_resistances(x, u, v).view(np.uint64))
+        np.testing.assert_array_equal(got[u == v], 0.0)
+
+    @pytest.mark.parametrize("label,spec", POCKET_CASES, ids=[label for label, _ in POCKET_CASES])
+    def test_kirchhoff_matches_dense_x(self, label, spec):
+        kf = PocketResistance(spec).kirchhoff()
+        dense = kirchhoff_from_one_inverse(structured_one_inverse(spec).matrix)
+        assert kf.method == "structured"
+        assert abs(kf.value - dense.value) <= 1e-13 * dense.value
+
+    def test_resistance_one_pair(self):
+        spec = _order_300_spec()
+        pr = PocketResistance(spec)
+        x = structured_one_inverse(spec).matrix
+        for a, b in [(0, 1), (5, 299), (299, 5), (150, 170), (21, 41), (7, 7)]:
+            want = pair_resistances(x, np.array([a]), np.array([b]))[0]
+            assert pr.resistance(a, b) == want
+            assert type(pr.resistance(np.int64(a), b)) is float
+
+    @pytest.mark.parametrize("u,v", [(0, 300), (300, 0), (-1, 0), (0, -1), (10**9, 1)])
+    def test_resistance_out_of_range(self, u, v):
+        # numpy's take would wrap a negative index round to the last vertex
+        with pytest.raises(IndexError, match=r"out of range for order 300"):
+            PocketResistance(_order_300_spec()).resistance(u, v)
+
+    def test_holds_no_n_by_n_array(self, traced_peak):
+        spec = PocketSpec(complete_graph(40), tuple(range(40)), path_graph(4), path_graph(20))
+        pr, peak = traced_peak(PocketResistance, spec)
+        assert pr.order == 1000
+        assert peak <= 8 * pr.order**2 / 50
+
+
+def _is_join(spec) -> bool:
+    try:
+        split_base_join(spec)
+    except JoinStructureError:
+        return False
+    return True
 
 
 def _fsum_kirchhoff(x):
