@@ -155,6 +155,14 @@ def _order_300_spec():
     return PocketSpec(f, tuple(range(20)), h1, h2)
 
 
+def _is_join(spec) -> bool:
+    try:
+        split_base_join(spec)
+    except JoinStructureError:
+        return False
+    return True
+
+
 POCKET_CASES = (
     [(label, spec) for label, spec in builtin_fixtures()]
     + [(f"sweep-{i}", spec) for i, spec in enumerate(random_specs(40, seed=20240913))]
@@ -209,14 +217,6 @@ class TestPocketResistance:
         pr, peak = traced_peak(PocketResistance, spec)
         assert pr.order == 1000
         assert peak <= 8 * pr.order**2 / 50
-
-
-def _is_join(spec) -> bool:
-    try:
-        split_base_join(spec)
-    except JoinStructureError:
-        return False
-    return True
 
 
 def _fsum_kirchhoff(x):
