@@ -333,30 +333,33 @@ def cmd_verify(args) -> int:
         max_h2=max(0, min(4, args.max_m - 1)),
     )
     instances.extend((f"seed{args.seed}-{i}", s) for i, s in enumerate(sweep))
-    reports = []
+    # Each report is written as it finishes and then dropped. In the JSON,
+    # sort_keys puts "instances" first, so the other keys follow the list.
+    table = args.format == "table"
     all_ok = True
-    for label, spec in instances:
+    out = _open_out(args.out)
+    if not table:
+        out.write('{"instances": [')
+    for i, (label, spec) in enumerate(instances):
         rep = verify_construction(
             spec, tol_r=args.tol_r, tol_kf=args.tol_kf, label=label
         )
-        reports.append(rep)
         all_ok = all_ok and rep.ok
-    out = _open_out(args.out)
-    if args.format == "table":
-        for rep in reports:
-            out.write(f"== {rep.instance['label']} ==\n")
-            out.write(rep.to_table() + "\n")
+        if table:
+            out.write(f"== {label} ==\n{rep.to_table()}\n")
+        else:
+            out.write((", " if i else "") + rep.to_json())
+    if table:
         out.write(f"overall: {'PASS' if all_ok else 'FAIL'}\n")
     else:
-        payload = {
+        rest = {
             "ok": all_ok,
             "seed": args.seed,
             "max_n": args.max_n,
             "max_m": args.max_m,
             "tolerances": {"resistance": args.tol_r, "kirchhoff": args.tol_kf},
-            "instances": [rep.to_dict() for rep in reports],
         }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        out.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
     _close_out(out)
     return 0 if all_ok else 1
 

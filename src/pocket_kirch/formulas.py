@@ -333,7 +333,7 @@ def thm41_printed_kf(alpha, beta, mu, nu, n: int, k: int, m: int, l: int) -> flo
 # ---------------------------------------------------------------------------
 # Discrepancy audit
 
-@dataclass
+@dataclass(slots=True)
 class QuantityRecord:
     quantity: str
     oracle: float
@@ -415,8 +415,13 @@ def _pair_records(
     applicable display has an entry for it). A block of consecutive pairs
     at a time (``pair_blocks``), both r columns are read from the two
     {1}-inverses, each case is evaluated over the block's index arrays, and
-    the block's records are built in one pass over plain-list columns.
+    the block's records are built in one pass over plain-list columns. The
+    name column "r[u,v]" is a gather and an object add of two per-vertex
+    string arrays built here once, "r[u," and "v]".
     """
+    n = x_oracle.shape[0]
+    heads = np.array([f"r[{i}," for i in range(n)], dtype=object)
+    tails = np.array([f"{i}]" for i in range(n)], dtype=object)
     records = []
     ok = True
     # The records hold no reference cycles, so a collection while they are
@@ -425,17 +430,27 @@ def _pair_records(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for u, v in pair_blocks(x_oracle.shape[0]):
-            ok = _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) and ok
+        for u, v in pair_blocks(n):
+            ok = _block_records(
+                u, v, x_oracle, x_struct, tol_r, printed, theorem, heads, tails, records
+            ) and ok
     finally:
         if enabled:
             gc.enable()
     return records, ok
 
 
-def _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) -> bool:
+def _block_records(
+    u, v, x_oracle, x_struct, tol_r, printed, theorem, heads, tails, records
+) -> bool:
     """Append the records of the pairs (u[i], v[i]) to ``records``; whether
-    every structured value is within tol_r of the oracle's."""
+    every structured value is within tol_r of the oracle's.
+
+    Every column is built whole: the names as heads[u] + tails[v] over
+    object arrays, the case labels as one gather from the block's label
+    array, and the printed value and its deviation as object arrays with
+    None put in through one mask, on the pairs no display has an entry for.
+    """
     oracle = pair_resistances(x_oracle, u, v)
     structured = pair_resistances(x_struct, u, v)
     dev = np.abs(structured - oracle)
@@ -459,19 +474,20 @@ def _block_records(u, v, x_oracle, x_struct, tol_r, printed, theorem, records) -
     pair = pair[order]
     code = np.concatenate(codes)[order]
     value = np.concatenate(values)[order]
-    printed_col = value.tolist()
-    printed_dev_col = np.abs(value - oracle[pair]).tolist()
-    for i in np.flatnonzero(code == 0).tolist():
-        printed_col[i] = printed_dev_col[i] = None
+    oracle = oracle[pair]
+    printed_col = value.astype(object)
+    printed_dev_col = np.abs(value - oracle).astype(object)
+    none = code == 0
+    printed_col[none] = printed_dev_col[none] = None
     records.extend(map(
         QuantityRecord,
-        [f"r[{a},{b}]" for a, b in zip(u[pair].tolist(), v[pair].tolist())],
-        oracle[pair].tolist(),
+        (heads[u[pair]] + tails[v[pair]]).tolist(),
+        oracle.tolist(),
         structured[pair].tolist(),
-        printed_col,
-        [labels[c] for c in code.tolist()],
+        printed_col.tolist(),
+        np.array(labels, dtype=object)[code].tolist(),
         dev[pair].tolist(),
-        printed_dev_col,
+        printed_dev_col.tolist(),
         ok[pair].tolist(),
     ))
     return bool(ok.all())

@@ -752,6 +752,42 @@ class TestVerify:
         assert out == ""
         assert json.loads(open(target).read())["ok"] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("tol_r", [1e-9, 0.0])
+    def test_reports_streamed(self, monkeypatch, fmt, tol_r):
+        # each report is written before the next instance is audited, and
+        # the text is that of the whole payload written at once
+        buf = io.StringIO()
+        written, reports = [], []
+
+        def audit(spec, **options):
+            written.append(len(buf.getvalue()))
+            reports.append(verify_construction(spec, **options))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "_open_out", lambda path: buf)
+        monkeypatch.setattr(cli, "_close_out", lambda fh: None)
+        monkeypatch.setattr(cli, "verify_construction", audit)
+        argv = ["verify", "--sweep", "3", "--tol-r", repr(tol_r), "--format", fmt]
+        assert main(argv) == (0 if tol_r else 1)
+        assert all(a < b for a, b in zip(written, written[1:]))
+        all_ok = all(rep.ok for rep in reports)
+        assert all_ok == bool(tol_r)
+        if fmt == "table":
+            expected = "".join(
+                f"== {rep.instance['label']} ==\n{rep.to_table()}\n" for rep in reports
+            ) + f"overall: {'PASS' if all_ok else 'FAIL'}\n"
+        else:
+            expected = json.dumps({
+                "ok": all_ok,
+                "seed": make_parser().parse_args(["verify"]).seed,
+                "max_n": 6,
+                "max_m": 8,
+                "tolerances": {"resistance": tol_r, "kirchhoff": 1e-8},
+                "instances": [rep.to_dict() for rep in reports],
+            }, sort_keys=True) + "\n"
+        assert buf.getvalue() == expected
+
     @pytest.mark.parametrize("argv,option", [
         (["--tol-r", "nan"], "--tol-r"),
         (["--tol-kf", "nan"], "--tol-kf"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from pocket_kirch import (
     verify_construction,
 )
 from pocket_kirch.cli import main
-from pocket_kirch.resistance import KirchhoffResult
+from pocket_kirch.resistance import KirchhoffResult, pair_blocks
 from pocket_kirch.formulas import (
     THM31_CASES,
     THM41_CASES,
@@ -210,6 +211,17 @@ class _Reference41(Theorem41Printed):
         raise CaseMismatchError(f"case {case} is not a resistance case")
 
 
+def _reference_theorem(spec):
+    """The theorem whose displays state the spec, tested on its own terms:
+    a join gadget (no cross set) on a base with every vertex attached (3.1)
+    or split as F1 v F2 over the attached vertices (4.1); else None."""
+    if spec.cross is not None:
+        return None
+    if spec.k == spec.n:
+        return "3.1"
+    return "4.1" if _is_split_base(spec) else None
+
+
 def _reference_report(spec, tol_r=1e-9, tol_kf=1e-8, label=""):
     """verify_construction's report, built pair by pair and case by case."""
     g, _ = build_pocket_graph(spec)
@@ -220,8 +232,10 @@ def _reference_report(spec, tol_r=1e-9, tol_kf=1e-8, label=""):
     r_struct = resistance_matrix(structured.matrix)
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
-    theorem = "3.1" if spec.k == spec.n else "4.1"
-    printed = (_Reference31 if theorem == "3.1" else _Reference41)(spec, structured)
+    theorem = _reference_theorem(spec)
+    printed = None
+    if theorem is not None:
+        printed = (_Reference31 if theorem == "3.1" else _Reference41)(spec, structured)
     report = DiscrepancyReport(
         instance={
             "label": label,
@@ -524,6 +538,28 @@ class TestVerifyConstruction:
         finally:
             (gc.enable if was else gc.disable)()
 
+    def test_quantity_record_contract(self):
+        # the fields and their order, equality, repr and mutability of a
+        # plain dataclass, stored in slots
+        names = [f.name for f in dataclasses.fields(QuantityRecord)]
+        assert names == [
+            "quantity", "oracle", "structured", "printed",
+            "case", "structured_dev", "printed_dev", "structured_ok",
+        ]
+        rec = QuantityRecord("Kf", 2.0, case="3.1(kf)")
+        assert rec == QuantityRecord("Kf", 2.0, None, None, "3.1(kf)")
+        assert rec != QuantityRecord("Kf", 2.0)
+        assert repr(rec) == (
+            "QuantityRecord(quantity='Kf', oracle=2.0, structured=None, printed=None, "
+            "case='3.1(kf)', structured_dev=None, printed_dev=None, structured_ok=None)"
+        )
+        rec.printed = 1.5
+        assert rec.printed == 1.5 and rec != QuantityRecord("Kf", 2.0, case="3.1(kf)")
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.note = "no such field"
+        assert QuantityRecord.__hash__ is None
+
     def test_printed_deviations_not_fatal(self):
         rep = verify_construction(P4_SPEC)
         printed = [r for r in rep.records if r.printed is not None]
@@ -649,6 +685,22 @@ class TestAuditMatchesPerPairReference:
         spec = _seeded_spec(sum(shape), shape)
         assert 72 <= spec.n + spec.m * spec.k <= 168
         _assert_same_report(spec, str(shape))
+
+    @pytest.mark.parametrize("spec", NON_JOIN_GADGET_SPECS, ids=["k=n", "non-join-base", "split-base", "k=1"])
+    def test_non_join_gadgets(self, spec):
+        # no display states these: every pair's record has no printed value
+        assert _reference_theorem(spec) is None
+        _assert_same_report(spec, "non-join-gadget")
+
+    def test_non_join_base_over_two_blocks(self):
+        # a join gadget on a path base, which is not F1 v F2 over the
+        # attached vertices: order 92, so the pairs span two pair blocks
+        rng = np.random.default_rng(92)
+        spec = PocketSpec(path_graph(12), (0, 2, 5, 7, 11), random_graph(rng, 4), random_graph(rng, 12))
+        order = spec.n + spec.m * spec.k
+        assert order >= 92 and len(list(pair_blocks(order))) >= 2
+        assert spec.cross is None and _reference_theorem(spec) is None
+        _assert_same_report(spec, "path-base")
 
     @pytest.mark.parametrize("tol_r,tol_kf", [(0.0, 1e-8), (1e-9, 0.0), (-1.0, -1.0)])
     def test_failing_tolerances(self, tol_r, tol_kf):
