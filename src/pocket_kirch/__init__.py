@@ -31,13 +31,13 @@ from .linalg import (
     pseudo_inverse_laplacian,
 )
 from .oneinv import (
+    PocketResistance,
     StructuredOneInverse,
     split_base_join,
     structured_one_inverse,
 )
 from .resistance import (
     KirchhoffResult,
-    PocketResistance,
     check_metric,
     kirchhoff_from_one_inverse,
     kirchhoff_spectral,

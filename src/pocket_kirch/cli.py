@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -21,16 +22,15 @@ from .graphs import (
     split_gadget,
     to_edge_list,
 )
-from .oneinv import structured_one_inverse
+from .oneinv import PocketResistance, structured_one_inverse
 from .resistance import (
-    PocketResistance,
     kirchhoff_from_one_inverse,
     oracle_one_inverse,
     pair_blocks,
     pair_resistances,
 )
 from .formulas import verify_construction
-from .sweep import DEFAULT_SEED, builtin_fixtures, random_connected_graph, random_graph, random_specs
+from .sweep import DEFAULT_SEED, builtin_fixtures, random_connected_graph, random_graph, random_spec
 
 
 def _fmt(x: float) -> str:
@@ -95,20 +95,12 @@ def cmd_resist(args) -> int:
         raise MemoryError(f"out of memory: {need}") from None
 
 
-def _one_inverse(spec: PocketSpec, oracle: bool):
-    """(X, method): the pseudoinverse of L(G) for ``oracle``, else the
-    structured {1}-inverse; the one place each route is spelled."""
-    if oracle:
-        return oracle_one_inverse(build_pocket_graph(spec)[0]), "oracle"
-    return structured_one_inverse(spec).matrix, "structured"
-
-
 def _resist(spec: PocketSpec, args) -> int:
     """Write every r_uv and Kf: with ``--oracle`` read from the dense X,
     otherwise from the two small factors of a ``PocketResistance``."""
     if args.oracle:
-        source, method = _one_inverse(spec, True)
-        kf = kirchhoff_from_one_inverse(source, method)
+        source = oracle_one_inverse(build_pocket_graph(spec)[0])
+        kf = kirchhoff_from_one_inverse(source, "oracle")
     else:
         source = PocketResistance(spec)
         kf = source.kirchhoff()
@@ -324,15 +316,15 @@ def cmd_verify(args) -> int:
         if not (np.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"{option} must be a finite number >= 0, got {tol}")
     _check_at_least(args, ("seed", 0), ("max_n", 1), ("max_m", 1), ("sweep", 0))
-    instances = [(label, spec) for label, spec in builtin_fixtures()]
-    sweep = random_specs(
-        args.sweep,
-        seed=args.seed,
-        max_n=args.max_n,
-        max_l=max(1, min(4, args.max_m)),
-        max_h2=max(0, min(4, args.max_m - 1)),
-    )
-    instances.extend((f"seed{args.seed}-{i}", s) for i, s in enumerate(sweep))
+    # Gadgets have m = l + |H2| <= max_l + max_h2 = min(8, max_m) vertices.
+    # Each sweep instance is drawn just before its audit, so that nothing
+    # of the sweep is held up front.
+    max_l = min(4, args.max_m)
+    max_h2 = min(4, args.max_m - max_l)
+    rng = np.random.default_rng(args.seed)
+    sweep = ((f"seed{args.seed}-{i}", random_spec(rng, args.max_n, max_l, max_h2))
+             for i in range(args.sweep))
+    instances = itertools.chain(builtin_fixtures(), sweep)
     # Each report is written as it finishes and then dropped. In the JSON,
     # sort_keys puts "instances" first, so the other keys follow the list.
     table = args.format == "table"
@@ -395,8 +387,9 @@ def cmd_bench(args) -> int:
         h2 = random_graph(rng, m - l)
         spec = PocketSpec(f, tuple(range(n)), h1, h2)
         order = n + m * n
-        t_struct, kf_s = time_route(lambda: kirchhoff_from_one_inverse(*_one_inverse(spec, False)))
-        t_oracle, kf_o = time_route(lambda: kirchhoff_from_one_inverse(*_one_inverse(spec, True)))
+        t_struct, kf_s = time_route(lambda: kirchhoff_from_one_inverse(structured_one_inverse(spec).matrix))
+        t_oracle, kf_o = time_route(
+            lambda: kirchhoff_from_one_inverse(oracle_one_inverse(build_pocket_graph(spec)[0]), "oracle"))
         tol = 1e-8 if order < 50 else 1e-6
         agree = abs(kf_s.value - kf_o.value) <= tol
         speedup = t_oracle / t_struct if t_struct > 0 else float("inf")

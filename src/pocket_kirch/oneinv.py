@@ -10,20 +10,24 @@ F to the pockets, and the gadget factor D^-1 = L_v(H)^-1, the inverse of
 the gadget's Laplacian with v's row and column deleted (Bapat, *Graphs and
 Matrices*). Since L_v(H) 1 is the indicator of N(v), D^-1 maps that
 indicator to 1, which is what lets every pocket couple to F through C
-alone. ``pocket_factors`` is the one place the two factors are computed.
-``resistance.PocketResistance`` reads r and Kf straight from them, with no
-N x N array; ``resist`` takes that route. ``structured_one_inverse`` writes
-the full-size {1}-inverse for callers that want the matrix (the audit,
-``bench``): once, block by block, straight into global vertex order, so
-its peak memory is one N x N array, whose memory is reused by the next
-call once the result is dropped (``release_output_buffer`` frees it).
+alone.
+
+``PocketResistance(spec)`` is the one place the two factors are computed
+and the one place the global vertex ids are mapped onto them; it reads r
+and Kf straight from the factors, with no N x N array, and ``resist``
+takes that route. ``structured_one_inverse`` returns a
+``StructuredOneInverse``, the same object plus the full-size {1}-inverse
+``matrix`` for callers that want it (the audit, ``bench``): written once,
+block by block, straight into global vertex order, so its peak memory is
+one N x N array, whose memory is reused by the next call once the result
+is dropped (``release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,21 +43,7 @@ from .graphs import (
     make_layout,
 )
 from .linalg import invert, kron, pseudo_inverse_laplacian
-
-
-@dataclass(frozen=True)
-class StructuredOneInverse:
-    """A symmetric {1}-inverse over the full vertex set, plus its factors.
-
-    ``matrix`` is indexed by global vertex ids. The small factors are kept
-    for audit: ``base_sharp`` (L#(F), n x n, in ``layout.f_order``) and
-    ``d_inv`` (L_v(H)^-1, m x m, H1 rows first).
-    """
-
-    matrix: np.ndarray
-    layout: BlockLayout
-    base_sharp: np.ndarray
-    d_inv: np.ndarray
+from .resistance import KirchhoffResult
 
 
 def _invert_grounded(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
@@ -83,6 +73,90 @@ def pocket_d_inverse(
     eye = np.eye(copies)
     d_inv = _invert_grounded(h1, h2)
     return kron(d_inv[:l, :l], eye), kron(d_inv[l:, l:], eye), kron(d_inv[:l, l:], eye)
+
+
+class PocketResistance:
+    """r and Kf of a pocket graph, read from its two small factors; the
+    N x N {1}-inverse X of ``structured_one_inverse`` is never built.
+
+    The constructor is the one place the factors are computed, each once:
+    ``base_sharp`` = L#(F) (n x n) in attachment-first order
+    (``layout.f_order``), and ``d_inv`` = D^-1 = L_v(H)^-1 (m x m), H1 rows
+    first; both are exactly symmetric. Two index maps over the global ids
+    place every vertex on them: ``p[g]``, the L#(F) row of g (its F
+    position, or for a vertex of copy c the position c of the vertex that
+    copy is glued at), and ``h[g]``, its index in the rooted gadget with
+    v = 0 (so 0 for F vertices and 1 + j for gadget row j). X's entries are
+    then x_uv = L#[p_u, p_v], plus D^-1[h_u - 1, h_v - 1] when u and v lie
+    in the same copy, each one copy or one addition of the same two doubles
+    X holds; and r_uv = (x_uu + x_vv - x_uv) - x_uv is
+    ``resistance.pair_resistances``' operation on X, which is exactly
+    symmetric. So every r is bit-identical to that function's on
+    ``structured_one_inverse(spec).matrix``, in memory of the factors plus
+    O(N).
+    """
+
+    def __init__(self, spec: PocketSpec):
+        self.layout = layout = make_layout(spec)
+        n, k, m = layout.n, layout.k, layout.m
+        fo = np.asarray(layout.f_order)
+        self.base_sharp = lf_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
+        self.d_inv = d_inv = _invert_grounded(spec.H1, spec.H2, spec.cross)
+        p = np.empty(layout.total, dtype=np.intp)
+        p[:n] = layout.f_position
+        p[n:] = np.tile(np.arange(k), m)
+        h = np.zeros(layout.total, dtype=np.intp)
+        h[n:] = np.repeat(np.arange(1, m + 1), k)
+        # D^-1 with a zero row and column for v in front, so that h indexes
+        # it and an F vertex adds 0.0, which leaves every double unchanged
+        padded = np.zeros((m + 1, m + 1))
+        padded[1:, 1:] = d_inv
+        self.p, self.h = p, h
+        self._base = lf_sharp.reshape(-1)
+        self._gadget = padded.reshape(-1)
+        self._diag = self._base.take(p * (n + 1)) + self._gadget.take(h * (m + 2))
+
+    @property
+    def order(self) -> int:
+        return self.layout.total
+
+    def pair_resistances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """r at the pairs (u[i], v[i]) of global ids, from gathers in the
+        small arrays. Distinct copies have distinct p and an F vertex has
+        h = 0, so only pairs with p_u == p_v read D^-1."""
+        pu, pv = self.p.take(u), self.p.take(v)
+        i = pu * self.layout.n
+        i += pv
+        x = self._base.take(i)
+        same = np.flatnonzero(pu == pv)
+        if same.size:
+            i = self.h.take(u.take(same))
+            i *= self.layout.m + 1
+            i += self.h.take(v.take(same))
+            x[same] += self._gadget.take(i)
+        r = self._diag.take(u)
+        r += self._diag.take(v)
+        r -= x
+        r -= x
+        return r
+
+    def resistance(self, u: int, v: int) -> float:
+        """r_uv in O(1); IndexError unless 0 <= u, v < N."""
+        u, v = operator.index(u), operator.index(v)
+        if not (0 <= u < self.order and 0 <= v < self.order):
+            raise IndexError(f"vertex pair ({u},{v}) out of range for order {self.order}")
+        return float(self.pair_resistances(np.array([u]), np.array([v]))[0])
+
+    def kirchhoff(self) -> KirchhoffResult:
+        """Kf = N tr X - 1^T X 1 from X's block sums: with A = L#[:k, :k]
+        and C = L#[:, :k], tr X = tr L# + m tr A + k tr D^-1 and
+        1^T X 1 = 1^T L# 1 + 2m 1^T C 1 + m^2 1^T A 1 + k 1^T D^-1 1."""
+        lf, d_inv = self.base_sharp, self.d_inv
+        k, m = self.layout.k, self.layout.m
+        a, c = lf[:k, :k], lf[:, :k]
+        trace = np.trace(lf) + m * np.trace(a) + k * np.trace(d_inv)
+        total = lf.sum() + 2 * m * c.sum() + m * m * a.sum() + k * d_inv.sum()
+        return KirchhoffResult(float(self.order * trace - total), "structured")
 
 
 class _OutputBuffer:
@@ -175,31 +249,20 @@ def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndar
     return x
 
 
-def pocket_factors(spec: PocketSpec) -> tuple[BlockLayout, np.ndarray, np.ndarray]:
-    """(layout, L#(F), D^-1): the two small factors of any spec, the only
-    place either is computed.
+class StructuredOneInverse(PocketResistance):
+    """A ``PocketResistance`` plus ``matrix``, the N x N symmetric
+    {1}-inverse X indexed by global vertex ids, written from the two
+    factors by ``_write_one_inverse``."""
 
-    Two inverses: the base factor L#(F) in attachment-first order
-    (``layout.f_order``), through whose columns C = L#(F)[:, S] the pockets
-    hang off the attached vertices, and the gadget factor D^-1 = L_v(H)^-1,
-    H1 rows first. Both are exactly symmetric.
-    """
-    layout = make_layout(spec)
-    fo = np.asarray(layout.f_order)
-    lf_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
-    return layout, lf_sharp, _invert_grounded(spec.H1, spec.H2, spec.cross)
+    def __init__(self, spec: PocketSpec):
+        super().__init__(spec)
+        self.matrix = _write_one_inverse(self.layout, self.base_sharp, self.d_inv)
 
 
 def structured_one_inverse(spec: PocketSpec) -> StructuredOneInverse:
     """The structured {1}-inverse of any spec, indexed by its global ids,
-    written from the two factors of ``pocket_factors``."""
-    layout, lf_sharp, d_inv = pocket_factors(spec)
-    return StructuredOneInverse(
-        matrix=_write_one_inverse(layout, lf_sharp, d_inv),
-        layout=layout,
-        base_sharp=lf_sharp,
-        d_inv=d_inv,
-    )
+    with its factors."""
+    return StructuredOneInverse(spec)
 
 
 def theorem3_one_inverse(spec: PocketSpec) -> StructuredOneInverse:

@@ -11,21 +11,21 @@ to that matrix's entry; ``pair_blocks`` walks the pairs u < v in row-major
 order a block at a time. Together they are how ``resist --oracle`` and the
 audit read every pair without an N x N resistance matrix.
 
-``PocketResistance`` gives the same r and Kf of a pocket graph from its two
-small factors, without X itself: structured ``resist`` holds no N x N
-array at all.
+The oracle's X, the pseudoinverse of L(G), is built here too, by
+``oracle_one_inverse``. This module reads from a given X and imports
+nothing of the structured construction; ``oneinv.PocketResistance`` gives
+the same r and Kf of a pocket graph from its two small factors, without X
+itself.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, is_connected, laplacian
 from .linalg import DisconnectedGraphError, _pseudo_inverse_in_place
-from .oneinv import pocket_factors
 
 
 @dataclass(frozen=True)
@@ -80,85 +80,6 @@ def pair_resistances(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     flat = x.reshape(-1)
     return (flat.take(u * (n + 1)) + flat.take(v * (n + 1))
             - flat.take(u * n + v) - flat.take(v * n + u))
-
-
-class PocketResistance:
-    """r and Kf of a pocket graph, read from its two small factors; the
-    N x N {1}-inverse X of ``structured_one_inverse`` is never built.
-
-    It holds the factors of ``pocket_factors``, L#(F) (n x n, in
-    ``layout.f_order``) and D^-1 = L_v(H)^-1 (m x m), and two index maps
-    over the global ids: ``p[g]``, the L#(F) row of g (its F position, or
-    for a vertex of copy c the position c of the vertex that copy is glued
-    at), and ``h[g]``, its index in the rooted gadget with v = 0 (so 0 for
-    F vertices and 1 + j for gadget row j). X's entries are then
-    x_uv = L#[p_u, p_v], plus D^-1[h_u - 1, h_v - 1] when u and v lie in
-    the same copy, each one copy or one addition of the same two doubles
-    X holds; and r_uv = (x_uu + x_vv - x_uv) - x_uv is ``pair_resistances``'
-    operation on X, which is exactly symmetric. So every r is bit-identical
-    to ``pair_resistances(structured_one_inverse(spec).matrix, u, v)``, in
-    memory of the factors plus O(N).
-    """
-
-    def __init__(self, spec):
-        layout, lf_sharp, d_inv = pocket_factors(spec)
-        n, k, m = layout.n, layout.k, layout.m
-        self.layout, self.base_sharp, self.d_inv = layout, lf_sharp, d_inv
-        p = np.empty(layout.total, dtype=np.intp)
-        p[:n] = layout.f_position
-        p[n:] = np.tile(np.arange(k), m)
-        h = np.zeros(layout.total, dtype=np.intp)
-        h[n:] = np.repeat(np.arange(1, m + 1), k)
-        # D^-1 with a zero row and column for v in front, so that h indexes
-        # it and an F vertex adds 0.0, which leaves every double unchanged
-        padded = np.zeros((m + 1, m + 1))
-        padded[1:, 1:] = d_inv
-        self.p, self.h = p, h
-        self._base = lf_sharp.reshape(-1)
-        self._gadget = padded.reshape(-1)
-        self._diag = self._base.take(p * (n + 1)) + self._gadget.take(h * (m + 2))
-
-    @property
-    def order(self) -> int:
-        return self.layout.total
-
-    def pair_resistances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """r at the pairs (u[i], v[i]) of global ids, from gathers in the
-        small arrays. Distinct copies have distinct p and an F vertex has
-        h = 0, so only pairs with p_u == p_v read D^-1."""
-        pu, pv = self.p.take(u), self.p.take(v)
-        i = pu * self.layout.n
-        i += pv
-        x = self._base.take(i)
-        same = np.flatnonzero(pu == pv)
-        if same.size:
-            i = self.h.take(u.take(same))
-            i *= self.layout.m + 1
-            i += self.h.take(v.take(same))
-            x[same] += self._gadget.take(i)
-        r = self._diag.take(u)
-        r += self._diag.take(v)
-        r -= x
-        r -= x
-        return r
-
-    def resistance(self, u: int, v: int) -> float:
-        """r_uv in O(1); IndexError unless 0 <= u, v < N."""
-        u, v = operator.index(u), operator.index(v)
-        if not (0 <= u < self.order and 0 <= v < self.order):
-            raise IndexError(f"vertex pair ({u},{v}) out of range for order {self.order}")
-        return float(self.pair_resistances(np.array([u]), np.array([v]))[0])
-
-    def kirchhoff(self) -> KirchhoffResult:
-        """Kf = N tr X - 1^T X 1 from X's block sums: with A = L#[:k, :k]
-        and C = L#[:, :k], tr X = tr L# + m tr A + k tr D^-1 and
-        1^T X 1 = 1^T L# 1 + 2m 1^T C 1 + m^2 1^T A 1 + k 1^T D^-1 1."""
-        lf, d_inv = self.base_sharp, self.d_inv
-        k, m = self.layout.k, self.layout.m
-        a, c = lf[:k, :k], lf[:, :k]
-        trace = np.trace(lf) + m * np.trace(a) + k * np.trace(d_inv)
-        total = lf.sum() + 2 * m * c.sum() + m * m * a.sum() + k * d_inv.sum()
-        return KirchhoffResult(float(self.order * trace - total), "structured")
 
 
 def resistance_matrix(x: np.ndarray) -> np.ndarray:

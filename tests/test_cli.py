@@ -810,6 +810,36 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {option} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("max_m", [1, 3])
+    def test_max_m_bounds_gadget_order(self, capsys, max_m):
+        code, out, _ = _run(capsys, ["verify", "--sweep", "200", "--max-m", str(max_m)])
+        assert code == 0
+        sweep = json.loads(out)["instances"][len(builtin_fixtures()):]
+        assert len(sweep) == 200
+        assert {rep["instance"]["m"] for rep in sweep} <= set(range(1, max_m + 1))
+
+    def test_sweep_drawn_one_instance_at_a_time(self, monkeypatch):
+        # instance i of the sweep is drawn just before its audit, from the
+        # one generator, so nothing of the sweep is drawn up front
+        drawn, seen = [], []
+        draw = cli.random_spec
+
+        def counting(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        def audit(spec, **options):
+            seen.append(len(drawn))
+            return verify_construction(spec, **options)
+
+        monkeypatch.setattr(cli, "random_spec", counting)
+        monkeypatch.setattr(cli, "verify_construction", audit)
+        monkeypatch.setattr(cli, "_open_out", lambda path: io.StringIO())
+        monkeypatch.setattr(cli, "_close_out", lambda fh: None)
+        assert main(["verify", "--sweep", "4"]) == 0
+        fixtures = len(builtin_fixtures())
+        assert seen == [0] * fixtures + [1, 2, 3, 4]
+
     @pytest.mark.parametrize("argv", [["--tol-r", "0", "--sweep", "0"], ["--max-n", "1", "--sweep", "3"]])
     def test_edge_arguments_accepted(self, capsys, argv):
         code, out, _ = _run(capsys, ["verify"] + argv)

@@ -34,6 +34,7 @@ from pocket_kirch.oneinv import (
     theorem4_one_inverse,
 )
 from pocket_kirch.sweep import random_connected_graph, random_graph, random_specs
+from test_cli import _count_calls
 from test_graphs import NON_JOIN_GADGET_SPECS, NON_JOIN_SPECS, adjacency, block_order
 from test_linalg import is_one_inverse
 
@@ -526,8 +527,13 @@ class TestGadgetInverse:
 
         # every inverse, public or in place, is taken by this kernel
         monkeypatch.setattr(linalg, "_cholesky_invert", counting)
+        pinv = _count_calls(monkeypatch, linalg.pseudo_inverse_laplacian)
+        inv = _count_calls(monkeypatch, linalg.invert)
         structured_one_inverse(spec)
         assert orders == [spec.n, spec.m]  # L + J/n of F, then L_v(H)
+        # one public call per factor: L#(F), then L_v(H)^-1
+        assert [a[0].shape for a in pinv] == [(spec.n, spec.n)]
+        assert [a[0].shape for a in inv] == [(spec.m, spec.m)]
 
     @pytest.mark.parametrize("spec", JOIN_GADGET_SPECS + NON_JOIN_GADGET_SPECS)
     def test_d_inv_inverts_grounded_laplacian(self, spec):

@@ -181,14 +181,17 @@ class TestPocketResistance:
 
     @pytest.mark.parametrize("label,spec", POCKET_CASES, ids=[label for label, _ in POCKET_CASES])
     def test_pairs_bit_identical_to_dense_x(self, label, spec):
-        pr = PocketResistance(spec)
-        x = structured_one_inverse(spec).matrix
-        assert pr.order == x.shape[0] == spec.n + spec.m * spec.k
+        # the structured result is itself a PocketResistance over its matrix
+        s = structured_one_inverse(spec)
+        x = s.matrix
         # every ordered pair, the diagonal included
-        u, v = (a.ravel() for a in np.indices((pr.order, pr.order)))
-        got = pr.pair_resistances(u, v)
-        np.testing.assert_array_equal(got.view(np.uint64), pair_resistances(x, u, v).view(np.uint64))
-        np.testing.assert_array_equal(got[u == v], 0.0)
+        u, v = (a.ravel() for a in np.indices(x.shape))
+        want = pair_resistances(x, u, v)
+        for pr in (PocketResistance(spec), s):
+            assert pr.order == x.shape[0] == spec.n + spec.m * spec.k
+            got = pr.pair_resistances(u, v)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(got[u == v], 0.0)
 
     @pytest.mark.parametrize("label,spec", POCKET_CASES, ids=[label for label, _ in POCKET_CASES])
     def test_kirchhoff_matches_dense_x(self, label, spec):
