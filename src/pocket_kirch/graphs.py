@@ -144,14 +144,19 @@ def empty_graph(n: int) -> Graph:
     return Graph(n)
 
 
-def _edge_laplacian(order: int, edges: np.ndarray) -> np.ndarray:
-    """The Laplacian of an (|E|, 2) edge array on 0..order-1: -1 scattered
-    at each edge, the degrees (endpoint counts) on the diagonal."""
-    lap = np.zeros((order, order))
+def _scatter_laplacian(lap: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Write the Laplacian of an (|E|, 2) edge array into ``lap``, a zeroed
+    square float array, and return it: -1 scattered at each edge, the
+    degrees (endpoint counts) on the diagonal."""
     lap[edges[:, 0], edges[:, 1]] = -1.0
     lap[edges[:, 1], edges[:, 0]] = -1.0
-    np.fill_diagonal(lap, np.bincount(edges.ravel(), minlength=order))
+    np.fill_diagonal(lap, np.bincount(edges.ravel(), minlength=lap.shape[0]))
     return lap
+
+
+def _edge_laplacian(order: int, edges: np.ndarray) -> np.ndarray:
+    """The Laplacian of an (|E|, 2) edge array on 0..order-1, in a new array."""
+    return _scatter_laplacian(np.zeros((order, order)), edges)
 
 
 def laplacian(g: Graph) -> np.ndarray:

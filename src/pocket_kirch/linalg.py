@@ -16,13 +16,22 @@ return it; ``invert`` and ``pseudo_inverse_laplacian`` each work on one
 C-ordered float64 copy, which becomes the result. The in-place kernels
 ``_cholesky_invert`` and ``_pseudo_inverse_in_place`` overwrite the array
 they are given and return it. ``_pseudo_inverse_in_place`` has one caller
-outside this module, ``resistance.oracle_one_inverse``, which builds L(G)
-itself and keeps no other reference to it, so the oracle holds one N x N
-array from L to the result. Every other caller goes through the public
-functions.
+outside this module, ``resistance.oracle_one_inverse``, which writes L(G)
+into the output buffer and keeps no other reference to it, so the oracle
+holds one N x N array from L to the result. Every other caller goes
+through the public functions.
+
+The output buffer (``_OUTPUT``) is the one N x N array the library keeps
+between calls. Both dense routes write into it: the oracle's L(G), which
+becomes X, and the structured {1}-inverse of ``oneinv``. A call takes it
+only while no earlier result refers to it, and ``release_output_buffer``
+frees it.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
@@ -42,6 +51,58 @@ class SingularMatrixError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """Laplacian input corresponds to a disconnected graph."""
+
+
+class _OutputBuffer:
+    """The memory a full-size result is written into, kept between calls:
+    the oracle's L(G), inverted into X in place, and the structured X.
+
+    Every entry of the result is overwritten, so fresh memory buys nothing;
+    yet at large N the kernel's page faults and zeroing of a fresh N x N
+    array take about a quarter of a call and vary widely from one call to
+    the next. So the last buffer is kept, and a call writes into it again
+    when no earlier result, or view of one, still refers to it (its
+    reference count says so); otherwise, or when it is too small, the call
+    gets a new one, a sixteenth larger than it needs.
+    ``release_output_buffer`` drops the kept buffer.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._buf = None
+        self._free_refs = 0
+
+    def matrix(self, order: int) -> np.ndarray:
+        size = order * order
+        with self._lock:
+            buf = self._buf
+            if buf is None or buf.size < size or sys.getrefcount(buf) > self._free_refs:
+                # Drop ours first, so that a free buffer too small to
+                # reuse is freed before the new one is allocated.
+                self._buf = buf = None
+                # Headroom, so that slightly larger orders to come do not
+                # allocate again; pages past the order in use are never
+                # touched and cost address space, not memory.
+                self._buf = buf = np.empty(size + size // 16)
+                # Its count while nothing else refers to it; measured, not
+                # assumed, since interpreter versions count differently.
+                self._free_refs = sys.getrefcount(buf)
+            return buf[:size].reshape(order, order)
+
+    def release(self) -> None:
+        with self._lock:
+            self._buf = None
+
+
+_OUTPUT = _OutputBuffer()
+
+
+def release_output_buffer() -> None:
+    """Free the memory kept for the next dense result, oracle or structured.
+
+    Results already returned stay valid; the next call allocates anew.
+    """
+    _OUTPUT.release()
 
 
 def _row_blocks(n: int):
@@ -66,6 +127,7 @@ def _symmetric_scale(mat: np.ndarray) -> float:
         scale = max(scale, block_scale)
         diff = rows[:, r0:] - mat[r0:, r0:r1].T
         asym = max(asym, float(np.abs(diff, out=diff).max()))
+        del diff  # freed before the next block's is built, not after
     if asym > SYMMETRY_REL_TOL * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     return scale

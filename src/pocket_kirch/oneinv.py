@@ -13,21 +13,22 @@ indicator to 1, which is what lets every pocket couple to F through C
 alone.
 
 ``PocketResistance(spec)`` is the one place the two factors are computed
-and the one place the global vertex ids are mapped onto them; it reads r
-and Kf straight from the factors, with no N x N array, and ``resist``
-takes that route. ``structured_one_inverse`` returns a
-``StructuredOneInverse``, the same object plus the full-size {1}-inverse
-``matrix`` for callers that want it (the audit, ``bench``): written once,
-block by block, straight into global vertex order, so its peak memory is
-one N x N array, whose memory is reused by the next call once the result
-is dropped (``release_output_buffer`` frees it).
+and the one place the global vertex ids are mapped onto them (on the
+first pair read); it reads r and Kf straight from the factors, with no
+N x N array, and ``resist`` takes that route. ``structured_one_inverse``
+returns a ``StructuredOneInverse``, the same object plus the full-size
+{1}-inverse ``matrix`` for callers that want it (the audit, ``bench``):
+written once, block by block, straight into global vertex order, so its
+peak memory is one N x N array. That array is linalg's output buffer, the
+one the oracle's X is written into too: once a dense result is dropped,
+the next dense call of either route reuses its memory
+(``release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-import sys
-import threading
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from .graphs import (
     laplacian,
     make_layout,
 )
-from .linalg import invert, kron, pseudo_inverse_laplacian
+# release_output_buffer is imported for callers that reach it here
+from .linalg import _OUTPUT, invert, kron, pseudo_inverse_laplacian, release_output_buffer
 from .resistance import KirchhoffResult
 
 
@@ -83,25 +85,31 @@ class PocketResistance:
     ``base_sharp`` = L#(F) (n x n) in attachment-first order
     (``layout.f_order``), and ``d_inv`` = D^-1 = L_v(H)^-1 (m x m), H1 rows
     first; both are exactly symmetric. Two index maps over the global ids
-    place every vertex on them: ``p[g]``, the L#(F) row of g (its F
-    position, or for a vertex of copy c the position c of the vertex that
-    copy is glued at), and ``h[g]``, its index in the rooted gadget with
-    v = 0 (so 0 for F vertices and 1 + j for gadget row j). X's entries are
-    then x_uv = L#[p_u, p_v], plus D^-1[h_u - 1, h_v - 1] when u and v lie
-    in the same copy, each one copy or one addition of the same two doubles
-    X holds; and r_uv = (x_uu + x_vv - x_uv) - x_uv is
+    place every vertex on them: p[g], the L#(F) row of g (its F position,
+    or for a vertex of copy c the position c of the vertex that copy is
+    glued at), and h[g], its index in the rooted gadget with v = 0 (so 0
+    for F vertices and 1 + j for gadget row j). X's entries are then
+    x_uv = L#[p_u, p_v], plus D^-1[h_u - 1, h_v - 1] when u and v lie in
+    the same copy, each one copy or one addition of the same two doubles X
+    holds; and r_uv = (x_uu + x_vv - x_uv) - x_uv is
     ``resistance.pair_resistances``' operation on X, which is exactly
     symmetric. So every r is bit-identical to that function's on
     ``structured_one_inverse(spec).matrix``, in memory of the factors plus
-    O(N).
+    O(N). The O(N) maps are built on the first pair read, so a caller that
+    wants only Kf or the dense X never pays for them.
     """
 
     def __init__(self, spec: PocketSpec):
         self.layout = layout = make_layout(spec)
-        n, k, m = layout.n, layout.k, layout.m
         fo = np.asarray(layout.f_order)
-        self.base_sharp = lf_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
-        self.d_inv = d_inv = _invert_grounded(spec.H1, spec.H2, spec.cross)
+        self.base_sharp = pseudo_inverse_laplacian(laplacian(spec.F)[np.ix_(fo, fo)])
+        self.d_inv = _invert_grounded(spec.H1, spec.H2, spec.cross)
+
+    @functools.cached_property
+    def _maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(p, h, D^-1 padded and flat, diag X) over the global ids."""
+        layout = self.layout
+        n, k, m = layout.n, layout.k, layout.m
         p = np.empty(layout.total, dtype=np.intp)
         p[:n] = layout.f_position
         p[n:] = np.tile(np.arange(k), m)
@@ -110,11 +118,10 @@ class PocketResistance:
         # D^-1 with a zero row and column for v in front, so that h indexes
         # it and an F vertex adds 0.0, which leaves every double unchanged
         padded = np.zeros((m + 1, m + 1))
-        padded[1:, 1:] = d_inv
-        self.p, self.h = p, h
-        self._base = lf_sharp.reshape(-1)
-        self._gadget = padded.reshape(-1)
-        self._diag = self._base.take(p * (n + 1)) + self._gadget.take(h * (m + 2))
+        padded[1:, 1:] = self.d_inv
+        gadget = padded.reshape(-1)
+        diag = self.base_sharp.reshape(-1).take(p * (n + 1)) + gadget.take(h * (m + 2))
+        return p, h, gadget, diag
 
     @property
     def order(self) -> int:
@@ -124,18 +131,19 @@ class PocketResistance:
         """r at the pairs (u[i], v[i]) of global ids, from gathers in the
         small arrays. Distinct copies have distinct p and an F vertex has
         h = 0, so only pairs with p_u == p_v read D^-1."""
-        pu, pv = self.p.take(u), self.p.take(v)
+        p, h, gadget, diag = self._maps
+        pu, pv = p.take(u), p.take(v)
         i = pu * self.layout.n
         i += pv
-        x = self._base.take(i)
+        x = self.base_sharp.reshape(-1).take(i)
         same = np.flatnonzero(pu == pv)
         if same.size:
-            i = self.h.take(u.take(same))
+            i = h.take(u.take(same))
             i *= self.layout.m + 1
-            i += self.h.take(v.take(same))
-            x[same] += self._gadget.take(i)
-        r = self._diag.take(u)
-        r += self._diag.take(v)
+            i += h.take(v.take(same))
+            x[same] += gadget.take(i)
+        r = diag.take(u)
+        r += diag.take(v)
         r -= x
         r -= x
         return r
@@ -157,57 +165,6 @@ class PocketResistance:
         trace = np.trace(lf) + m * np.trace(a) + k * np.trace(d_inv)
         total = lf.sum() + 2 * m * c.sum() + m * m * a.sum() + k * d_inv.sum()
         return KirchhoffResult(float(self.order * trace - total), "structured")
-
-
-class _OutputBuffer:
-    """The memory the full-size result is written into, kept between calls.
-
-    Every entry of the result is overwritten, so fresh memory buys nothing;
-    yet at large N the kernel's page faults and zeroing of a fresh N x N
-    array take about a quarter of a call and vary widely from one call to
-    the next. So the last buffer is kept, and a call writes into it again
-    when no earlier result, or view of one, still refers to it (its
-    reference count says so); otherwise, or when it is too small, the call
-    gets a new one, a sixteenth larger than it needs.
-    ``release_output_buffer`` drops the kept buffer.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._buf = None
-        self._free_refs = 0
-
-    def matrix(self, order: int) -> np.ndarray:
-        size = order * order
-        with self._lock:
-            buf = self._buf
-            if buf is None or buf.size < size or sys.getrefcount(buf) > self._free_refs:
-                # Drop ours first, so that a free buffer too small to
-                # reuse is freed before the new one is allocated.
-                self._buf = buf = None
-                # Headroom, so that slightly larger orders to come do not
-                # allocate again; pages past the order in use are never
-                # touched and cost address space, not memory.
-                self._buf = buf = np.empty(size + size // 16)
-                # Its count while nothing else refers to it; measured, not
-                # assumed, since interpreter versions count differently.
-                self._free_refs = sys.getrefcount(buf)
-            return buf[:size].reshape(order, order)
-
-    def release(self) -> None:
-        with self._lock:
-            self._buf = None
-
-
-_OUTPUT = _OutputBuffer()
-
-
-def release_output_buffer() -> None:
-    """Free the memory kept for the next structured result.
-
-    Results already returned stay valid; the next call allocates anew.
-    """
-    _OUTPUT.release()
 
 
 # Bytes of pocket rows copied per step of _write_one_inverse: few enough

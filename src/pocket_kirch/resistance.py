@@ -12,10 +12,11 @@ order a block at a time. Together they are how ``resist --oracle`` and the
 audit read every pair without an N x N resistance matrix.
 
 The oracle's X, the pseudoinverse of L(G), is built here too, by
-``oracle_one_inverse``. This module reads from a given X and imports
-nothing of the structured construction; ``oneinv.PocketResistance`` gives
-the same r and Kf of a pocket graph from its two small factors, without X
-itself.
+``oracle_one_inverse``, in linalg's output buffer, the N x N array the
+structured route writes into as well. This module reads from a given X
+and imports nothing of the structured construction;
+``oneinv.PocketResistance`` gives the same r and Kf of a pocket graph from
+its two small factors, without X itself.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, is_connected, laplacian
-from .linalg import DisconnectedGraphError, _pseudo_inverse_in_place
+from .graphs import Graph, _scatter_laplacian, is_connected
+from .linalg import _OUTPUT, DisconnectedGraphError, _pseudo_inverse_in_place
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,19 @@ def oracle_one_inverse(g: Graph) -> np.ndarray:
     """The ground truth X = L(G)#, the pseudoinverse of a connected graph's
     Laplacian; DisconnectedGraphError otherwise.
 
-    Every oracle route takes X from here. This call builds L(G) and holds
-    the only reference to it, so linalg's in-place kernel shifts and
-    inverts it into X: one N x N array from L(G) to X, which is exactly
-    symmetric and equal to ``pseudo_inverse_laplacian(laplacian(g))``.
+    Every oracle route takes X from here. This call writes L(G), by
+    ``laplacian``'s edge scatter, into linalg's output buffer (zeroed
+    first) and holds the only reference to it, so linalg's in-place kernel
+    shifts and inverts it into X: one N x N array from L(G) to X, the one
+    the structured route writes too. X is exactly symmetric and equal to
+    ``pseudo_inverse_laplacian(laplacian(g))``. Once the result and every
+    view of it are dropped, the next dense call reuses its memory.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
-    return _pseudo_inverse_in_place(laplacian(g))
+    lap = _OUTPUT.matrix(g.order)
+    lap.fill(0.0)
+    return _pseudo_inverse_in_place(_scatter_laplacian(lap, g.array))
 
 
 def oracle_resistance(g: Graph) -> tuple[np.ndarray, KirchhoffResult]:

@@ -34,6 +34,7 @@ from pocket_kirch import (
     structured_one_inverse,
 )
 from pocket_kirch import resistance
+from pocket_kirch.linalg import release_output_buffer
 from pocket_kirch.resistance import _square, pair_blocks, pair_resistances
 from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph, random_spec, random_specs
 
@@ -215,6 +216,14 @@ class TestPocketResistance:
         with pytest.raises(IndexError, match=r"out of range for order 300"):
             PocketResistance(_order_300_spec()).resistance(u, v)
 
+    def test_constructor_holds_only_the_factors(self, traced_peak):
+        # the O(N) maps p and h, the padded D^-1 and diag X wait for the
+        # first pair read; at N = 90,300 they take about 4 MB
+        spec = PocketSpec(path_graph(300), tuple(range(300)), path_graph(1), path_graph(299))
+        pr, peak = traced_peak(PocketResistance, spec)
+        assert pr.order == 90_300
+        assert peak <= pr.base_sharp.nbytes + pr.d_inv.nbytes + 1e6
+
     def test_holds_no_n_by_n_array(self, traced_peak):
         spec = PocketSpec(complete_graph(40), tuple(range(40)), path_graph(4), path_graph(20))
         pr, peak = traced_peak(PocketResistance, spec)
@@ -376,6 +385,7 @@ class TestOracle:
         # a loose bound; test_peak_memory_is_one_dense_array is the tight one
         g = _pocket_graph_1000()
         n = g.order
+        release_output_buffer()  # measure a call that allocates L(G)
         _, peak = traced_peak(oracle_resistance, g)
         assert peak <= 4.25 * 8 * n * n
 
@@ -383,6 +393,7 @@ class TestOracle:
         # a loose bound; test_peak_memory_is_one_dense_array is the tight one
         g = _pocket_graph_1000()
         n = g.order
+        release_output_buffer()
         _, peak = traced_peak(oracle_resistance, g)
         assert peak <= 2.5 * 8 * n * n
 
@@ -390,6 +401,7 @@ class TestOracle:
         # L(G) is shifted, inverted and turned into r in place
         g = _pocket_graph_1000()
         n = g.order
+        release_output_buffer()
         _, peak = traced_peak(oracle_resistance, g)
         assert peak <= 1.25 * 8 * n * n
 
@@ -415,6 +427,7 @@ class TestOracle:
                         monkeypatch.setattr(module, attr, holding)
                         bound.append(attr)
         assert {"invert", "pseudo_inverse_laplacian"} <= set(bound)
+        release_output_buffer()
         (r, kf), peak = traced_peak(oracle_resistance, g)
         assert peak <= 1.25 * 8 * n * n
         assert np.array_equal(r, r_bare)
@@ -496,6 +509,43 @@ class TestOracleOneInverse:
     @pytest.mark.parametrize("order", [0, 1])
     def test_trivial_orders(self, order):
         assert np.array_equal(oracle_one_inverse(empty_graph(order)), np.zeros((order, order)))
+
+
+class TestSharedOutputBuffer:
+    """The oracle's L(G) and X, and the structured X, are written into one
+    kept N x N array; a result still referred to is never written again."""
+
+    def test_held_results_survive_later_calls(self):
+        # every later call is of an order the kept array could serve
+        release_output_buffer()
+        spec = random_spec(np.random.default_rng(25))
+        g, _ = build_pocket_graph(spec)
+        x = oracle_one_inverse(g)
+        held = [x, oracle_resistance(g)[0], oracle_one_inverse(g)[1:, 1:]]
+        kept = [a.copy() for a in held]
+        later = [oracle_one_inverse(path_graph(g.order)), structured_one_inverse(spec).matrix,
+                 oracle_resistance(path_graph(g.order - 1))[0]]
+        for a, before in zip(held, kept):
+            assert np.array_equal(a, before)
+            assert not any(np.shares_memory(a, b) for b in later)
+        want = pseudo_inverse_laplacian(laplacian(g))
+        assert np.array_equal(x, want)
+        assert np.array_equal(held[1], resistance_matrix(want))
+
+    @pytest.mark.parametrize("base", [40, 30], ids=["order-1000", "order-750"])
+    def test_dropped_result_memory_is_reused(self, base, traced_peak):
+        # after the order-1000 result is dropped, L(G) of an order up to
+        # 1000 is written into its memory instead of a new array
+        release_output_buffer()
+        first, _ = oracle_resistance(_pocket_graph_1000())
+        del first
+        spec = PocketSpec(complete_graph(base), tuple(range(base)), path_graph(4), path_graph(20))
+        g, _ = build_pocket_graph(spec)
+        (r, kf), peak = traced_peak(oracle_resistance, g)
+        assert peak <= 0.25 * 8 * g.order**2
+        x = pseudo_inverse_laplacian(laplacian(g))
+        assert np.array_equal(r, resistance_matrix(x))
+        assert kf == kirchhoff_from_one_inverse(x, method="oracle")
 
 
 class TestMetricProperties:
