@@ -526,7 +526,7 @@ def verify_construction(
     ``resist --oracle`` take; L(G) is then built again for the residual
     and the spectrum.
     """
-    g, layout = build_pocket_graph(spec)
+    g, _ = build_pocket_graph(spec)
     x_oracle = oracle_one_inverse(g)
     lap = laplacian(g)
     kf_oracle = kirchhoff_from_one_inverse(x_oracle, method="oracle")

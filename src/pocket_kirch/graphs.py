@@ -68,17 +68,17 @@ class Graph:
     u < v in sorted order, built from any iterable of integer pairs or an
     integer array in one numpy pass. Ends are normalized and duplicates
     merged by one ``np.unique`` of u*order + v; self-loops, ends out of
-    range, rows that are not pairs and non-integer ends or orders raise
-    GraphFormatError. The order lies in [0, 2**31), so that key fits in
-    intp. ``edges`` is the same set as a frozenset of tuples, made on first
-    use, for membership tests. Graphs are immutable, hashable and equal
-    when their orders and edge arrays are.
+    range, rows that are not pairs, non-integer ends and non-integer or
+    bool orders raise GraphFormatError. The order lies in [0, 2**31), so
+    that key fits in intp. ``edges`` is the same set as a frozenset of
+    tuples, made on first use, for membership tests. Graphs are
+    immutable, hashable and equal when their orders and edge arrays are.
     """
 
     __slots__ = ("order", "array", "_edges")
 
     def __init__(self, order: int, edges=()):
-        if not isinstance(order, (int, np.integer)) or not 0 <= order < 2**31:
+        if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or not 0 <= order < 2**31:
             raise GraphFormatError(f"order must be an integer in [0, 2**31), got {order!r}")
         order = int(order)
         pairs = _pair_array(edges)
@@ -433,7 +433,11 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-        return Graph(obj["order"], obj["edges"])
+        edges = obj["edges"]
+        # numpy would read true or false in a row with an integer as 1 or 0
+        if isinstance(edges, list) and any(type(e) is bool for row in edges if isinstance(row, list) for e in row):
+            raise ValueError("edge ends must be integers, got true or false")
+        return Graph(obj["order"], edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad JSON graph: {exc}") from exc
 

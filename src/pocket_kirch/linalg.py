@@ -22,10 +22,10 @@ holds one N x N array from L to the result. Every other caller goes
 through the public functions.
 
 The output buffer (``_OUTPUT``) is the one N x N array the library keeps
-between calls. Both dense routes write into it: the oracle's L(G), which
-becomes X, and the structured {1}-inverse of ``oneinv``. A call takes it
-only while no earlier result refers to it, and ``release_output_buffer``
-frees it.
+between calls, and ``_row_blocks`` the one walk of such an array by rows.
+Both dense routes write into the buffer: the oracle's L(G), which becomes
+X, and the structured {1}-inverse of ``oneinv``. A call takes it only
+while no earlier result refers to it, and ``release_output_buffer`` frees it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from scipy.linalg.lapack import dpotrf, dpotri
 SINGULAR_REL_TOL = 1e-12
 SYMMETRY_REL_TOL = 1e-12
 
-# Rows per block when the symmetric kernels walk a matrix against its
-# transpose; keeps temporaries at a few rows instead of N x N.
+# Rows per block when a kernel walks an N x N array (against its
+# transpose, or writing r over X); keeps temporaries at a few rows.
 _BLOCK = 64
 _STRICT_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 
@@ -63,8 +63,8 @@ class _OutputBuffer:
     the next. So the last buffer is kept, and a call writes into it again
     when no earlier result, or view of one, still refers to it (its
     reference count says so); otherwise, or when it is too small, the call
-    gets a new one, a sixteenth larger than it needs.
-    ``release_output_buffer`` drops the kept buffer.
+    gets a new one of exactly order**2 entries, no headroom guessed for
+    orders to come. ``release_output_buffer`` drops the kept buffer.
     """
 
     def __init__(self):
@@ -80,10 +80,7 @@ class _OutputBuffer:
                 # Drop ours first, so that a free buffer too small to
                 # reuse is freed before the new one is allocated.
                 self._buf = buf = None
-                # Headroom, so that slightly larger orders to come do not
-                # allocate again; pages past the order in use are never
-                # touched and cost address space, not memory.
-                self._buf = buf = np.empty(size + size // 16)
+                self._buf = buf = np.empty(size)
                 # Its count while nothing else refers to it; measured, not
                 # assumed, since interpreter versions count differently.
                 self._free_refs = sys.getrefcount(buf)

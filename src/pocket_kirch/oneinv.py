@@ -22,7 +22,7 @@ written once, block by block, straight into global vertex order, so its
 peak memory is one N x N array. That array is linalg's output buffer, the
 one the oracle's X is written into too: once a dense result is dropped,
 the next dense call of either route reuses its memory
-(``release_output_buffer`` frees it).
+(``linalg.release_output_buffer`` frees it).
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from .graphs import (
     laplacian,
     make_layout,
 )
-# release_output_buffer is imported for callers that reach it here
-from .linalg import _OUTPUT, invert, kron, pseudo_inverse_laplacian, release_output_buffer
+from .linalg import _OUTPUT, invert, kron, pseudo_inverse_laplacian
 from .resistance import KirchhoffResult
 
 

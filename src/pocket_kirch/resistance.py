@@ -13,10 +13,11 @@ audit read every pair without an N x N resistance matrix.
 
 The oracle's X, the pseudoinverse of L(G), is built here too, by
 ``oracle_one_inverse``, in linalg's output buffer, the N x N array the
-structured route writes into as well. This module reads from a given X
-and imports nothing of the structured construction;
-``oneinv.PocketResistance`` gives the same r and Kf of a pocket graph from
-its two small factors, without X itself.
+structured route writes into as well; ``oracle_resistance`` writes r over
+it by linalg's row blocks. The dense-array plumbing lives in linalg, not
+here. This module reads from a given X and imports nothing of the
+structured construction; ``oneinv.PocketResistance`` gives the same r and
+Kf of a pocket graph from its two small factors, without X itself.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _scatter_laplacian, is_connected
-from .linalg import _OUTPUT, DisconnectedGraphError, _pseudo_inverse_in_place
+from .linalg import _OUTPUT, DisconnectedGraphError, _pseudo_inverse_in_place, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,8 @@ def kirchhoff_spectral(spectrum: np.ndarray, n: int) -> KirchhoffResult:
     return KirchhoffResult(float(n * np.sum(1.0 / spectrum[1:])), "spectral")
 
 
-# Rows per block when r is written over X in place.
-_ROWS = 64
-
-
 def _resistances_over(x: np.ndarray) -> np.ndarray:
-    """Overwrite an exactly symmetric X with r and return it, one row
+    """Overwrite an exactly symmetric X with r and return it, a linalg row
     block at a time: r_uv = (d_u + d_v - x_uv) - x_uv with d = diag X.
 
     Since x_vu == x_uv, each entry is bit-identical to
@@ -135,9 +132,9 @@ def _resistances_over(x: np.ndarray) -> np.ndarray:
     block-sized temporaries are built.
     """
     d = x.diagonal().copy()
-    for r0 in range(0, x.shape[0], _ROWS):
-        rows = x[r0:r0 + _ROWS]
-        s = d[r0:r0 + _ROWS, None] + d
+    for r0, r1 in _row_blocks(x.shape[0]):
+        rows = x[r0:r1]
+        s = d[r0:r1, None] + d
         s -= rows
         np.subtract(s, rows, out=rows)
     np.fill_diagonal(x, 0.0)

@@ -13,7 +13,8 @@ import pocket_kirch
 from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
 from pocket_kirch.graphs import Graph, build_pocket_graph, complete_graph, to_edge_list
-from pocket_kirch.oneinv import release_output_buffer, structured_one_inverse
+from pocket_kirch.linalg import release_output_buffer
+from pocket_kirch.oneinv import structured_one_inverse
 from pocket_kirch.resistance import (
     KirchhoffResult,
     kirchhoff_from_one_inverse,
@@ -932,8 +933,9 @@ class TestParser:
 
 
 class TestHostileGraphFiles:
-    """A graph file with a non-integer vertex id or order, or a row that is
-    not a pair, ends the command with one error line and exit code 2."""
+    """A graph file with a non-integer vertex id or order (true and false
+    included), or a row that is not a pair, ends the command with one error
+    line and exit code 2."""
 
     @pytest.mark.parametrize(
         "text,message",
@@ -943,8 +945,11 @@ class TestHostileGraphFiles:
             ('{"order": 3, "edges": [[0, 1, 2]]}', "integer (u, v) pairs"),
             ('{"order": 3, "edges": [[0, 1], [1]]}', "integer pairs"),
             ("3 2\n0 1\n1 2.5\n", "non-integer token"),
+            ('{"order": true, "edges": []}', "order must be an integer"),
+            ('{"order": 2, "edges": [[0, true]]}', "true or false"),
         ],
-        ids=["float-end", "float-order", "triple-row", "ragged-rows", "edge-list-float-end"],
+        ids=["float-end", "float-order", "triple-row", "ragged-rows", "edge-list-float-end",
+             "bool-order", "bool-end"],
     )
     @pytest.mark.parametrize("role", ["--f", "--h1", "--hv"])
     @pytest.mark.parametrize("command", ["build", "resist"])

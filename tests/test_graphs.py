@@ -745,7 +745,7 @@ class TestHostileInput:
         with pytest.raises(GraphFormatError, match="integer"):
             Graph(order, edges)
 
-    @pytest.mark.parametrize("order", [2.7, 3.0, "3", None, 2**40], ids=repr)
+    @pytest.mark.parametrize("order", [2.7, 3.0, "3", None, 2**40, True, False], ids=repr)
     def test_non_integer_order(self, order):
         with pytest.raises(GraphFormatError, match="order must be an integer"):
             Graph(order, [(0, 1)])
@@ -766,6 +766,17 @@ class TestHostileInput:
     def test_non_integer_json_end(self):
         with pytest.raises(GraphFormatError, match="integer"):
             graph_from_json('{"order": 3, "edges": [[0.5, 1], [1, 2]]}')
+
+    def test_bool_json_order(self):
+        # true is not read as the order 1
+        with pytest.raises(GraphFormatError, match="order must be an integer"):
+            graph_from_json('{"order": true, "edges": []}')
+
+    @pytest.mark.parametrize("edges", ["[[0, true]]", "[[false, 1]]", "[[0, 1], [1, true]]"])
+    def test_bool_json_end(self, edges):
+        # numpy would read a row that mixes true with an integer as (0, 1)
+        with pytest.raises(GraphFormatError, match="true or false"):
+            graph_from_json(f'{{"order": 3, "edges": {edges}}}')
 
     def test_non_integer_cross_pair(self):
         with pytest.raises(ValueError, match="integer"):

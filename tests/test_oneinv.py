@@ -25,11 +25,10 @@ from pocket_kirch import (
 )
 from pocket_kirch.formulas import _p_factor, _q_factor
 from pocket_kirch.graphs import grounded_laplacian, split_gadget
-from pocket_kirch.linalg import kron, shifted_group_inverse
+from pocket_kirch.linalg import kron, release_output_buffer, shifted_group_inverse
 from pocket_kirch.oneinv import (
     _invert_grounded,
     pocket_d_inverse,
-    release_output_buffer,
     theorem3_one_inverse,
     theorem4_one_inverse,
 )

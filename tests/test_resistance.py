@@ -548,6 +548,39 @@ class TestSharedOutputBuffer:
         assert kf == kirchhoff_from_one_inverse(x, method="oracle")
 
 
+class TestOutputBufferSize:
+    """A dense call that must allocate takes exactly the order it asks for."""
+
+    def _pocket_graph_750(self):
+        spec = PocketSpec(complete_graph(30), tuple(range(30)), path_graph(4), path_graph(20))
+        g, _ = build_pocket_graph(spec)
+        assert g.order == 750
+        return g
+
+    @pytest.mark.parametrize("route", ["oracle", "structured"])
+    def test_first_result_after_release_is_exact(self, route):
+        release_output_buffer()
+        spec = random_spec(np.random.default_rng(26))
+        if route == "oracle":
+            x = oracle_one_inverse(build_pocket_graph(spec)[0])
+        else:
+            x = structured_one_inverse(spec).matrix
+        assert x.base.size == x.size
+
+    def test_held_result_survives_a_larger_call(self):
+        # the kept order-750 array is held, so the order-1000 call
+        # allocates a new one of exactly its order and writes nothing old
+        release_output_buffer()
+        small = self._pocket_graph_750()
+        held = oracle_one_inverse(small)
+        kept = held.copy()
+        large = oracle_one_inverse(_pocket_graph_1000())
+        assert large.base.size == large.size == 1000**2
+        assert not np.shares_memory(held, large)
+        assert np.array_equal(held, kept)
+        assert np.array_equal(held, pseudo_inverse_laplacian(laplacian(small)))
+
+
 class TestMetricProperties:
     @pytest.mark.parametrize("g", [path_graph(5), complete_graph(4), Graph(4, frozenset([(0, 1), (0, 2), (0, 3)]))])
     def test_oracle_matrices_are_metrics(self, g):
