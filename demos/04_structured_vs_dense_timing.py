@@ -5,11 +5,13 @@ has n + m*n vertices, but the structured path only ever inverts two
 matrices, of size n and m. The oracle builds the full Laplacian from the edge
 array in a few milliseconds, so its time is the Cholesky inverse of the
 N x N matrix L + J/N, which ``oracle_one_inverse`` shifts and inverts in
-place, as ``resist --oracle`` and the audit do. Both routes are timed as
-``pocket-kirch bench`` times them (``time_route``): the median of three
-calls after one untimed call, with each result dropped before the next
-call, so the structured route writes into the output buffer it keeps. At
-total order 1000 the structured path is about 8-18 times faster.
+place, as ``resist --oracle`` and the audit do. Both routes are timed by
+``time_route``, as ``pocket-kirch bench`` times its columns: the median of
+three calls after one untimed call, with each result dropped before the
+next call, so the structured route writes its dense X into the output
+buffer the library keeps. (``bench``'s structured column reads Kf from the
+two factors instead and writes no N x N array.) At total order 1000 the
+structured path is about 8-18 times faster.
 """
 
 import numpy as np

@@ -22,7 +22,7 @@ from .graphs import (
     split_gadget,
     to_edge_list,
 )
-from .oneinv import PocketResistance, structured_one_inverse
+from .oneinv import PocketResistance
 from .resistance import (
     kirchhoff_from_one_inverse,
     oracle_one_inverse,
@@ -362,7 +362,7 @@ BENCH_SIZES = [(10, 6, 2), (20, 12, 3), (40, 24, 4)]
 def time_route(route):
     """The median seconds of three calls of ``route()`` after one untimed
     call, and the last result. Each result is dropped before the next call,
-    so a structured route that returns only Kf reuses the kept output buffer."""
+    so a dense route that returns only Kf reuses the kept output buffer."""
     result = route()
     seconds = []
     for _ in range(3):
@@ -387,7 +387,7 @@ def cmd_bench(args) -> int:
         h2 = random_graph(rng, m - l)
         spec = PocketSpec(f, tuple(range(n)), h1, h2)
         order = n + m * n
-        t_struct, kf_s = time_route(lambda: kirchhoff_from_one_inverse(structured_one_inverse(spec).matrix))
+        t_struct, kf_s = time_route(lambda: PocketResistance(spec).kirchhoff())
         t_oracle, kf_o = time_route(
             lambda: kirchhoff_from_one_inverse(oracle_one_inverse(build_pocket_graph(spec)[0]), "oracle"))
         tol = 1e-8 if order < 50 else 1e-6

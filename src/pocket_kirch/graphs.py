@@ -15,6 +15,7 @@ edge array of H_v (``_gadget_edges``), gathered through a table of ids.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -48,15 +49,22 @@ def _normalize_edge(u: int, v: int) -> Edge:
 
 def _pair_array(pairs) -> np.ndarray:
     """Caller-supplied pairs as an (|pairs|, 2) intp array, (0, 2) when
-    empty; GraphFormatError for a non-integer end or a row not a pair."""
+    empty; GraphFormatError for a non-integer end or a row not a pair.
+
+    An ndarray is checked by its dtype alone. Rows from any other iterable
+    are also scanned for a bool end, which numpy would read as 1 or 0 in a
+    row that also holds an integer."""
     try:
-        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        rows = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+        arr = np.asarray(rows)
     except (TypeError, ValueError, OverflowError) as exc:
         raise GraphFormatError(f"edges must be integer pairs: {exc}") from None
     if arr.shape in ((0,), (0, 2)):
         return np.empty((0, 2), dtype=np.intp)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
         raise GraphFormatError(f"edges must be integer (u, v) pairs, got {arr.dtype} of shape {arr.shape}")
+    if rows is not pairs and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(rows))):
+        raise GraphFormatError("edge ends must be integers, got a bool (true or false)")
     return arr.astype(np.intp, copy=False)
 
 
@@ -433,11 +441,7 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-        edges = obj["edges"]
-        # numpy would read true or false in a row with an integer as 1 or 0
-        if isinstance(edges, list) and any(type(e) is bool for row in edges if isinstance(row, list) for e in row):
-            raise ValueError("edge ends must be integers, got true or false")
-        return Graph(obj["order"], edges)
+        return Graph(obj["order"], obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad JSON graph: {exc}") from exc
 

@@ -166,9 +166,12 @@ class PocketResistance:
         return KirchhoffResult(float(self.order * trace - total), "structured")
 
 
-# Bytes of pocket rows copied per step of _write_one_inverse: few enough
-# that they are still in cache when their share of D^-1 is added.
-_STEP_BYTES = 1 << 18
+# Bytes of one tile of _write_one_inverse's template, and about the bytes
+# of pocket rows written per step. The tile is read again for every step,
+# so it must stay in a core's L2 cache (2 MiB on the Xeon it was tuned on,
+# where 512 KiB beat 256 KiB and 1 MiB), and each step's rows must still be
+# in cache when their share of D^-1 is added.
+_STEP_BYTES = 1 << 19
 
 
 def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndarray) -> np.ndarray:
@@ -180,25 +183,36 @@ def _write_one_inverse(layout: BlockLayout, lf_sharp: np.ndarray, d_inv: np.ndar
     their block positions, so only the F rows and columns are permuted (by
     ``layout.f_order``). Without D^-1 the k rows of gadget vertex 0 repeat
     for every gadget vertex, so they are written first, as C^T and A tiled
-    m times, and copied to the other m - 1 row blocks a few at a time,
-    each step adding its blocks' share of D^-1 on the copy diagonal while
-    they are in cache; block 0, the source, gets its share last. The F
-    rows then get L#(F) and C tiled m times.
+    m times: the template. It is then copied to the other m - 1 row blocks
+    a tile of its rows at a time, each tile at most ``_STEP_BYTES``, so
+    that the tile is read from cache for every block rather than from
+    memory once the template outgrows L2 (k N 8 bytes; 3.3 MB at
+    N = 4100). Each tile goes to a group of blocks of about ``_STEP_BYTES``
+    at a time, and the group's share of D^-1 on the copy diagonal is added
+    while its rows are in cache; block 0, the source, gets its share last.
+    A small template is one tile, and small orders copy it in one group.
+    Every entry is one copy and at most one addition, whatever the tiles,
+    so the bits do not depend on ``_STEP_BYTES``. The F rows then get
+    L#(F) and C tiled m times.
     """
     n, k, m = layout.n, layout.k, layout.m
     fo = np.asarray(layout.f_order)
     x = _OUTPUT.matrix(layout.total)
     pocket_rows = x[n:].reshape(m, k, layout.total, copy=False)
-    first = pocket_rows[0]  # the k rows of gadget vertex 0
+    first = pocket_rows[0]  # the template: the k rows of gadget vertex 0
     first[:, fo] = lf_sharp[:, :k].T
     first[:, n:].reshape(k, m, k, copy=False)[...] = lf_sharp[:k, None, :k]
     # the copy diagonal c = c' of the pocket block, as an (m, k, m) view
     diag = np.einsum("akbk->akb", x[n:, n:].reshape(m, k, m, k, copy=False))
-    step = max(1, _STEP_BYTES // first.nbytes)
-    for a0 in range(1, m, step):
-        a1 = min(a0 + step, m)
-        pocket_rows[a0:a1] = first
-        diag[a0:a1] += d_inv[a0:a1, None, :]
+    rows = max(1, _STEP_BYTES // (8 * layout.total))
+    for c0 in range(0, k, rows):
+        c1 = min(c0 + rows, k)
+        tile = first[c0:c1]
+        group = max(1, _STEP_BYTES // tile.nbytes)
+        for a0 in range(1, m, group):
+            a1 = min(a0 + group, m)
+            pocket_rows[a0:a1, c0:c1] = tile
+            diag[a0:a1, c0:c1] += d_inv[a0:a1, None, :]
     diag[0] += d_inv[0]  # last, as block 0 is the others' source
     x[np.ix_(fo, fo)] = lf_sharp
     x[:n, n:].reshape(n, m, k, copy=False)[fo] = lf_sharp[:, None, :k]

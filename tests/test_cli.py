@@ -908,6 +908,24 @@ class TestBench:
         assert fields[:4] == ["10", "6", "2", "70"]
         assert fields[7] == "yes"
 
+    def test_structured_column_times_the_factor_route(self, capsys, monkeypatch):
+        # t_structured is Kf from PocketResistance's two factors; the dense
+        # structured X is never written
+        from pocket_kirch import oneinv
+
+        writes = _count_calls(monkeypatch, oneinv._write_one_inverse)
+        orders = []
+        kirchhoff = oneinv.PocketResistance.kirchhoff
+
+        def counting(self):
+            orders.append(self.order)
+            return kirchhoff(self)
+
+        monkeypatch.setattr(oneinv.PocketResistance, "kirchhoff", counting)
+        code, _, _ = _run(capsys, ["bench", "--max-n", "10", "--max-m", "6"])
+        assert code == 0
+        assert orders == [70] * 4 and writes == []
+
     @pytest.mark.parametrize("argv,option", [
         (["--max-n", "0"], "--max-n"),
         (["--max-n", "9"], "--max-n"),

@@ -738,12 +738,25 @@ class TestHostileInput:
             (3, np.array([[0.0, 1.0]])),
             (3, [("0", "1")]),
             (3, [(0, 10**30)]),
+            # numpy reads a bool beside an integer as 1 or 0, so rows like
+            # these were taken as edges such as (0, 1)
+            (2, [(0, True)]),
+            (3, [(np.True_, 2)]),
+            (3, [(0, 1), (1, False)]),
+            (3, {(0, np.False_)}),
+            (3, [np.array([0, 1]), np.array([True, False])]),
+            (2, np.array([[False, True]])),
         ],
-        ids=["float-end", "float-array", "string-end", "end-beyond-int64"],
+        ids=["float-end", "float-array", "string-end", "end-beyond-int64", "True-end", "np.True_-end",
+             "False-in-later-row", "np.False_-in-set", "bool-array-row", "bool-array"],
     )
     def test_non_integer_end(self, order, edges):
         with pytest.raises(GraphFormatError, match="integer"):
             Graph(order, edges)
+
+    def test_bool_cross_pair(self):
+        with pytest.raises(GraphFormatError, match="got a bool"):
+            PocketSpec(complete_graph(2), (0,), complete_graph(2), complete_graph(2), {(0, True)})
 
     @pytest.mark.parametrize("order", [2.7, 3.0, "3", None, 2**40, True, False], ids=repr)
     def test_non_integer_order(self, order):

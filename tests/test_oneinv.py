@@ -25,7 +25,7 @@ from pocket_kirch import (
 )
 from pocket_kirch.formulas import _p_factor, _q_factor
 from pocket_kirch.graphs import grounded_laplacian, split_gadget
-from pocket_kirch.linalg import kron, release_output_buffer, shifted_group_inverse
+from pocket_kirch.linalg import _OUTPUT, kron, release_output_buffer, shifted_group_inverse
 from pocket_kirch.oneinv import (
     _invert_grounded,
     pocket_d_inverse,
@@ -435,6 +435,13 @@ def _broadcast_writer_reference(layout, lf_sharp, d_inv):
     return x
 
 
+def _poison_output_buffer(order):
+    """Fill the kept output buffer with NaN, so that an entry the next
+    dense call of this order leaves unwritten cannot keep the right value
+    from an earlier call."""
+    _OUTPUT.matrix(order).fill(np.nan)
+
+
 _EDGE_RNG = np.random.default_rng(8)
 WRITER_EDGE_SPECS = [
     # m = 1: one gadget vertex, nothing to replicate
@@ -466,6 +473,34 @@ class TestWriter:
         from pocket_kirch import oneinv
 
         monkeypatch.setattr(oneinv, "_STEP_BYTES", blocks * spec.k * (spec.n + spec.m * spec.k) * 8)
+        s = structured_one_inverse(spec)
+        expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
+        assert np.array_equal(s.matrix, expected)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("spec", SHUFFLED_SPECS + WRITER_EDGE_SPECS)
+    def test_bit_identical_in_tiles_of_few_rows(self, spec, rows, monkeypatch):
+        # a template larger than the budget is copied a tile of rows at a
+        # time; when k is not a multiple of the tile, the last tile is
+        # short and is copied to several blocks per step, the last step
+        # short again
+        from pocket_kirch import oneinv
+
+        order = spec.n + spec.m * spec.k
+        monkeypatch.setattr(oneinv, "_STEP_BYTES", rows * order * 8)
+        _poison_output_buffer(order)
+        s = structured_one_inverse(spec)
+        expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
+        assert np.array_equal(s.matrix, expected)
+
+    def test_bit_identical_when_the_template_spans_tiles(self):
+        # at the default budget: N = 2060 and k = 50, a template of 824 KB
+        from pocket_kirch import oneinv
+
+        spec = _shuffled_split(np.random.default_rng(9), 50, 10, 5, 40)
+        order = spec.n + spec.m * spec.k
+        assert spec.k * order * 8 > oneinv._STEP_BYTES
+        _poison_output_buffer(order)
         s = structured_one_inverse(spec)
         expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
         assert np.array_equal(s.matrix, expected)
