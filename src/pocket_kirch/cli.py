@@ -99,13 +99,13 @@ def _resist(spec: PocketSpec, args) -> int:
     """Write every r_uv and Kf: with ``--oracle`` read from the dense X,
     otherwise from the two small factors of a ``PocketResistance``."""
     if args.oracle:
-        source = oracle_one_inverse(build_pocket_graph(spec)[0])
-        kf = kirchhoff_from_one_inverse(source, "oracle")
+        x = oracle_one_inverse(build_pocket_graph(spec)[0])
+        n, values, kf = x.shape[0], partial(pair_resistances, x), kirchhoff_from_one_inverse(x, "oracle")
     else:
-        source = PocketResistance(spec)
-        kf = source.kirchhoff()
+        s = PocketResistance(spec)
+        n, values, kf = s.order, s.pair_resistances, s.kirchhoff()
     out = _open_out(args.out)
-    _WRITERS[args.format](out, source, kf)
+    _WRITERS[args.format](out, n, values, kf)
     _close_out(out)
     return 0
 
@@ -234,15 +234,6 @@ def _label_words(n: int, fmt: str, right: bool) -> list:
     return [words[:, k].copy() for k in range(words.shape[1])]
 
 
-def _pair_values(source) -> tuple:
-    """(N, values): ``values(u, v)`` is r at index arrays of pairs, read
-    from a ``PocketResistance``, or by ``pair_resistances`` from a dense
-    {1}-inverse X."""
-    if isinstance(source, np.ndarray):
-        return source.shape[0], partial(pair_resistances, source)
-    return source.order, source.pair_resistances
-
-
 def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
     """Write ``first % u + second % v + text(r_uv)`` for every pair u < v of
     order n in row-major order, without the first ``skip`` characters;
@@ -278,30 +269,30 @@ def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, sp
         skip = 0
 
 
-def _write_csv(out, source, kf) -> None:
-    """Write "u,v,r_uv" for every pair u < v, r read from ``source`` (see
-    _pair_values), then the Kf comment line, in the text of _fmt (see
-    _g12_words)."""
+def _write_csv(out, n: int, values, kf) -> None:
+    """Write "u,v,r_uv" for every pair u < v of order n, r read from
+    ``values(u, v)`` at index arrays of pairs, then the Kf comment line, in
+    the text of _fmt (see _g12_words)."""
     out.write("u,v,r")
-    _write_pairs(out, *_pair_values(source), "\n%d,", "%d,")
+    _write_pairs(out, n, values, "\n%d,", "%d,")
     out.write(f"\n# Kf = {_fmt(kf.value)} ({kf.method})\n")
 
 
-def _write_table(out, source, kf) -> None:
+def _write_table(out, n: int, values, kf) -> None:
     """Write u, v and _fmt(r_uv) right-aligned in 4, 4 and 18 columns for
-    every pair u < v, r read from ``source`` (see _pair_values), then the
-    Kf line."""
+    every pair u < v of order n, r read from ``values(u, v)``, then the Kf
+    line."""
     out.write(f"{'u':>4}{'v':>4}{'r':>18}")
-    _write_pairs(out, *_pair_values(source), "\n%4d", "%4d", spaces=True)
+    _write_pairs(out, n, values, "\n%4d", "%4d", spaces=True)
     out.write(f"\nKf = {_fmt(kf.value)} ({kf.method})\n")
 
 
-def _write_json(out, source, kf) -> None:
+def _write_json(out, n: int, values, kf) -> None:
     """Write json.dumps({"kf", "method", "resistances": [[u, v, r_uv] for
-    u < v]}, sort_keys=True) + newline, r read from ``source`` (see
-    _pair_values), where json.dumps prints r_uv as repr(float(_fmt(r_uv)))
-    (see _g12_words), one block of pairs at a time."""
-    n, values = _pair_values(source)
+    u < v]}, sort_keys=True) + newline for order n, r read from
+    ``values(u, v)``, where json.dumps prints r_uv as
+    repr(float(_fmt(r_uv))) (see _g12_words), one block of pairs at a
+    time."""
     head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
     out.write(head[:-1] + ', "resistances": [')
     _write_pairs(out, n, values, "], [%d", ", %d, ", as_json=True, skip=3)

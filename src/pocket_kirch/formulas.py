@@ -153,7 +153,8 @@ def _read_factors(printed, spec: PocketSpec, structured: StructuredOneInverse) -
     """The set-up both printed classes share: the spec, the block layout and
     its ``locate_all`` arrays, L#(F), and P^-1 and Q^-1 as the diagonal
     blocks of D^-1, as ``structured`` (the spec's ``structured_one_inverse``
-    result) holds them. JoinStructureError for a gadget that is not a
+    result) holds them. The class's own ``theorem`` names it wherever the
+    audit labels its cases. JoinStructureError for a gadget that is not a
     join."""
     _require_join_gadget(spec)
     printed.spec = spec
@@ -404,20 +405,19 @@ def _round12(x):
     return None if x is None else float(format(float(x), ".12g"))
 
 
-def _pair_records(
-    x_oracle, x_struct, tol_r, printed, theorem
-) -> tuple[list[QuantityRecord], bool]:
+def _pair_records(x_oracle, x_struct, tol_r, printed) -> tuple[list[QuantityRecord], bool]:
     """The records of the pairs u < v, in row-major order, and whether
     every structured value is within tol_r of the oracle's.
 
-    A pair gets one record per printed case that applies to it, in case
-    order, or one record without a printed value when none applies (or no
-    applicable display has an entry for it). A block of consecutive pairs
-    at a time (``pair_blocks``), both r columns are read from the two
-    {1}-inverses, each case is evaluated over the block's index arrays, and
-    the block's records are built in one pass over plain-list columns. The
-    name column "r[u,v]" is a gather and an object add of two per-vertex
-    string arrays built here once, "r[u," and "v]".
+    A pair gets one record per case of ``printed`` (None: no theorem)
+    that applies to it, in case order and labelled with
+    ``printed.theorem``, or one record without a printed value when none
+    applies (or no applicable display has an entry for it). A block of
+    consecutive pairs at a time (``pair_blocks``), both r columns are read
+    from the two {1}-inverses, each case is evaluated over the block's
+    index arrays, and the block's records are built in one pass over
+    plain-list columns. The name column "r[u,v]" is a gather and an object
+    add of two per-vertex string arrays built here once, "r[u," and "v]".
     """
     n = x_oracle.shape[0]
     heads = np.array([f"r[{i}," for i in range(n)], dtype=object)
@@ -431,18 +431,14 @@ def _pair_records(
     gc.disable()
     try:
         for u, v in pair_blocks(n):
-            ok = _block_records(
-                u, v, x_oracle, x_struct, tol_r, printed, theorem, heads, tails, records
-            ) and ok
+            ok = _block_records(u, v, x_oracle, x_struct, tol_r, printed, heads, tails, records) and ok
     finally:
         if enabled:
             gc.enable()
     return records, ok
 
 
-def _block_records(
-    u, v, x_oracle, x_struct, tol_r, printed, theorem, heads, tails, records
-) -> bool:
+def _block_records(u, v, x_oracle, x_struct, tol_r, printed, heads, tails, records) -> bool:
     """Append the records of the pairs (u[i], v[i]) to ``records``; whether
     every structured value is within tol_r of the oracle's.
 
@@ -462,7 +458,7 @@ def _block_records(
             pairs.append(kept)
             codes.append(np.full(kept.size, len(labels)))
             values.append(printed_values)
-            labels.append(f"{theorem}({case})")
+            labels.append(f"{printed.theorem}({case})")
     bare = np.ones(u.size, dtype=bool)
     for kept in pairs:
         bare[kept] = False
@@ -494,16 +490,17 @@ def _block_records(
 
 
 def _printed(spec: PocketSpec, structured: StructuredOneInverse):
-    """(theorem, printed): the theorem whose displays state this spec's
-    resistances, 3.1 when every F vertex is attached, 4.1 when F = F1 v F2
-    over the attached vertices, and its printed class on ``structured``, the
-    one place each join test runs; (None, None) when neither states them,
-    as for any gadget that is not H1 v (H2 + {v})."""
+    """The printed class whose displays state this spec's resistances, on
+    ``structured``: Theorem 3.1's when every F vertex is attached, 4.1's
+    when F = F1 v F2 over the attached vertices. Its ``theorem`` names it.
+    Constructing it is the one place each join test runs; None when
+    neither theorem states them, as for any gadget that is not
+    H1 v (H2 + {v})."""
     cls = Theorem31Printed if spec.k == spec.n else Theorem41Printed
     try:
-        return cls.theorem, cls(spec, structured)
+        return cls(spec, structured)
     except JoinStructureError:
-        return None, None
+        return None
 
 
 def verify_construction(
@@ -535,9 +532,10 @@ def verify_construction(
     kf_struct = kirchhoff_from_one_inverse(structured.matrix)
     kf_spectral = kirchhoff_spectral(eigenvalues_sym(lap), g.order)
 
-    theorem, printed = _printed(spec, structured)
+    printed = _printed(spec, structured)
+    theorem = None if printed is None else printed.theorem
 
-    records, pairs_ok = _pair_records(x_oracle, structured.matrix, tol_r, printed, theorem)
+    records, pairs_ok = _pair_records(x_oracle, structured.matrix, tol_r, printed)
     kf_dev = float(abs(kf_struct.value - kf_oracle.value))
     spec_dev = float(abs(kf_spectral.value - kf_oracle.value))
     records.append(

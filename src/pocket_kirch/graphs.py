@@ -162,14 +162,9 @@ def _scatter_laplacian(lap: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return lap
 
 
-def _edge_laplacian(order: int, edges: np.ndarray) -> np.ndarray:
-    """The Laplacian of an (|E|, 2) edge array on 0..order-1, in a new array."""
-    return _scatter_laplacian(np.zeros((order, order)), edges)
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian matrix L = D - A (rows sum to zero, PSD)."""
-    return _edge_laplacian(g.order, g.array)
+    return _scatter_laplacian(np.zeros((g.order, g.order)), g.array)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -378,7 +373,7 @@ def grounded_laplacian(h1: Graph, h2: Graph, cross=None) -> np.ndarray:
     gadget.
     """
     m = h1.order + h2.order
-    return _edge_laplacian(m + 1, _gadget_edges(h1, h2, cross))[:m, :m]
+    return _scatter_laplacian(np.zeros((m + 1, m + 1)), _gadget_edges(h1, h2, cross))[:m, :m]
 
 
 def _first_missing_pair(left, right, present) -> Edge | None:

@@ -14,8 +14,9 @@ alone.
 
 ``PocketResistance(spec)`` is the one place the two factors are computed
 and the one place the global vertex ids are mapped onto them (on the
-first pair read); it reads r and Kf straight from the factors, with no
-N x N array, and ``resist`` takes that route. ``structured_one_inverse``
+first pair read), through the numbering ``graphs.BlockLayout.locate_all``
+gives; it reads r and Kf straight from the factors, with no N x N array,
+and ``resist`` takes that route. ``structured_one_inverse``
 returns a ``StructuredOneInverse``, the same object plus the full-size
 {1}-inverse ``matrix`` for callers that want it (the audit, ``bench``):
 written once, block by block, straight into global vertex order, so its
@@ -33,6 +34,7 @@ import operator
 import numpy as np
 
 from .graphs import (
+    BLOCKS,
     BlockLayout,
     Graph,
     JoinStructureError,
@@ -83,14 +85,15 @@ class PocketResistance:
     The constructor is the one place the factors are computed, each once:
     ``base_sharp`` = L#(F) (n x n) in attachment-first order
     (``layout.f_order``), and ``d_inv`` = D^-1 = L_v(H)^-1 (m x m), H1 rows
-    first; both are exactly symmetric. Two index maps over the global ids
+    first; both are exactly symmetric. Two index maps over the global ids,
+    read off the (block, local, copy) arrays of ``layout.locate_all()``,
     place every vertex on them: p[g], the L#(F) row of g (its F position,
     or for a vertex of copy c the position c of the vertex that copy is
     glued at), and h[g], its index in the rooted gadget with v = 0 (so 0
-    for F vertices and 1 + j for gadget row j). X's entries are then
-    x_uv = L#[p_u, p_v], plus D^-1[h_u - 1, h_v - 1] when u and v lie in
-    the same copy, each one copy or one addition of the same two doubles X
-    holds; and r_uv = (x_uu + x_vv - x_uv) - x_uv is
+    for F vertices, 1 + local for H1 and 1 + l + local for H2). X's
+    entries are then x_uv = L#[p_u, p_v], plus D^-1[h_u - 1, h_v - 1] when
+    u and v lie in the same copy, each one copy or one addition of the
+    same two doubles X holds; and r_uv = (x_uu + x_vv - x_uv) - x_uv is
     ``resistance.pair_resistances``' operation on X, which is exactly
     symmetric. So every r is bit-identical to that function's on
     ``structured_one_inverse(spec).matrix``, in memory of the factors plus
@@ -108,12 +111,11 @@ class PocketResistance:
     def _maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(p, h, D^-1 padded and flat, diag X) over the global ids."""
         layout = self.layout
-        n, k, m = layout.n, layout.k, layout.m
-        p = np.empty(layout.total, dtype=np.intp)
-        p[:n] = layout.f_position
-        p[n:] = np.tile(np.arange(k), m)
-        h = np.zeros(layout.total, dtype=np.intp)
-        h[n:] = np.repeat(np.arange(1, m + 1), k)
+        n, m = layout.n, layout.m
+        block, local, copy = layout.locate_all()
+        in_f = block == BLOCKS.index("F")
+        p = np.where(in_f, local, copy)
+        h = np.where(in_f, 0, 1 + local + layout.l * (block == BLOCKS.index("H2")))
         # D^-1 with a zero row and column for v in front, so that h indexes
         # it and an F vertex adds 0.0, which leaves every double unchanged
         padded = np.zeros((m + 1, m + 1))
@@ -263,12 +265,11 @@ def split_base_join(spec: PocketSpec) -> tuple[Graph, Graph]:
     when F is not that join, and ValueError when all vertices are attached
     (F2 empty).
     """
-    attach = list(spec.attach)
-    rest = sorted(set(range(spec.n)) - set(attach))
+    rest = make_layout(spec).f_order[spec.k:]
     if not rest:
         raise ValueError("F2 is empty: every vertex is attached")
-    missing = _first_missing_pair(attach, rest, spec.F.has_edge)
+    missing = _first_missing_pair(spec.attach, rest, spec.F.has_edge)
     if missing is not None:
         a, b = missing
         raise JoinStructureError(f"F is not F1 v F2: missing cross edge ({a},{b})", witness=missing)
-    return spec.F.induced(attach), spec.F.induced(rest)
+    return spec.F.induced(spec.attach), spec.F.induced(rest)

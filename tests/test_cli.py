@@ -78,16 +78,6 @@ def _reference_json(out, r, kf):
     out.write("]}\n")
 
 
-def _x_of(r):
-    """An X whose pairs u < v read exactly r_uv: -r above the diagonal,
-    -0.0 on it and 0.0 below, so that (-0.0 + -0.0) - (-r_uv) - 0.0 is r_uv
-    bit for bit, for -0.0, NaN, infinities and subnormals too. The writers
-    read r from a {1}-inverse; this hands them any r a test wants."""
-    x = np.triu(-np.asarray(r, dtype=float), 1)
-    np.fill_diagonal(x, -0.0)
-    return x
-
-
 WRITERS = {
     "csv": (cli._write_csv, _reference_csv),
     "table": (cli._write_table, _reference_table),
@@ -97,12 +87,11 @@ WRITERS = {
 
 def _texts(fmt, r, kf):
     """(writer text, reference text) of one format on r and kf."""
-    texts = []
-    for write, arg in zip(WRITERS[fmt], (_x_of(r), r)):
-        out = io.StringIO()
-        write(out, arg, kf)
-        texts.append(out.getvalue())
-    return texts
+    write, reference = WRITERS[fmt]
+    text, reference_text = io.StringIO(), io.StringIO()
+    write(text, len(r), lambda u, v: r[u, v], kf)
+    reference(reference_text, r, kf)
+    return text.getvalue(), reference_text.getvalue()
 
 
 def _assert_same_text(text, reference):
@@ -375,7 +364,7 @@ class TestResist:
         r = rng.random((order, order)) * 10.0 ** rng.integers(-3, 4, size=(order, order))
         kf = KirchhoffResult(float(r.sum()), "oracle")
         out = io.StringIO()
-        cli._write_json(out, _x_of(r), kf)
+        cli._write_json(out, order, lambda u, v: r[u, v], kf)
         payload = {
             "kf": float(cli._fmt(kf.value)),
             "method": kf.method,
@@ -678,7 +667,7 @@ class TestG12Kernel:
         for at in range(0, len(values), chunk):
             r = _upper(values[at:at + chunk])
             out = io.StringIO()
-            WRITERS[fmt][0](out, _x_of(r), kf)
+            WRITERS[fmt][0](out, len(r), lambda u, v: r[u, v], kf)
             _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
 
     @settings(max_examples=200, deadline=None)
@@ -689,7 +678,7 @@ class TestG12Kernel:
         kf = KirchhoffResult(3.0, "oracle")
         for fmt in ("csv", "table", "json"):
             out = io.StringIO()
-            WRITERS[fmt][0](out, _x_of(r), kf)
+            WRITERS[fmt][0](out, len(r), lambda u, v: r[u, v], kf)
             _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])

@@ -461,6 +461,7 @@ class TestWriter:
         "spec", SHUFFLED_SPECS + THM3_SPECS + NON_JOIN_SPECS + WRITER_EDGE_SPECS + NON_JOIN_GADGET_SPECS
     )
     def test_bit_identical_to_broadcast_writer(self, spec):
+        _poison_output_buffer(spec.n + spec.m * spec.k)
         s = structured_one_inverse(spec)
         expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
         assert np.array_equal(s.matrix, expected)
@@ -472,7 +473,9 @@ class TestWriter:
         # step may be short
         from pocket_kirch import oneinv
 
-        monkeypatch.setattr(oneinv, "_STEP_BYTES", blocks * spec.k * (spec.n + spec.m * spec.k) * 8)
+        order = spec.n + spec.m * spec.k
+        monkeypatch.setattr(oneinv, "_STEP_BYTES", blocks * spec.k * order * 8)
+        _poison_output_buffer(order)
         s = structured_one_inverse(spec)
         expected = _broadcast_writer_reference(s.layout, s.base_sharp, s.d_inv)
         assert np.array_equal(s.matrix, expected)
