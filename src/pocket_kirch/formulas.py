@@ -153,8 +153,7 @@ def _read_factors(printed, spec: PocketSpec, structured: StructuredOneInverse) -
     """The set-up both printed classes share: the spec, the block layout and
     its ``locate_all`` arrays, L#(F), and P^-1 and Q^-1 as the diagonal
     blocks of D^-1, as ``structured`` (the spec's ``structured_one_inverse``
-    result) holds them. The class's own ``theorem`` names it wherever the
-    audit labels its cases. JoinStructureError for a gadget that is not a
+    result) holds them. JoinStructureError for a gadget that is not a
     join."""
     _require_join_gadget(spec)
     printed.spec = spec

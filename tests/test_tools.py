@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pocket_kirch.graphs import to_edge_list
 from pocket_kirch.sweep import builtin_fixtures
+from test_cli import _order_300_argv
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import output_snapshot  # noqa: E402
 
 
 def test_output_snapshot_writes_every_output(tmp_path):
@@ -28,3 +32,10 @@ def test_output_snapshot_writes_every_output(tmp_path):
     expected |= {"verify-sweep40.json", "verify-sweep40.table"}
     assert {p.name for p in tmp_path.iterdir()} == expected
     assert all(p.stat().st_size > 0 for p in tmp_path.iterdir())
+
+
+def test_order_300_instance_is_the_cli_tests_one(tmp_path):
+    argv, _ = _order_300_argv(tmp_path)
+    files = argv[2::2]  # --f, --h1, --h2
+    texts = [Path(path).read_text() for path in files]
+    assert texts == [to_edge_list(g) for g in output_snapshot._order_300()]

@@ -1,6 +1,6 @@
 """Write the command-line outputs that a refactor must leave byte-identical.
 
-    PYTHONPATH=src python3 tools/output_snapshot.py OUTDIR [--seed 4301]
+    PYTHONPATH=src python3 tools/output_snapshot.py OUTDIR
 
 ``pocket_kirch`` is imported from ``PYTHONPATH``, so the same script can
 snapshot any checkout's ``src``. Run it once per checkout, on the same
@@ -9,9 +9,13 @@ host with the same BLAS thread count, then compare with ``diff -r``.
 OUTDIR receives one file per output:
 - ``resist`` in csv, json and table, structured and ``--oracle``, on the
   six built-in fixtures, on the three resist-cli instances of
-  ``perfbench/workloads.py`` (its generator, seeded with ``--seed``) and on
-  the order-300 instance of ``tests/test_cli.py`` (seed 5);
+  ``perfbench/workloads.py`` (its generator, seeded with RESIST_CLI_SEED)
+  and on the order-300 instance of ``tests/test_cli.py``;
 - ``verify --sweep 40`` in json and table, at the default seed.
+
+``_order_300`` restates ``tests/test_cli.py``'s ``_order_300_argv`` (seed 5,
+F of order 20, H1 of order 3, H2 of order 11); the two must be kept in
+step, and ``tests/test_tools.py`` checks that they are.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from pocket_kirch.graphs import to_edge_list
 from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+RESIST_CLI_SEED = 4301
 RESIST_FORMATS = ("csv", "json", "table")
 VERIFY_FORMATS = ("json", "table")
 
@@ -45,19 +50,24 @@ def _spec_argv(label, f, h1, h2, attach, workdir) -> list:
     return argv + ["--attach", ",".join(map(str, attach))]
 
 
-def resist_instances(seed: int, workdir: str) -> list:
+def _order_300():
+    """F, H1 and H2 of the order-300 instance, 20 + 14 * 20 vertices."""
+    rng = np.random.default_rng(5)
+    return random_connected_graph(rng, 20), random_graph(rng, 3), random_graph(rng, 11)
+
+
+def resist_instances(workdir: str) -> list:
     """(label, resist argv without --format and --out) of every instance."""
-    instances = [
-        (label, _spec_argv(label, s.F, s.H1, s.H2, s.attach, workdir))
-        for label, s in builtin_fixtures()
-    ]
     sys.path.insert(0, PERFBENCH)
     import workloads
 
-    items = workloads.ResistCli().setup(pocket_kirch, np.random.default_rng(seed), workdir)
-    instances += [(it.key, it.argv[:-4]) for it in items]  # drop --format and --out
-    rng = np.random.default_rng(5)
-    f, h1, h2 = random_connected_graph(rng, 20), random_graph(rng, 3), random_graph(rng, 11)
+    rng = np.random.default_rng(RESIST_CLI_SEED)
+    specs = list(builtin_fixtures())
+    specs += [(it.key, it.spec) for it in workloads.ResistCli().setup(pocket_kirch, rng, workdir)]
+    instances = [
+        (label, _spec_argv(label, s.F, s.H1, s.H2, s.attach, workdir)) for label, s in specs
+    ]
+    f, h1, h2 = _order_300()
     instances.append(("order300", _spec_argv("order300", f, h1, h2, range(20), workdir)))
     return instances
 
@@ -65,12 +75,11 @@ def resist_instances(seed: int, workdir: str) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir")
-    parser.add_argument("--seed", type=int, default=4301, help="seed of the resist-cli instances")
     args = parser.parse_args(argv)
     os.makedirs(args.outdir, exist_ok=True)
     runs = []
     with tempfile.TemporaryDirectory() as workdir:
-        for label, spec_argv in resist_instances(args.seed, workdir):
+        for label, spec_argv in resist_instances(workdir):
             for route, extra in (("structured", []), ("oracle", ["--oracle"])):
                 for fmt in RESIST_FORMATS:
                     out = os.path.join(args.outdir, f"resist-{label}-{route}.{fmt}")
