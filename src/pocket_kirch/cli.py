@@ -150,6 +150,8 @@ def _digit_tables():
 
 
 _QUAD, _ZEROS, _PREFIX, _MOVE, _SHIFT, _LENGTH, _MASK, _SPACES = _digit_tables()
+_QUAD_HIGH = _QUAD << np.uint64(32)  # the same four digits in bytes 4..7
+_CARRY = np.uint64(64) - _SHIFT  # brings a moved word's top bytes into the next word
 _SCALE = 10.0 ** np.arange(15, 0, -1)  # 10^(11 - e), exact
 _GUARD = 0.5 - 2.0**-12
 
@@ -157,45 +159,63 @@ _GUARD = 0.5 - 2.0**-12
 def _significands(x: np.ndarray):
     """(fast, ex, digits, zeros): where ``fast``, '%.12g' % x[i] is a
     12-digit integer times 10^(e - 11), with ex = e + 4 in 0..14, whose
-    digits and trailing zeros _digit_words gives.
+    digits and trailing zeros _digit_words gives. Elsewhere the digits and
+    zeros mean nothing, but still index the tables.
 
-    Take e = floor(log10 x) and y = fl(x 10^(11-e)), clipping e to -4..10.
+    Take e = floor(log10 x), clipped to -4..10, as the truncation of
+    log10 x + 4 clipped to 0..14, and y = fl(x 10^(11-e)).
     The scale is an exact double and y < 2^40, so |y - x 10^(11-e)| <= 2^-14.
     When y >= 1e11, rint(y) < 1e12 and frac(y) lies more than 2^-12 from
     1/2, rint(y) is x 10^(11-e) correctly rounded and has 12 digits: the
     significand that CPython's correctly rounded '%.12g' prints, with
-    exponent e. Ties fall inside the guard band, and so do the rare values
-    whose log10 misjudges e. Zero, negative and non-finite values fail the
-    test, as do values outside about 1e-4..1e11.
+    exponent e. Ties fall inside the guard band, and the rare e misjudged
+    by one, by log10 or by the sum, puts y outside 1e11..1e12. Zero,
+    negative and non-finite values fail the test, as do values outside
+    about 1e-4..1e11.
     """
     with np.errstate(all="ignore"):
-        ex = np.log10(x)
-        np.floor(ex, out=ex)
-        ex = (ex + 4).astype(np.intp)
-        np.clip(ex, 0, 14, out=ex)
-        y = x * _SCALE[ex]
+        e = np.log10(x)
+        e += 4
+        ex = e.astype(np.intp)
+        np.maximum(ex, 0, out=ex)
+        np.minimum(ex, 14, out=ex)
+        y = _SCALE.take(ex)
+        y *= x
         sig = np.rint(y)
-        fast = (y >= 1e11) & (sig < 1e12) & (np.abs(y - sig) <= _GUARD)
-    sig[~fast] = 1e11
-    return (fast, ex, *_digit_words(sig.astype(np.int64)))
+        fast = y >= 1e11
+        fast &= sig < 1e12
+        y -= sig
+        np.abs(y, out=y)
+        fast &= y <= _GUARD
+        sig = sig.astype(np.int64)
+    return (fast, ex, *_digit_words(sig))
 
 
 def _digit_words(sig: np.ndarray):
     """The 12 ASCII digits of each sig, as two little-endian words, and its
     count of trailing zeros: floor divisions of numbers below 2^53, then
-    lookups in the table of the 10^4 four-digit groups."""
+    lookups in the table of the 10^4 four-digit groups. sig is overwritten.
+    The lookups clip, so any int64 gives some text; only the trailing
+    zeros of a sig whose last group is 0000 need a second lookup."""
     g0 = sig // 100000000
-    sig = sig - g0 * 100000000
+    sig -= g0 * 100000000
     g1 = sig // 10000
-    g2 = sig - g1 * 10000
-    zeros = _ZEROS[g2] + (g2 == 0) * (_ZEROS[g1] + (g1 == 0) * _ZEROS[g0])
-    return (_QUAD[g0] | _QUAD[g1] << np.uint64(32), _QUAD[g2]), zeros
+    sig -= g1 * 10000
+    zeros = _ZEROS.take(sig, mode="clip")
+    ends = np.flatnonzero(sig == 0)
+    if ends.size:
+        g1e, g0e = g1.take(ends), g0.take(ends)
+        zeros[ends] += _ZEROS.take(g1e, mode="clip") + (g1e == 0) * _ZEROS.take(g0e, mode="clip")
+    low = _QUAD.take(g0, mode="clip")
+    low |= _QUAD_HIGH.take(g1, mode="clip")
+    return (low, _QUAD.take(sig, mode="clip")), zeros
 
 
 def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
     """Write the text of each x[i] into words[i], three little-endian
-    64-bit words padded with NUL, and return the text lengths. The text is
-    '%.12g' % x[i], or with ``as_json`` json.dumps(float('%.12g' % x[i])).
+    64-bit words padded with NUL after it, and return the text lengths.
+    The text is '%.12g' % x[i], or with ``as_json``
+    json.dumps(float('%.12g' % x[i])).
 
     Values on the exact fast path of _significands take their text from
     the digit tables; in its exponent range json's text is the same, with
@@ -205,15 +225,23 @@ def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
     json then prints their floats in one json.dumps call (NaN, Infinity).
     """
     fast, ex, digits, zeros = _significands(x)
-    length = _LENGTH[as_json][ex * 13 + zeros]
-    up = _SHIFT[ex]
-    down = np.uint64(64) - up
-    carry = 0
+    i = ex * 13
+    i += zeros
+    length = _LENGTH[as_json].take(i)
+    up, down = _SHIFT.take(ex), _CARRY.take(ex)
+    carry = None
     for k, d in enumerate(digits):
-        moved = d & _MOVE[k][ex]
-        words[:, k] = ((d ^ moved) | (moved << up) | carry | _PREFIX[k][ex]) & _MASK[k][length]
+        moved = _MOVE[k].take(ex)
+        moved &= d
+        d ^= moved
+        d |= _PREFIX[k].take(ex)
+        if carry is not None:
+            d |= carry
         carry = moved >> down
-    words[:, 2] = carry & _MASK[2][length]
+        moved <<= up
+        d |= moved
+        np.bitwise_and(d, _MASK[k].take(length), out=words[:, k])
+    np.bitwise_and(carry, _MASK[2].take(length), out=words[:, 2])
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = (("%.12g\0" * slow.size) % tuple(x[slow].tolist())).split("\0")[:-1]
@@ -224,14 +252,35 @@ def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
     return length
 
 
-def _label_words(n: int, fmt: str, right: bool) -> list:
-    """``fmt % u`` for u < n as columns of little-endian 64-bit words,
-    padded with NUL on the left (``right``) or on the right."""
-    texts = [(fmt % u).encode() for u in range(n)]
-    width = -(-max(map(len, texts)) // 8) * 8
-    pad = bytes.rjust if right else bytes.ljust
-    words = np.frombuffer(b"".join(pad(t, width, b"\0") for t in texts), "<u8").reshape(n, -1)
-    return [words[:, k].copy() for k in range(words.shape[1])]
+def _label_words(ids, first: str, second: str):
+    """(head, tail, base): for u = ids[i] and v = ids[j], the text
+    ``first % u + second % v`` right-aligned in NUL-padded little-endian
+    64-bit words is word k = head[k][base[j] + i] | tail[k][j], in as many
+    words as the widest such text needs.
+
+    tail holds ``second % v``, right-aligned. head holds ``first % u`` once
+    for each length that ``second % v`` takes over ids, right-aligned but
+    for that many NULs after it; base[j] picks the copy for v's length.
+    """
+    firsts = [(first % u).encode() for u in ids]
+    seconds = [(second % v).encode() for v in ids]
+    sizes, which = np.unique([len(t) for t in seconds], return_inverse=True)
+    width = -(-(max(map(len, firsts)) + int(sizes[-1])) // 8) * 8
+
+    def rows(texts):
+        text = b"".join(t.rjust(width, b"\0") for t in texts)
+        return np.frombuffer(text, np.uint8).reshape(len(texts), width)
+
+    right = rows(firsts)
+    head = np.zeros((len(sizes), len(ids), width), np.uint8)
+    for c, size in enumerate(sizes):
+        head[c, :, :width - size] = right[:, size:]
+
+    def columns(table):
+        w = table.reshape(-1, width).view("<u8")
+        return [np.ascontiguousarray(w[:, k]) for k in range(w.shape[1])]
+
+    return columns(head), columns(rows(seconds)), which * len(ids)
 
 
 def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
@@ -242,28 +291,31 @@ def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, sp
     start of ``first``, so that it ends the previous line.
 
     A block of pairs is one buffer of fixed-width slots of 64-bit words:
-    the two labels, for ``spaces`` the 18 - len blanks of '%18.12g', and
-    the value text. Every slot is padded with NUL, so dropping the NULs
-    leaves the block's text. ``first`` and the blanks are right-aligned so
-    that each joins the next slot: the fewer runs, the faster the copy.
+    the pair's two labels as one field (_label_words), for ``spaces`` the
+    18 - len blanks of '%18.12g', and the value text. Every slot is padded
+    with NUL, so dropping the NULs leaves the block's text. The label
+    field and the blanks are right-aligned and the value left-aligned, so
+    that csv and json lines are each one run of text between NULs, and
+    table lines two: the fewer runs, the faster the copy.
     """
     if n < 2:
         return
-    labels = [(col, 0) for col in _label_words(n, first, True)]
-    labels += [(col, 1) for col in _label_words(n, second, False)]
-    width = len(labels) + 3 * spaces + 3
+    head, tail, base = _label_words(range(n), first, second)
+    width = len(head) + 3 * spaces + 3
     buf = None
-    for uv in pair_blocks(n):
+    for u, v in pair_blocks(n):
         if buf is None:  # the first block is the largest
-            buf = np.empty((len(uv[0]), width), "<u8")
-        words = buf[:len(uv[0])]
-        for k, (col, which) in enumerate(labels):
-            words[:, k] = col[uv[which]]
-        length = _g12_words(values(*uv), words[:, -3:], as_json)
+            buf = np.empty((len(u), width), "<u8")
+        words = buf[:len(u)]
+        i = base.take(v)
+        i += u
+        for k in range(len(head)):
+            np.bitwise_or(head[k].take(i), tail[k].take(v), out=words[:, k])
+        length = _g12_words(values(u, v), words[:, -3:], as_json)
         if spaces:
-            blanks = np.minimum(length, 18)
+            np.minimum(length, 18, out=length)
             for k in range(3):
-                words[:, len(labels) + k] = _SPACES[k][blanks]
+                words[:, len(head) + k] = _SPACES[k].take(length)
         chars = words.view(np.uint8).ravel()
         out.write(str(chars[chars != 0], "ascii")[skip:])
         skip = 0

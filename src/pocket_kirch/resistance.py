@@ -22,6 +22,7 @@ Kf of a pocket graph from its two small factors, without X itself.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,16 +58,29 @@ _BLOCK = 4096
 
 def pair_blocks(n: int):
     """(u, v) index arrays of the pairs u < v of order n in row-major order,
-    _BLOCK pairs at a time; a block may end inside a row."""
-    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, -1, -1))))
-    total = int(starts[-1])
+    _BLOCK pairs at a time; a block may end inside a row.
+
+    Row u holds the pairs starts[u] .. starts[u + 1] - 1, so pair p of row
+    u has v = p - (starts[u] - u - 1). A block's rows and their lengths are
+    found in Python, so each block costs a few whole-array numpy calls.
+    """
+    if n < 2:
+        return
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    lead = starts - np.arange(n) - 1
+    bounds = starts.tolist()
+    total = bounds[-1]
     for p0 in range(0, total, _BLOCK):
         p1 = min(p0 + _BLOCK, total)
-        u0 = int(np.searchsorted(starts, p0, "right")) - 1
-        u1 = int(np.searchsorted(starts, p1, "left"))
-        rows = np.minimum(starts[u0 + 1:u1 + 1], p1) - np.maximum(starts[u0:u1], p0)
-        u = np.repeat(np.arange(u0, u1), rows)
-        yield u, np.arange(p0, p1) - starts[u] + u + 1
+        u0 = bisect.bisect_right(bounds, p0) - 1
+        u1 = bisect.bisect_left(bounds, p1)
+        rows = np.arange(u0, u1)
+        size = n - 1 - rows
+        size[0] -= p0 - bounds[u0]
+        size[-1] -= bounds[u1] - p1
+        v = np.arange(p0, p1)
+        v -= lead[u0:u1].repeat(size)
+        yield rows.repeat(size), v
 
 
 def pair_resistances(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -694,6 +694,17 @@ class TestG12Kernel:
         _assert_same_text(_texts(fmt, r, KirchhoffResult(9.0, "structured"))[0],
                           _formatted(fmt, r, KirchhoffResult(9.0, "structured")))
 
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_order_1003_matches_printf(self, fmt):
+        # labels of 1 to 4 digits; json's "], [1000" and ", 1000, " are 8
+        # bytes each, so their label field is two whole words
+        rng = np.random.default_rng(1003)
+        r = rng.random((1003, 1003)) * 10.0 ** rng.integers(-3, 4, size=(1003, 1003))
+        kf = KirchhoffResult(2.0, "structured")
+        out = io.StringIO()
+        WRITERS[fmt][0](out, len(r), lambda u, v: r[u, v], kf)
+        _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
+
     def test_table_values_wider_than_the_column_get_no_padding(self):
         r = np.full((4, 4), 2.5)
         r[0, 1] = -1.23456789012e-308  # 19 characters
@@ -706,6 +717,25 @@ class TestG12Kernel:
         lines = text.splitlines()
         assert lines[1] == "   0   1-1.23456789012e-308"
         assert lines[2] == "   0   2" + "-1.5e-300".rjust(18)
+
+
+# Each writer's (first, second) label formats in _write_pairs.
+LABELS = {"csv": ("\n%d,", "%d,"), "table": ("\n%4d", "%4d"), "json": ("], [%d", ", %d, ")}
+
+
+class TestLabelWords:
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_digit_count_boundaries_up_to_a_million(self, fmt):
+        # labels wider than a word appear only at orders too large to write
+        first, second = LABELS[fmt]
+        ids = sorted({0, 1} | {10**e + d for e in range(1, 7) for d in (-1, 0, 1)})
+        head, tail, base = cli._label_words(ids, first, second)
+        i, j = np.triu_indices(len(ids), 1)
+        words = np.stack([h.take(base.take(j) + i) | t.take(j) for h, t in zip(head, tail)], axis=1)
+        texts = [(first % ids[a] + second % ids[b]).encode() for a, b in zip(i.tolist(), j.tolist())]
+        width = 8 * len(head)
+        assert width - 8 < max(map(len, texts)) <= width
+        assert [row.tobytes() for row in words] == [t.rjust(width, b"\0") for t in texts]
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from test_cli import _order_300_argv
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import output_snapshot  # noqa: E402
+import writer_timing  # noqa: E402
 
 
 def test_output_snapshot_writes_every_output(tmp_path):
@@ -39,3 +40,14 @@ def test_order_300_instance_is_the_cli_tests_one(tmp_path):
     files = argv[2::2]  # --f, --h1, --h2
     texts = [Path(path).read_text() for path in files]
     assert texts == [to_edge_list(g) for g in output_snapshot._order_300()]
+
+
+def test_writer_timing_times_every_writer(capsys, monkeypatch):
+    monkeypatch.setattr(writer_timing, "REPEATS", 1)
+    assert writer_timing.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["instance", "N", "csv", "ms", "json", "ms", "table", "ms"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["split-base-0", "294"], ["all-pocketed-1", "630"],
+                                         ["all-pocketed-2", "540"]]
+    assert all(float(ms) > 0 for row in rows for ms in row[2:])
