@@ -8,7 +8,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -97,16 +97,23 @@ def cmd_resist(args) -> int:
 
 def _resist(spec: PocketSpec, args) -> int:
     """Write every r_uv and Kf: with ``--oracle`` read from the dense X,
-    otherwise from the two small factors of a ``PocketResistance``."""
+    otherwise from the two small factors of a ``PocketResistance``.
+
+    The writers write ASCII bytes, into ``--out`` opened "wb" or into
+    standard output's byte buffer, after the text already written to
+    standard output; no text layer decodes or encodes them."""
     if args.oracle:
         x = oracle_one_inverse(build_pocket_graph(spec)[0])
         n, values, kf = x.shape[0], partial(pair_resistances, x), kirchhoff_from_one_inverse(x, "oracle")
     else:
         s = PocketResistance(spec)
         n, values, kf = s.order, s.pair_resistances, s.kirchhoff()
-    out = _open_out(args.out)
-    _WRITERS[args.format](out, n, values, kf)
-    _close_out(out)
+    if args.out:
+        with open(args.out, "wb") as out:
+            _WRITERS[args.format](out, n, values, kf)
+    else:
+        sys.stdout.flush()
+        _WRITERS[args.format](sys.stdout.buffer, n, values, kf)
     return 0
 
 
@@ -284,8 +291,9 @@ def _label_words(ids, first: str, second: str):
 
 
 def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
-    """Write ``first % u + second % v + text(r_uv)`` for every pair u < v of
-    order n in row-major order, without the first ``skip`` characters;
+    """Write ``first % u + second % v + text(r_uv)`` as ASCII bytes to the
+    binary stream ``out`` for every pair u < v of order n in row-major
+    order, without the first ``skip`` bytes;
     r_uv comes from ``values(u, v)`` a block of pairs at a time, and text
     is that of _g12_words. A caller puts each line's terminator at the
     start of ``first``, so that it ends the previous line.
@@ -296,7 +304,8 @@ def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, sp
     with NUL, so dropping the NULs leaves the block's text. The label
     field and the blanks are right-aligned and the value left-aligned, so
     that csv and json lines are each one run of text between NULs, and
-    table lines two: the fewer runs, the faster the copy.
+    table lines two: the fewer runs, the faster the copy. The compressed
+    bytes go to ``out.write`` as they are, one copy per block.
     """
     if n < 2:
         return
@@ -317,7 +326,7 @@ def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, sp
             for k in range(3):
                 words[:, len(head) + k] = _SPACES[k].take(length)
         chars = words.view(np.uint8).ravel()
-        out.write(str(chars[chars != 0], "ascii")[skip:])
+        out.write(chars[chars != 0][skip:])
         skip = 0
 
 
@@ -325,18 +334,18 @@ def _write_csv(out, n: int, values, kf) -> None:
     """Write "u,v,r_uv" for every pair u < v of order n, r read from
     ``values(u, v)`` at index arrays of pairs, then the Kf comment line, in
     the text of _fmt (see _g12_words)."""
-    out.write("u,v,r")
+    out.write(b"u,v,r")
     _write_pairs(out, n, values, "\n%d,", "%d,")
-    out.write(f"\n# Kf = {_fmt(kf.value)} ({kf.method})\n")
+    out.write(f"\n# Kf = {_fmt(kf.value)} ({kf.method})\n".encode("ascii"))
 
 
 def _write_table(out, n: int, values, kf) -> None:
     """Write u, v and _fmt(r_uv) right-aligned in 4, 4 and 18 columns for
     every pair u < v of order n, r read from ``values(u, v)``, then the Kf
     line."""
-    out.write(f"{'u':>4}{'v':>4}{'r':>18}")
+    out.write(f"{'u':>4}{'v':>4}{'r':>18}".encode("ascii"))
     _write_pairs(out, n, values, "\n%4d", "%4d", spaces=True)
-    out.write(f"\nKf = {_fmt(kf.value)} ({kf.method})\n")
+    out.write(f"\nKf = {_fmt(kf.value)} ({kf.method})\n".encode("ascii"))
 
 
 def _write_json(out, n: int, values, kf) -> None:
@@ -346,9 +355,9 @@ def _write_json(out, n: int, values, kf) -> None:
     repr(float(_fmt(r_uv))) (see _g12_words), one block of pairs at a
     time."""
     head = json.dumps({"kf": float(_fmt(kf.value)), "method": kf.method})
-    out.write(head[:-1] + ', "resistances": [')
+    out.write(head[:-1].encode("ascii") + b', "resistances": [')
     _write_pairs(out, n, values, "], [%d", ", %d, ", as_json=True, skip=3)
-    out.write("]]}\n" if n > 1 else "]}\n")
+    out.write(b"]]}\n" if n > 1 else b"]}\n")
 
 
 _WRITERS = {"csv": _write_csv, "json": _write_json, "table": _write_table}
@@ -511,8 +520,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    Every call in a process parses with one parser, built by make_parser()
+    at the first call; argparse keeps no state from one parse to the next.
+    The parser binds each ``cmd_*`` when it is built, so rebinding a
+    ``cmd_*`` name afterwards does not change what ``main`` runs.
+    """
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout is seen here

@@ -88,10 +88,10 @@ WRITERS = {
 def _texts(fmt, r, kf):
     """(writer text, reference text) of one format on r and kf."""
     write, reference = WRITERS[fmt]
-    text, reference_text = io.StringIO(), io.StringIO()
+    text, reference_text = io.BytesIO(), io.StringIO()
     write(text, len(r), lambda u, v: r[u, v], kf)
     reference(reference_text, r, kf)
-    return text.getvalue(), reference_text.getvalue()
+    return text.getvalue().decode("ascii"), reference_text.getvalue()
 
 
 def _assert_same_text(text, reference):
@@ -363,7 +363,7 @@ class TestResist:
         rng = np.random.default_rng(order)
         r = rng.random((order, order)) * 10.0 ** rng.integers(-3, 4, size=(order, order))
         kf = KirchhoffResult(float(r.sum()), "oracle")
-        out = io.StringIO()
+        out = io.BytesIO()
         cli._write_json(out, order, lambda u, v: r[u, v], kf)
         payload = {
             "kf": float(cli._fmt(kf.value)),
@@ -374,7 +374,7 @@ class TestResist:
                 for v in range(u + 1, order)
             ],
         }
-        assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+        assert out.getvalue().decode("ascii") == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_json_peak_memory_stays_near_the_dense_arrays(self, tmp_path, traced_peak):
         argv, order = _order_300_argv(tmp_path)
@@ -666,9 +666,9 @@ class TestG12Kernel:
         kf = KirchhoffResult(1.0, "structured")
         for at in range(0, len(values), chunk):
             r = _upper(values[at:at + chunk])
-            out = io.StringIO()
+            out = io.BytesIO()
             WRITERS[fmt][0](out, len(r), lambda u, v: r[u, v], kf)
-            _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
+            _assert_same_text(out.getvalue().decode("ascii"), _formatted(fmt, r, kf))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -677,9 +677,9 @@ class TestG12Kernel:
         r = _upper(values)
         kf = KirchhoffResult(3.0, "oracle")
         for fmt in ("csv", "table", "json"):
-            out = io.StringIO()
+            out = io.BytesIO()
             WRITERS[fmt][0](out, len(r), lambda u, v: r[u, v], kf)
-            _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
+            _assert_same_text(out.getvalue().decode("ascii"), _formatted(fmt, r, kf))
 
     @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
     def test_blocks_ending_inside_a_row(self, monkeypatch, fmt):
@@ -701,9 +701,9 @@ class TestG12Kernel:
         rng = np.random.default_rng(1003)
         r = rng.random((1003, 1003)) * 10.0 ** rng.integers(-3, 4, size=(1003, 1003))
         kf = KirchhoffResult(2.0, "structured")
-        out = io.StringIO()
+        out = io.BytesIO()
         WRITERS[fmt][0](out, len(r), lambda u, v: r[u, v], kf)
-        _assert_same_text(out.getvalue(), _formatted(fmt, r, kf))
+        _assert_same_text(out.getvalue().decode("ascii"), _formatted(fmt, r, kf))
 
     def test_table_values_wider_than_the_column_get_no_padding(self):
         r = np.full((4, 4), 2.5)
@@ -968,6 +968,26 @@ class TestParser:
         assert args.sweep == 40
         assert args.format == "json"
 
+    def test_main_builds_one_parser_for_every_call(self, tmp_path, monkeypatch, capsys, k2_file, k1_file):
+        cli._parser.cache_clear()
+        builds = _count_calls(monkeypatch, cli.make_parser)
+        spec = ["resist", "--f", k2_file, "--h1", k1_file]
+        assert main(spec + ["--format", "json", "--out", str(tmp_path / "a")]) == 0
+        assert main(spec + ["--out", str(tmp_path / "b")]) == 0
+        with pytest.raises(SystemExit) as rejected:
+            main(spec + ["--format", "xml"])
+        assert rejected.value.code == 2 and "invalid choice: 'xml'" in capsys.readouterr().err
+        assert main(spec + ["--oracle", "--out", str(tmp_path / "c")]) == 0
+        assert main(["verify", "--sweep", "0", "--out", str(tmp_path / "d")]) == 0
+        assert main(spec + ["--out", str(tmp_path / "e")]) == 0
+        assert len(builds) == 1
+        assert json.loads((tmp_path / "a").read_text())["method"] == "structured"
+        csv_lines = (tmp_path / "b").read_text().splitlines()
+        assert csv_lines[0] == "u,v,r" and csv_lines[-1].endswith("(structured)")
+        assert (tmp_path / "c").read_text().splitlines()[-1].endswith("(oracle)")
+        assert json.loads((tmp_path / "d").read_text())["ok"] is True
+        assert (tmp_path / "e").read_text() == (tmp_path / "b").read_text()
+
 
 class TestHostileGraphFiles:
     """A graph file with a non-integer vertex id or order (true and false
@@ -1011,6 +1031,28 @@ def test_cli_import_loads_no_scipy_sparse():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_stdout_gets_the_out_file_bytes(tmp_path, fmt):
+    # a text layer in UTF-16 would re-encode whatever passed through it
+    argv, order = _order_300_argv(tmp_path)
+    argv += ["--format", fmt]
+    target = tmp_path / f"r.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    src = os.path.dirname(os.path.dirname(pocket_kirch.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-16")
+    done = subprocess.run([sys.executable, "-m", "pocket_kirch.cli"] + argv, env=env,
+                          capture_output=True, check=True, timeout=120)
+    text = done.stdout
+    assert text == target.read_bytes()
+    if fmt == "json":  # one line: Kf in the head, then the pairs
+        assert text.startswith(b'{"kf": ') and text.endswith(b"]]}\n")
+    else:
+        lines = text.split(b"\n")
+        assert lines[0] == {"csv": b"u,v,r", "table": b"   u   v                 r"}[fmt]
+        assert lines[-2].startswith({"csv": b"# Kf = ", "table": b"Kf = "}[fmt]) and lines[-1] == b""
+        assert len(lines) == order * (order - 1) // 2 + 3
 
 
 def test_closed_stdout_ends_resist_quietly(tmp_path):

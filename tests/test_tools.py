@@ -46,8 +46,9 @@ def test_writer_timing_times_every_writer(capsys, monkeypatch):
     monkeypatch.setattr(writer_timing, "REPEATS", 1)
     assert writer_timing.main() == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split() == ["instance", "N", "csv", "ms", "json", "ms", "table", "ms"]
+    assert lines[1].split() == ["instance", "N", "csv", "ms", "json", "ms", "table", "ms", "main", "ms"]
     rows = [line.split() for line in lines[2:]]
     assert [row[:2] for row in rows] == [["split-base-0", "294"], ["all-pocketed-1", "630"],
                                          ["all-pocketed-2", "540"]]
+    assert all(len(row) == 6 for row in rows)
     assert all(float(ms) > 0 for row in rows for ms in row[2:])

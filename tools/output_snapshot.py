@@ -56,19 +56,20 @@ def _order_300():
     return random_connected_graph(rng, 20), random_graph(rng, 3), random_graph(rng, 11)
 
 
-def resist_cli_specs(workdir: str) -> list:
-    """(key, spec) of the three resist-cli instances; perfbench writes
-    their input files into ``workdir``."""
+def resist_cli_items(workdir: str) -> list:
+    """The three resist-cli instances, with their ``key``, ``spec`` and
+    benchmark request ``argv``; perfbench writes their input files into
+    ``workdir``, and the requests write their output there."""
     sys.path.insert(0, PERFBENCH)
     import workloads
 
     rng = np.random.default_rng(RESIST_CLI_SEED)
-    return [(it.key, it.spec) for it in workloads.ResistCli().setup(pocket_kirch, rng, workdir)]
+    return workloads.ResistCli().setup(pocket_kirch, rng, workdir)
 
 
 def resist_instances(workdir: str) -> list:
     """(label, resist argv without --format and --out) of every instance."""
-    specs = list(builtin_fixtures()) + resist_cli_specs(workdir)
+    specs = list(builtin_fixtures()) + [(it.key, it.spec) for it in resist_cli_items(workdir)]
     instances = [
         (label, _spec_argv(label, s.F, s.H1, s.H2, s.attach, workdir)) for label, s in specs
     ]
