@@ -11,6 +11,7 @@ import time
 from functools import cache, partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graphs import (
     PocketSpec,
@@ -119,14 +120,15 @@ def _resist(spec: PocketSpec, args) -> int:
 
 def _digit_tables():
     """Lookup tables of _g12_words, built by numpy arithmetic and indexed by
-    ex = e + 4 for the decimal exponent e in -4..10.
+    i = 13 ex + z, for the decimal exponent e in -4..10, ex = e + 4, and
+    the count z of trailing zeros in 0..12 of a 12-digit significand D.
 
-    A 12-digit significand D, as little-endian 64-bit words, becomes the
-    text ``PREFIX[ex] | D & ~MOVE[ex] | (D & MOVE[ex]) << SHIFT[ex]``, cut to
-    LENGTH[ex * 13 + z] bytes when D ends in z zeros. For e >= 0 the first
-    e + 1 digits stay and the rest move one byte up past the '.'; for e < 0
-    every digit moves up past "0." and -e - 1 zeros. json's LENGTH keeps
-    the ".0" of an integer.
+    D, as little-endian 64-bit words, becomes the text
+    ``PREFIX[i] | D & ~MOVE[i] | (D & MOVE[i]) << SHIFT[i]``, cut to
+    LENGTH[i] bytes by MASK[i]. For e >= 0 the first e + 1 digits stay and
+    the rest move one byte up past the '.'; for e < 0 every digit moves up
+    past "0." and -e - 1 zeros. json's LENGTH and MASK keep the ".0" of an
+    integer. BLANKS is indexed by a text's length instead.
     """
     i = np.arange(10000, dtype=np.int16)
     digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1).astype(np.uint8)
@@ -146,28 +148,31 @@ def _digit_tables():
     length_json = np.where(fraction, length, dot + 2)
     size = np.arange(25)[:, None]
     mask = np.where(pos < size, 255, 0)
-    spaces = np.where(pos >= size + 6, ord(" "), 0)[:19]  # 18 - size blanks, right-aligned
+    blanks = np.where((pos >= 6) & (pos < 24 - size), ord(" "), 0)  # those of '%18s' before size bytes
+
+    lengths = {False: length.ravel(), True: length_json.ravel()}
 
     def words(table):
         w = np.ascontiguousarray(table, dtype=np.uint8).view("<u8")
         return tuple(np.ascontiguousarray(w[:, k]) for k in range(3))
 
-    return (quad, zeros, words(prefix), words(move), shift.astype("<u8"),
-            {False: length.ravel(), True: length_json.ravel()}, words(mask), words(spaces))
+    def by_i(table):  # a table of ex, repeated for each z
+        return np.repeat(table, 13, axis=0)
+
+    return (quad, zeros, words(by_i(prefix)), words(by_i(move)), by_i(shift).astype("<u8"), lengths,
+            {fmt: words(mask[length]) for fmt, length in lengths.items()}, words(blanks))
 
 
-_QUAD, _ZEROS, _PREFIX, _MOVE, _SHIFT, _LENGTH, _MASK, _SPACES = _digit_tables()
+_QUAD, _ZEROS, _PREFIX, _MOVE, _SHIFT, _LENGTH, _MASK, _BLANKS = _digit_tables()
 _QUAD_HIGH = _QUAD << np.uint64(32)  # the same four digits in bytes 4..7
-_CARRY = np.uint64(64) - _SHIFT  # brings a moved word's top bytes into the next word
 _SCALE = 10.0 ** np.arange(15, 0, -1)  # 10^(11 - e), exact
 _GUARD = 0.5 - 2.0**-12
 
 
 def _significands(x: np.ndarray):
-    """(fast, ex, digits, zeros): where ``fast``, '%.12g' % x[i] is a
-    12-digit integer times 10^(e - 11), with ex = e + 4 in 0..14, whose
-    digits and trailing zeros _digit_words gives. Elsewhere the digits and
-    zeros mean nothing, but still index the tables.
+    """(fast, ex, sig): where ``fast``, '%.12g' % x[i] is the 12-digit
+    integer sig[i] times 10^(e - 11), with ex = e + 4 in 0..14. Elsewhere
+    sig means nothing, but still indexes the tables of _digit_words.
 
     Take e = floor(log10 x), clipped to -4..10, as the truncation of
     log10 x + 4 clipped to 0..14, and y = fl(x 10^(11-e)).
@@ -181,12 +186,12 @@ def _significands(x: np.ndarray):
     about 1e-4..1e11.
     """
     with np.errstate(all="ignore"):
-        e = np.log10(x)
-        e += 4
-        ex = e.astype(np.intp)
+        y = np.log10(x)
+        y += 4
+        ex = y.astype(np.intp)
         np.maximum(ex, 0, out=ex)
         np.minimum(ex, 14, out=ex)
-        y = _SCALE.take(ex)
+        _SCALE.take(ex, out=y, mode="clip")
         y *= x
         sig = np.rint(y)
         fast = y >= 1e11
@@ -194,16 +199,17 @@ def _significands(x: np.ndarray):
         y -= sig
         np.abs(y, out=y)
         fast &= y <= _GUARD
-        sig = sig.astype(np.int64)
-    return (fast, ex, *_digit_words(sig))
+        np.copyto(y.view(np.int64), sig, casting="unsafe")  # y is spent
+    return fast, ex, y.view(np.int64)
 
 
 def _digit_words(sig: np.ndarray):
-    """The 12 ASCII digits of each sig, as two little-endian words, and its
-    count of trailing zeros: floor divisions of numbers below 2^53, then
-    lookups in the table of the 10^4 four-digit groups. sig is overwritten.
-    The lookups clip, so any int64 gives some text; only the trailing
-    zeros of a sig whose last group is 0000 need a second lookup."""
+    """((low, high), zeros): the 12 ASCII digits of each sig as two
+    little-endian words, low in sig's memory, and its count of trailing
+    zeros: floor divisions of numbers below 2^53, then lookups in the table
+    of the 10^4 four-digit groups. The lookups clip, so any int64 gives
+    some text; only the trailing zeros of a sig whose last group is 0000
+    need a second lookup."""
     g0 = sig // 100000000
     sig -= g0 * 100000000
     g1 = sig // 10000
@@ -213,9 +219,43 @@ def _digit_words(sig: np.ndarray):
     if ends.size:
         g1e, g0e = g1.take(ends), g0.take(ends)
         zeros[ends] += _ZEROS.take(g1e, mode="clip") + (g1e == 0) * _ZEROS.take(g0e, mode="clip")
-    low = _QUAD.take(g0, mode="clip")
-    low |= _QUAD_HIGH.take(g1, mode="clip")
-    return (low, _QUAD.take(sig, mode="clip")), zeros
+    high = _QUAD.take(sig, mode="clip")
+    low = _QUAD.take(g0, mode="clip", out=sig.view(np.uint64))
+    low |= _QUAD_HIGH.take(g1, mode="clip", out=g0.view(np.uint64))
+    return (low, high), zeros
+
+
+def _place_digits(i: np.ndarray, low: np.ndarray, high: np.ndarray, mask, words: np.ndarray) -> None:
+    """Write ``PREFIX[i] | D & ~MOVE[i] | (D & MOVE[i]) << SHIFT[i]``, cut
+    by mask[k][i] (see _digit_tables), into the rows of words, three
+    little-endian 64-bit words each, for the 12-digit significands
+    D = (low, high) of _digit_words, which are overwritten. Word 0's moved digits carry their
+    top bytes into word 1, and word 1's into word 2.
+
+    Besides i and D, three arrays of their size are made, and reused from
+    word 0 to word 1: these and the values are the writer's largest arrays
+    after its buffer, and set its peak memory.
+    """
+    up = _SHIFT.take(i)
+    moved = _MOVE[0].take(i)
+    moved &= low
+    low ^= moved
+    low |= _PREFIX[0].take(i)
+    carry = np.subtract(64, up)
+    np.right_shift(moved, carry, out=carry)
+    moved <<= up
+    low |= moved
+    np.bitwise_and(low, mask[0].take(i, out=moved, mode="clip"), out=words[:, 0])
+    _MOVE[1].take(i, out=moved, mode="clip")
+    moved &= high
+    high ^= moved
+    high |= _PREFIX[1].take(i, out=low, mode="clip")
+    high |= carry
+    np.right_shift(moved, np.subtract(64, up, out=carry), out=carry)
+    moved <<= up
+    high |= moved
+    np.bitwise_and(high, mask[1].take(i, out=moved, mode="clip"), out=words[:, 1])
+    np.bitwise_and(carry, mask[2].take(i, out=moved, mode="clip"), out=words[:, 2])
 
 
 def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
@@ -231,24 +271,12 @@ def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
     negatives, subnormals, non-finite values and exponents outside -4..10.
     json then prints their floats in one json.dumps call (NaN, Infinity).
     """
-    fast, ex, digits, zeros = _significands(x)
-    i = ex * 13
+    fast, i, sig = _significands(x)
+    digits, zeros = _digit_words(sig)
+    i *= 13
     i += zeros
+    _place_digits(i, *digits, _MASK[as_json], words)
     length = _LENGTH[as_json].take(i)
-    up, down = _SHIFT.take(ex), _CARRY.take(ex)
-    carry = None
-    for k, d in enumerate(digits):
-        moved = _MOVE[k].take(ex)
-        moved &= d
-        d ^= moved
-        d |= _PREFIX[k].take(ex)
-        if carry is not None:
-            d |= carry
-        carry = moved >> down
-        moved <<= up
-        d |= moved
-        np.bitwise_and(d, _MASK[k].take(length), out=words[:, k])
-    np.bitwise_and(carry, _MASK[2].take(length), out=words[:, 2])
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts = (("%.12g\0" * slow.size) % tuple(x[slow].tolist())).split("\0")[:-1]
@@ -259,6 +287,37 @@ def _g12_words(x: np.ndarray, words: np.ndarray, as_json: bool) -> np.ndarray:
     return length
 
 
+def _right_align(words: np.ndarray, length: np.ndarray) -> None:
+    """Turn each row of words, a text of length[i] bytes from byte 0 of
+    three little-endian 64-bit words, into the text right-aligned in 18
+    columns: moved up to end at byte 24, after 18 - length[i] blanks when
+    length[i] < 18. A move by s = 24 - length[i] bytes is one of q = s // 8
+    whole words after a shift by the rest; a shift by 64 gives 0."""
+    s = 24 - length
+    q = s >> 3
+    s &= 7
+    s <<= 3
+    bits = s.view(np.uint64)
+    rest = np.subtract(64, bits)
+    w0, w1, w2 = words.T
+    c2 = w2 << bits
+    c2 |= w1 >> rest
+    c1 = w1 << bits
+    c1 |= np.right_shift(w0, rest, out=rest)
+    c0 = np.left_shift(w0, bits, out=rest)
+    zero = q == 0
+    c2 = np.where(zero, c2, np.where(q == 1, c1, c0))
+    c2 |= _BLANKS[2].take(length)
+    words[:, 2] = c2
+    c1 = np.where(zero, c1, c0)
+    c1 *= q < 2
+    c1 |= _BLANKS[1].take(length)
+    words[:, 1] = c1
+    c0 *= zero
+    c0 |= _BLANKS[0].take(length)
+    words[:, 0] = c0
+
+
 def _label_words(ids, first: str, second: str):
     """(head, tail, base): for u = ids[i] and v = ids[j], the text
     ``first % u + second % v`` right-aligned in NUL-padded little-endian
@@ -266,28 +325,45 @@ def _label_words(ids, first: str, second: str):
     words as the widest such text needs.
 
     tail holds ``second % v``, right-aligned. head holds ``first % u`` once
-    for each length that ``second % v`` takes over ids, right-aligned but
-    for that many NULs after it; base[j] picks the copy for v's length.
+    for each length s from the shortest to the longest ``second % v`` over
+    ids, right-aligned but for s NULs after it; base[j] picks the copy for
+    v's length. Each table is one ``%`` call over ids, whose texts numpy
+    puts in place with one scatter; head's copies are windows of one
+    table.
     """
-    firsts = [(first % u).encode() for u in ids]
-    seconds = [(second % v).encode() for v in ids]
-    sizes, which = np.unique([len(t) for t in seconds], return_inverse=True)
-    width = -(-(max(map(len, firsts)) + int(sizes[-1])) // 8) * 8
+    ids = tuple(ids)
+    n = len(ids)
 
-    def rows(texts):
-        text = b"".join(t.rjust(width, b"\0") for t in texts)
-        return np.frombuffer(text, np.uint8).reshape(len(texts), width)
+    def texts(fmt):
+        # fmt % u of every u, one after another and each closed by a NUL,
+        # and the span of each text with its NUL
+        chars = np.frombuffer(((fmt + "\0") * n).encode() % ids, np.uint8)
+        return chars, np.diff(np.flatnonzero(chars == 0), prepend=-1)
 
-    right = rows(firsts)
-    head = np.zeros((len(sizes), len(ids), width), np.uint8)
-    for c, size in enumerate(sizes):
-        head[c, :, :width - size] = right[:, size:]
+    def rows(chars, span, stride, end):
+        # the texts right-aligned to byte ``end`` of rows of ``stride``
+        # bytes, NUL elsewhere; each closing NUL lands on byte ``end``
+        at = np.arange(end, n * stride + end, stride)
+        at -= span.cumsum()
+        at = at.repeat(span)
+        at += np.arange(1, len(chars) + 1)
+        table = np.zeros(n * stride + 1, np.uint8)
+        table[at] = chars
+        return table[:-1].reshape(n, stride)
 
     def columns(table):
-        w = table.reshape(-1, width).view("<u8")
-        return [np.ascontiguousarray(w[:, k]) for k in range(w.shape[1])]
+        # one contiguous array per 64-bit word of rows of width bytes
+        words = table.reshape(*table.shape[:-1], width // 8, 8)
+        return list(np.ascontiguousarray(np.moveaxis(words, -2, 0)).view("<u8").reshape(width // 8, -1))
 
-    return columns(head), columns(rows(seconds)), which * len(ids)
+    (a, a_span), (b, b_span) = texts(first), texts(second)
+    low, high = int(b_span.min()) - 1, int(b_span.max()) - 1
+    width = -(-(int(a_span.max()) - 1 + high) // 8) * 8
+    # copy s - low is the window of width bytes at s - low, in which the
+    # texts end s bytes before its end
+    right = rows(a, a_span, width + high - low, width - low)
+    head = sliding_window_view(right, width, axis=1).swapaxes(0, 1)
+    return columns(head), columns(rows(b, b_span, width, width)), (b_span - 1 - low) * n
 
 
 def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, spaces=False, skip=0) -> None:
@@ -299,18 +375,23 @@ def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, sp
     start of ``first``, so that it ends the previous line.
 
     A block of pairs is one buffer of fixed-width slots of 64-bit words:
-    the pair's two labels as one field (_label_words), for ``spaces`` the
-    18 - len blanks of '%18.12g', and the value text. Every slot is padded
-    with NUL, so dropping the NULs leaves the block's text. The label
-    field and the blanks are right-aligned and the value left-aligned, so
-    that csv and json lines are each one run of text between NULs, and
-    table lines two: the fewer runs, the faster the copy. The compressed
-    bytes go to ``out.write`` as they are, one copy per block.
+    the pair's two labels as one field (_label_words), and the value text
+    in three words, for ``spaces`` right-aligned after the 18 - len blanks
+    of '%18.12g'. Every slot is padded with NUL, so dropping the NULs
+    leaves the block's text. The label field is right-aligned and a csv or
+    json value left-aligned, so that their lines are each one run of text
+    between NULs, and table lines two: the fewer runs, the faster the
+    copy. The compressed bytes go to ``out.write`` as they are.
+
+    The most the writer holds at once is the buffer and the arrays of the
+    value text's kernel: a block's index arrays are dropped before its
+    values are turned into text, the values before the NULs are dropped,
+    and those are dropped a half buffer at a time.
     """
     if n < 2:
         return
     head, tail, base = _label_words(range(n), first, second)
-    width = len(head) + 3 * spaces + 3
+    width = len(head) + 3
     buf = None
     for u, v in pair_blocks(n):
         if buf is None:  # the first block is the largest
@@ -320,14 +401,17 @@ def _write_pairs(out, n: int, values, first: str, second: str, as_json=False, sp
         i += u
         for k in range(len(head)):
             np.bitwise_or(head[k].take(i), tail[k].take(v), out=words[:, k])
-        length = _g12_words(values(u, v), words[:, -3:], as_json)
+        x = values(u, v)
+        del u, v, i
+        length = _g12_words(x, words[:, -3:], as_json)
+        del x
         if spaces:
-            np.minimum(length, 18, out=length)
-            for k in range(3):
-                words[:, len(head) + k] = _SPACES[k].take(length)
+            _right_align(words[:, -3:], length)
+        del length
         chars = words.view(np.uint8).ravel()
-        out.write(chars[chars != 0][skip:])
-        skip = 0
+        for part in (chars[:len(chars) // 2], chars[len(chars) // 2:]):
+            out.write(part[part != 0][skip:])
+            skip = 0
 
 
 def _write_csv(out, n: int, values, kf) -> None:

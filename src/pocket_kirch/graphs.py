@@ -75,10 +75,11 @@ class Graph:
     holds the edges once: a read-only (|E|, 2) intp array of distinct pairs
     u < v in sorted order, built from any iterable of integer pairs or an
     integer array in one numpy pass. Ends are normalized and duplicates
-    merged by one ``np.unique`` of u*order + v; self-loops, ends out of
-    range, rows that are not pairs, non-integer ends and non-integer or
-    bool orders raise GraphFormatError. The order lies in [0, 2**31), so
-    that key fits in intp. ``edges`` is the same set as a frozenset of
+    merged by one sort of the keys u*order + v, keeping each key that
+    differs from the one before it; self-loops, ends out of range, rows
+    that are not pairs, non-integer ends and non-integer or bool orders
+    raise GraphFormatError. The order lies in [0, 2**31), so that key fits
+    in intp. ``edges`` is the same set as a frozenset of
     tuples, made on first use, for membership tests. Graphs are
     immutable, hashable and equal when their orders and edge arrays are.
     """
@@ -95,7 +96,10 @@ class Graph:
         if bad.size:
             u, v = pairs[bad[0]].tolist()
             raise GraphFormatError(f"self-loop at vertex {u}" if u == v else f"edge ({u},{v}) outside [0,{order})")
-        array = np.stack(np.divmod(np.unique(lo * order + hi), max(order, 1)), axis=1)
+        keys = np.sort(lo * order + hi)
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        array = np.stack(np.divmod(keys[distinct], max(order, 1)), axis=1)
         array.flags.writeable = False
         for name, value in (("order", order), ("array", array), ("_edges", None)):
             object.__setattr__(self, name, value)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -717,6 +718,32 @@ class TestG12Kernel:
         lines = text.splitlines()
         assert lines[1] == "   0   1-1.23456789012e-308"
         assert lines[2] == "   0   2" + "-1.5e-300".rjust(18)
+
+
+@lru_cache(maxsize=1)
+def _block_case(fmt, order):
+    """r of one order, over seven decades, and the reference writer's text
+    of one format on it; the tests of one case run one after another."""
+    rng = np.random.default_rng(order)
+    r = rng.random((order, order)) * 10.0 ** rng.integers(-3, 4, size=(order, order))
+    r[0, 2] = float("nan")  # a fallback value in the first block
+    out = io.StringIO()
+    WRITERS[fmt][1](out, r, KirchhoffResult(7.0, "structured"))
+    return r, out.getvalue()
+
+
+class TestBlockSize:
+    """No output byte depends on how pair_blocks cuts the pairs."""
+
+    @pytest.mark.parametrize("block", [7, 4096, 8191, 8192])
+    @pytest.mark.parametrize("order", [300, 1003])
+    @pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+    def test_writers_match_reference(self, monkeypatch, fmt, order, block):
+        r, reference = _block_case(fmt, order)
+        monkeypatch.setattr(resistance, "_BLOCK", block)
+        out = io.BytesIO()
+        WRITERS[fmt][0](out, order, lambda u, v: r[u, v], KirchhoffResult(7.0, "structured"))
+        _assert_same_text(out.getvalue().decode("ascii"), reference)
 
 
 # Each writer's (first, second) label formats in _write_pairs.

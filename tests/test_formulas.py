@@ -31,6 +31,7 @@ from pocket_kirch import (
     thm41_printed_kf,
     verify_construction,
 )
+from pocket_kirch import resistance
 from pocket_kirch.cli import main
 from pocket_kirch.resistance import KirchhoffResult, pair_blocks
 from pocket_kirch.formulas import (
@@ -694,17 +695,29 @@ class TestAuditMatchesPerPairReference:
 
     def test_non_join_base_over_two_blocks(self):
         # a join gadget on a path base, which is not F1 v F2 over the
-        # attached vertices: order 92, so the pairs span two pair blocks
+        # attached vertices: order 132, so the pairs span two pair blocks
         rng = np.random.default_rng(92)
-        spec = PocketSpec(path_graph(12), (0, 2, 5, 7, 11), random_graph(rng, 4), random_graph(rng, 12))
+        spec = PocketSpec(path_graph(12), (0, 2, 5, 7, 11), random_graph(rng, 4), random_graph(rng, 20))
         order = spec.n + spec.m * spec.k
-        assert order >= 92 and len(list(pair_blocks(order))) >= 2
+        assert order >= 132 and len(list(pair_blocks(order))) >= 2
         assert spec.cross is None and _reference_theorem(spec) is None
         _assert_same_report(spec, "path-base")
 
+    @pytest.mark.parametrize("label,spec", builtin_fixtures() + [("order-164", _seeded_spec(34, LARGE_SHAPES[-1]))])
+    def test_report_does_not_depend_on_the_block_size(self, monkeypatch, label, spec):
+        order = spec.n + spec.m * spec.k
+        texts, blocks = {}, {}
+        for block in (4096, 8192):
+            monkeypatch.setattr(resistance, "_BLOCK", block)
+            blocks[block] = len(list(pair_blocks(order)))
+            texts[block] = verify_construction(spec, label=label).to_json()
+        assert texts[4096] == texts[8192]
+        if label == "order-164":
+            assert (blocks[4096], blocks[8192]) == (4, 2)
+
     @pytest.mark.parametrize("tol_r,tol_kf", [(0.0, 1e-8), (1e-9, 0.0), (-1.0, -1.0)])
     def test_failing_tolerances(self, tol_r, tol_kf):
-        # order 168: its pairs span several blocks of records
+        # order 168: its pairs span two blocks of records
         _assert_same_report(_seeded_spec(20, (12, 5, 13)), tol_r=tol_r, tol_kf=tol_kf)
 
     @pytest.mark.parametrize("off", ["r[0,1]", "Kf"])

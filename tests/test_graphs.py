@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pocket_kirch import (
@@ -683,7 +683,36 @@ def _orders_and_pairs(draw):
     return order, pairs
 
 
+@st.composite
+def _keyed_pairs(draw):
+    """An order up to 2*10^4, sometimes 0 or 1, and pairs u != v of it,
+    with repeated and reversed copies among them, in any order."""
+    order = draw(st.sampled_from([0, 1]) | st.integers(2, 20_000))
+    if order < 2:
+        return order, []
+    step = st.tuples(st.integers(0, order - 1), st.integers(1, order - 1))
+    pairs = draw(st.lists(step.map(lambda t: (t[0], (t[0] + t[1]) % order)), max_size=40))
+    if pairs:
+        again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=20))
+        pairs += [p[::-1] if flip else p for p, flip in again]
+    return order, draw(st.permutations(pairs))
+
+
 class TestCanonicalEdgeArray:
+    @given(_keyed_pairs())
+    @example((0, []))
+    @example((1, []))
+    @example((20_000, [(19_999, 0), (0, 19_999), (5, 4), (4, 5), (4, 5)]))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_dedup_matches_np_unique(self, order_and_pairs):
+        order, pairs = order_and_pairs
+        given_as = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        lo, hi = given_as.min(axis=1), given_as.max(axis=1)
+        expected = np.stack(np.divmod(np.unique(lo * order + hi), max(order, 1)), axis=1)
+        a = Graph(order, pairs).array
+        assert a.dtype == expected.dtype and a.shape == expected.shape
+        assert np.array_equal(a, expected)
+
     @given(_orders_and_pairs())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_edge_reference(self, order_and_pairs):

@@ -35,6 +35,37 @@ def test_output_snapshot_writes_every_output(tmp_path):
     assert all(p.stat().st_size > 0 for p in tmp_path.iterdir())
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Runs output_snapshot.py as a script up to its argument parsing, and
+# prints the BLAS variables as they stood when numpy was first imported.
+AT_NUMPY_IMPORT = f"""
+import os, runpy, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(var) for var in {BLAS_VARS!r}])
+sys.meta_path.insert(0, Spy())
+sys.argv = [sys.argv[1], "--help"]
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+except SystemExit:
+    pass
+print(seen)
+"""
+
+
+def test_output_snapshot_pins_one_blas_thread():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{var: "2" for var in BLAS_VARS})
+    proc = subprocess.run(
+        [sys.executable, "-c", AT_NUMPY_IMPORT, str(ROOT / "tools" / "output_snapshot.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([["1", "1", "1"]])
+
+
 def test_order_300_instance_is_the_cli_tests_one(tmp_path):
     argv, _ = _order_300_argv(tmp_path)
     files = argv[2::2]  # --f, --h1, --h2

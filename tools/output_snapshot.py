@@ -4,7 +4,9 @@
 
 ``pocket_kirch`` is imported from ``PYTHONPATH``, so the same script can
 snapshot any checkout's ``src``. Run it once per checkout, on the same
-host with the same BLAS thread count, then compare with ``diff -r``.
+host, then compare with ``diff -r``. Run as a script, it pins BLAS to one
+thread before numpy is imported, whatever the environment asks for: the
+``--oracle`` digits move with the thread count.
 
 OUTDIR receives one file per output:
 - ``resist`` in csv, json and table, structured and ``--oracle``, on the
@@ -25,12 +27,17 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+if __name__ == "__main__":
+    # as perfbench/run.py pins it; numpy reads these when it is imported
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
-import pocket_kirch
-from pocket_kirch import cli
-from pocket_kirch.graphs import to_edge_list
-from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph
+import numpy as np  # noqa: E402
+
+import pocket_kirch  # noqa: E402
+from pocket_kirch import cli  # noqa: E402
+from pocket_kirch.graphs import to_edge_list  # noqa: E402
+from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph  # noqa: E402
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 RESIST_CLI_SEED = 4301
