@@ -11,7 +11,8 @@ three calls after one untimed call, with each result dropped before the
 next call, so the structured route writes its dense X into the output
 buffer the library keeps. (``bench``'s structured column reads Kf from the
 two factors instead and writes no N x N array.) At total order 1000 the
-structured path is about 8-18 times faster.
+structured path is several times faster; the ratio printed moves with
+the host and its load, so none is promised here.
 """
 
 import numpy as np

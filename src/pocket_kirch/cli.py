@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import cache, partial
 
 import numpy as np
@@ -67,54 +68,52 @@ def _spec_from_args(args) -> PocketSpec:
     return PocketSpec(f, attach, h1, h2, cross)
 
 
+@contextmanager
+def _output(path):
+    """The binary stream every command writes its ASCII bytes into: the file
+    at ``path`` opened "wb" and closed on the way out, or else standard
+    output's byte buffer, flushed of its text first. No text layer encodes
+    the bytes, so standard output gets what ``--out`` would hold, whatever
+    PYTHONIOENCODING says."""
+    if path:
+        with open(path, "wb") as out:
+            yield out
+    else:
+        sys.stdout.flush()
+        yield sys.stdout.buffer
+
+
 def cmd_build(args) -> int:
     spec = _spec_from_args(args)
     g, layout = build_pocket_graph(spec)
     graph_text = graph_to_json(g) + "\n" if args.format == "json" else to_edge_list(g)
-    layout_text = layout_to_json(layout)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(graph_text)
-        with open(args.out + ".layout.json", "w") as fh:
-            fh.write(layout_text + "\n")
-    else:
-        sys.stdout.write(graph_text)
-        sys.stdout.write(layout_text + "\n")
+    with _output(args.out) as out:
+        out.write(graph_text.encode("ascii"))
+    with _output(args.out and args.out + ".layout.json") as out:
+        out.write((layout_to_json(layout) + "\n").encode("ascii"))
     return 0
 
 
 def cmd_resist(args) -> int:
+    """Write every r_uv and Kf: with ``--oracle`` read from the dense X,
+    otherwise from the two small factors of a ``PocketResistance``."""
     spec = _spec_from_args(args)
     order = spec.n + spec.m * spec.k
     try:
-        return _resist(spec, args)
+        if args.oracle:
+            x = oracle_one_inverse(build_pocket_graph(spec)[0])
+            n, values, kf = x.shape[0], partial(pair_resistances, x), kirchhoff_from_one_inverse(x, "oracle")
+        else:
+            s = PocketResistance(spec)
+            n, values, kf = s.order, s.pair_resistances, s.kirchhoff()
+        with _output(args.out) as out:
+            _WRITERS[args.format](out, n, values, kf)
     except MemoryError:
         if args.oracle:
             need = f"the dense result has order N = {order} ({order} x {order} entries)"
         else:
             need = f"the pocket graph has order N = {order} (factors {spec.n} x {spec.n} and {spec.m} x {spec.m})"
         raise MemoryError(f"out of memory: {need}") from None
-
-
-def _resist(spec: PocketSpec, args) -> int:
-    """Write every r_uv and Kf: with ``--oracle`` read from the dense X,
-    otherwise from the two small factors of a ``PocketResistance``.
-
-    The writers write ASCII bytes, into ``--out`` opened "wb" or into
-    standard output's byte buffer, after the text already written to
-    standard output; no text layer decodes or encodes them."""
-    if args.oracle:
-        x = oracle_one_inverse(build_pocket_graph(spec)[0])
-        n, values, kf = x.shape[0], partial(pair_resistances, x), kirchhoff_from_one_inverse(x, "oracle")
-    else:
-        s = PocketResistance(spec)
-        n, values, kf = s.order, s.pair_resistances, s.kirchhoff()
-    if args.out:
-        with open(args.out, "wb") as out:
-            _WRITERS[args.format](out, n, values, kf)
-    else:
-        sys.stdout.flush()
-        _WRITERS[args.format](sys.stdout.buffer, n, values, kf)
     return 0
 
 
@@ -465,30 +464,29 @@ def cmd_verify(args) -> int:
     # sort_keys puts "instances" first, so the other keys follow the list.
     table = args.format == "table"
     all_ok = True
-    out = _open_out(args.out)
-    if not table:
-        out.write('{"instances": [')
-    for i, (label, spec) in enumerate(instances):
-        rep = verify_construction(
-            spec, tol_r=args.tol_r, tol_kf=args.tol_kf, label=label
-        )
-        all_ok = all_ok and rep.ok
+    with _output(args.out) as out:
+        if not table:
+            out.write(b'{"instances": [')
+        for i, (label, spec) in enumerate(instances):
+            rep = verify_construction(spec, tol_r=args.tol_r, tol_kf=args.tol_kf, label=label)
+            all_ok = all_ok and rep.ok
+            if table:
+                text = f"== {label} ==\n{rep.to_table()}\n"
+            else:
+                text = (", " if i else "") + rep.to_json()
+            out.write(text.encode("ascii"))
         if table:
-            out.write(f"== {label} ==\n{rep.to_table()}\n")
+            text = f"overall: {'PASS' if all_ok else 'FAIL'}\n"
         else:
-            out.write((", " if i else "") + rep.to_json())
-    if table:
-        out.write(f"overall: {'PASS' if all_ok else 'FAIL'}\n")
-    else:
-        rest = {
-            "ok": all_ok,
-            "seed": args.seed,
-            "max_n": args.max_n,
-            "max_m": args.max_m,
-            "tolerances": {"resistance": args.tol_r, "kirchhoff": args.tol_kf},
-        }
-        out.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
-    _close_out(out)
+            rest = {
+                "ok": all_ok,
+                "seed": args.seed,
+                "max_n": args.max_n,
+                "max_m": args.max_m,
+                "tolerances": {"resistance": args.tol_r, "kirchhoff": args.tol_kf},
+            }
+            text = "], " + json.dumps(rest, sort_keys=True)[1:] + "\n"
+        out.write(text.encode("ascii"))
     return 0 if all_ok else 1
 
 
@@ -513,27 +511,26 @@ def cmd_bench(args) -> int:
     n0, m0, _ = BENCH_SIZES[0]  # below the smallest size, nothing is timed
     _check_at_least(args, ("seed", 0), ("max_n", n0), ("max_m", m0))
     rng = np.random.default_rng(args.seed)
-    out = _open_out(args.out)
-    out.write("n,m,l,total_order,t_structured,t_oracle,speedup,agree\n")
-    for n, m, l in BENCH_SIZES:
-        if n > args.max_n or m > args.max_m:
-            continue
-        f = random_connected_graph(rng, n)
-        h1 = random_graph(rng, l)
-        h2 = random_graph(rng, m - l)
-        spec = PocketSpec(f, tuple(range(n)), h1, h2)
-        order = n + m * n
-        t_struct, kf_s = time_route(lambda: PocketResistance(spec).kirchhoff())
-        t_oracle, kf_o = time_route(
-            lambda: kirchhoff_from_one_inverse(oracle_one_inverse(build_pocket_graph(spec)[0]), "oracle"))
-        tol = 1e-8 if order < 50 else 1e-6
-        agree = abs(kf_s.value - kf_o.value) <= tol
-        speedup = t_oracle / t_struct if t_struct > 0 else float("inf")
-        out.write(
-            f"{n},{m},{l},{order},{t_struct:.6f},{t_oracle:.6f},"
-            f"{speedup:.2f},{'yes' if agree else 'FLAGGED'}\n"
-        )
-    _close_out(out)
+    with _output(args.out) as out:
+        out.write(b"n,m,l,total_order,t_structured,t_oracle,speedup,agree\n")
+        for n, m, l in BENCH_SIZES:
+            if n > args.max_n or m > args.max_m:
+                continue
+            f = random_connected_graph(rng, n)
+            h1 = random_graph(rng, l)
+            h2 = random_graph(rng, m - l)
+            spec = PocketSpec(f, tuple(range(n)), h1, h2)
+            order = n + m * n
+            t_struct, kf_s = time_route(lambda: PocketResistance(spec).kirchhoff())
+            t_oracle, kf_o = time_route(
+                lambda: kirchhoff_from_one_inverse(oracle_one_inverse(build_pocket_graph(spec)[0]), "oracle"))
+            tol = 1e-8 if order < 50 else 1e-6
+            agree = abs(kf_s.value - kf_o.value) <= tol
+            speedup = t_oracle / t_struct if t_struct > 0 else float("inf")
+            out.write(
+                f"{n},{m},{l},{order},{t_struct:.6f},{t_oracle:.6f},"
+                f"{speedup:.2f},{'yes' if agree else 'FLAGGED'}\n".encode("ascii")
+            )
     return 0
 
 
@@ -543,15 +540,6 @@ def _check_at_least(args, *bounds) -> None:
         value = getattr(args, dest)
         if value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
-
-
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
-
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
 
 
 def _add_spec_args(p):

@@ -65,6 +65,9 @@ class _OutputBuffer:
     reference count says so); otherwise, or when it is too small, the call
     gets a new one of exactly order**2 entries, no headroom guessed for
     orders to come. ``release_output_buffer`` drops the kept buffer.
+
+    The reuse test is the reference-count check that numpy's
+    ``ndarray.resize(refcheck=True)`` also makes before it reuses memory.
     """
 
     def __init__(self):

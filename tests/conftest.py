@@ -1,8 +1,13 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules; ``tools/`` is put on ``sys.path``,
+so that a test can import a tool as a module."""
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def _traced_peak(fn, *args):

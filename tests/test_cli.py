@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import output_snapshot
 import pocket_kirch
 from pocket_kirch import cli, resistance
 from pocket_kirch.cli import main, make_parser
@@ -155,15 +157,7 @@ def _graph_files(tmp_path, graphs):
 
 def _order_300_argv(tmp_path):
     """resist argv for a random pocket graph of order 20 + 14 * 20 = 300."""
-    rng = np.random.default_rng(5)
-    f, h1, h2 = _graph_files(
-        tmp_path,
-        [
-            ("f", random_connected_graph(rng, 20)),
-            ("h1", random_graph(rng, 3)),
-            ("h2", random_graph(rng, 11)),
-        ],
-    )
+    f, h1, h2 = _graph_files(tmp_path, zip(("f", "h1", "h2"), output_snapshot._order_300()))
     return ["resist", "--f", f, "--h1", h1, "--h2", h2], 300
 
 
@@ -804,7 +798,7 @@ class TestVerify:
     def test_reports_streamed(self, monkeypatch, fmt, tol_r):
         # each report is written before the next instance is audited, and
         # the text is that of the whole payload written at once
-        buf = io.StringIO()
+        buf = io.BytesIO()
         written, reports = [], []
 
         def audit(spec, **options):
@@ -812,8 +806,7 @@ class TestVerify:
             reports.append(verify_construction(spec, **options))
             return reports[-1]
 
-        monkeypatch.setattr(cli, "_open_out", lambda path: buf)
-        monkeypatch.setattr(cli, "_close_out", lambda fh: None)
+        monkeypatch.setattr(cli, "_output", lambda path: contextlib.nullcontext(buf))
         monkeypatch.setattr(cli, "verify_construction", audit)
         argv = ["verify", "--sweep", "3", "--tol-r", repr(tol_r), "--format", fmt]
         assert main(argv) == (0 if tol_r else 1)
@@ -833,7 +826,7 @@ class TestVerify:
                 "tolerances": {"resistance": tol_r, "kirchhoff": 1e-8},
                 "instances": [rep.to_dict() for rep in reports],
             }, sort_keys=True) + "\n"
-        assert buf.getvalue() == expected
+        assert buf.getvalue().decode("ascii") == expected
 
     @pytest.mark.parametrize("argv,option", [
         (["--tol-r", "nan"], "--tol-r"),
@@ -881,8 +874,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "random_spec", counting)
         monkeypatch.setattr(cli, "verify_construction", audit)
-        monkeypatch.setattr(cli, "_open_out", lambda path: io.StringIO())
-        monkeypatch.setattr(cli, "_close_out", lambda fh: None)
+        monkeypatch.setattr(cli, "_output", lambda path: contextlib.nullcontext(io.BytesIO()))
         assert main(["verify", "--sweep", "4"]) == 0
         fixtures = len(builtin_fixtures())
         assert seen == [0] * fixtures + [1, 2, 3, 4]
@@ -1060,18 +1052,24 @@ def test_cli_import_loads_no_scipy_sparse():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
-def test_stdout_gets_the_out_file_bytes(tmp_path, fmt):
-    # a text layer in UTF-16 would re-encode whatever passed through it
-    argv, order = _order_300_argv(tmp_path)
-    argv += ["--format", fmt]
-    target = tmp_path / f"r.{fmt}"
-    assert main(argv + ["--out", str(target)]) == 0
+def _utf16_stdout(argv):
+    """The bytes ``python -m pocket_kirch.cli argv`` writes to standard
+    output under PYTHONIOENCODING=utf-16, where a text layer would
+    re-encode whatever passed through it."""
     src = os.path.dirname(os.path.dirname(pocket_kirch.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-16")
     done = subprocess.run([sys.executable, "-m", "pocket_kirch.cli"] + argv, env=env,
                           capture_output=True, check=True, timeout=120)
-    text = done.stdout
+    return done.stdout
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_stdout_gets_the_out_file_bytes(tmp_path, fmt):
+    argv, order = _order_300_argv(tmp_path)
+    argv += ["--format", fmt]
+    target = tmp_path / f"r.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    text = _utf16_stdout(argv)
     assert text == target.read_bytes()
     if fmt == "json":  # one line: Kf in the head, then the pairs
         assert text.startswith(b'{"kf": ') and text.endswith(b"]]}\n")
@@ -1080,6 +1078,24 @@ def test_stdout_gets_the_out_file_bytes(tmp_path, fmt):
         assert lines[0] == {"csv": b"u,v,r", "table": b"   u   v                 r"}[fmt]
         assert lines[-2].startswith({"csv": b"# Kf = ", "table": b"Kf = "}[fmt]) and lines[-1] == b""
         assert len(lines) == order * (order - 1) // 2 + 3
+
+
+@pytest.mark.parametrize("fmt", ["edges", "json"])
+def test_build_stdout_gets_the_out_files_bytes(tmp_path, fmt):
+    # the graph file's bytes, then its layout file's
+    argv = ["build"] + _order_300_argv(tmp_path)[0][1:] + ["--format", fmt]
+    target = tmp_path / f"g.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    layout = tmp_path / f"g.{fmt}.layout.json"
+    assert _utf16_stdout(argv) == target.read_bytes() + layout.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_stdout_gets_the_out_file_bytes(tmp_path, fmt):
+    argv = ["verify", "--sweep", "2", "--format", fmt]
+    target = tmp_path / f"v.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert _utf16_stdout(argv) == target.read_bytes()
 
 
 def test_closed_stdout_ends_resist_quietly(tmp_path):

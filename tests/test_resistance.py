@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import output_snapshot
 from pocket_kirch import (
     DisconnectedGraphError,
     Graph,
@@ -151,9 +152,8 @@ def _non_join_gadget_specs(count=8, seed=17):
 
 def _order_300_spec():
     """The order-300 instance of ``resist``'s tests: 20 + 14 * 20."""
-    rng = np.random.default_rng(5)
-    f, h1, h2 = random_connected_graph(rng, 20), random_graph(rng, 3), random_graph(rng, 11)
-    return PocketSpec(f, tuple(range(20)), h1, h2)
+    f, h1, h2 = output_snapshot._order_300()
+    return PocketSpec(f, tuple(range(f.order)), h1, h2)
 
 
 def _is_join(spec) -> bool:

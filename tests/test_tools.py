@@ -5,14 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from pocket_kirch.graphs import to_edge_list
+import writer_timing
 from pocket_kirch.sweep import builtin_fixtures
-from test_cli import _order_300_argv
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-import output_snapshot  # noqa: E402
-import writer_timing  # noqa: E402
 
 
 def test_output_snapshot_writes_every_output(tmp_path):
@@ -22,15 +18,23 @@ def test_output_snapshot_writes_every_output(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    labels = [label for label, _ in builtin_fixtures()]
-    labels += ["split-base-0", "all-pocketed-1", "all-pocketed-2", "order300"]
+    fixtures = [label for label, _ in builtin_fixtures()]
+    non_join = ["p4-rooted-c5", "p4-k2-k1"]
+    labels = fixtures + ["split-base-0", "all-pocketed-1", "all-pocketed-2", "order300"] + non_join
     expected = {
         f"resist-{label}-{route}.{fmt}"
         for label in labels
         for route in ("structured", "oracle")
         for fmt in ("csv", "json", "table")
     }
+    expected |= {
+        f"build-{label}.{fmt}{layout}"
+        for label in fixtures + non_join
+        for fmt in ("edges", "json")
+        for layout in ("", ".layout.json")
+    }
     expected |= {"verify-sweep40.json", "verify-sweep40.table"}
+    assert len(expected) == 106
     assert {p.name for p in tmp_path.iterdir()} == expected
     assert all(p.stat().st_size > 0 for p in tmp_path.iterdir())
 
@@ -64,13 +68,6 @@ def test_output_snapshot_pins_one_blas_thread():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str([["1", "1", "1"]])
-
-
-def test_order_300_instance_is_the_cli_tests_one(tmp_path):
-    argv, _ = _order_300_argv(tmp_path)
-    files = argv[2::2]  # --f, --h1, --h2
-    texts = [Path(path).read_text() for path in files]
-    assert texts == [to_edge_list(g) for g in output_snapshot._order_300()]
 
 
 def test_writer_timing_times_every_writer(capsys, monkeypatch):

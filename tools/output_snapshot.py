@@ -11,13 +11,17 @@ thread before numpy is imported, whatever the environment asks for: the
 OUTDIR receives one file per output:
 - ``resist`` in csv, json and table, structured and ``--oracle``, on the
   six built-in fixtures, on the three resist-cli instances of
-  ``perfbench/workloads.py`` (its generator, seeded with RESIST_CLI_SEED)
-  and on the order-300 instance of ``tests/test_cli.py``;
+  ``perfbench/workloads.py`` (its generator, seeded with RESIST_CLI_SEED),
+  on the order-300 instance (``_order_300``) and on two instances whose F
+  is no join F1 v F2, so that no theorem prints their values:
+  ``p4-rooted-c5``, the cycle C5 rooted at 0 (``--hv``) on P4's vertices 2
+  and 0, and ``p4-k2-k1``, H1 = K2 and H2 = K1 on P4's vertices 0 and 2;
+- ``build`` in edges and json, the graph file and its ``.layout.json``, on
+  the six built-in fixtures and the two instances above;
 - ``verify --sweep 40`` in json and table, at the default seed.
 
-``_order_300`` restates ``tests/test_cli.py``'s ``_order_300_argv`` (seed 5,
-F of order 20, H1 of order 3, H2 of order 11); the two must be kept in
-step, and ``tests/test_tools.py`` checks that they are.
+The CLI and resistance tests take their order-300 instance from
+``_order_300``.
 """
 
 from __future__ import annotations
@@ -36,25 +40,31 @@ import numpy as np  # noqa: E402
 
 import pocket_kirch  # noqa: E402
 from pocket_kirch import cli  # noqa: E402
-from pocket_kirch.graphs import to_edge_list  # noqa: E402
+from pocket_kirch.graphs import Graph, PocketSpec, complete_graph, path_graph, to_edge_list  # noqa: E402
 from pocket_kirch.sweep import builtin_fixtures, random_connected_graph, random_graph  # noqa: E402
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 RESIST_CLI_SEED = 4301
 RESIST_FORMATS = ("csv", "json", "table")
+BUILD_FORMATS = ("edges", "json")
 VERIFY_FORMATS = ("json", "table")
 
 
-def _spec_argv(label, f, h1, h2, attach, workdir) -> list:
-    """resist's spec options for F, H1, H2 and attach, written as edge-list
-    files named after ``label`` in ``workdir``."""
-    argv = ["resist"]
-    for option, g in (("--f", f), ("--h1", h1), ("--h2", h2)):
+def _spec_argv(label, graphs, attach, workdir, *extra) -> list:
+    """The spec options of ``graphs``, (option, graph) pairs written as
+    edge-list files named after ``label`` in ``workdir``, then ``extra``
+    and ``--attach``."""
+    argv = []
+    for option, g in graphs:
         path = os.path.join(workdir, f"{label}{option[1:]}.txt")
         with open(path, "w") as fh:
             fh.write(to_edge_list(g))
         argv += [option, path]
-    return argv + ["--attach", ",".join(map(str, attach))]
+    return argv + list(extra) + ["--attach", ",".join(map(str, attach))]
+
+
+def _pocket_argv(label, spec, workdir) -> list:
+    return _spec_argv(label, (("--f", spec.F), ("--h1", spec.H1), ("--h2", spec.H2)), spec.attach, workdir)
 
 
 def _order_300():
@@ -74,15 +84,25 @@ def resist_cli_items(workdir: str) -> list:
     return workloads.ResistCli().setup(pocket_kirch, rng, workdir)
 
 
-def resist_instances(workdir: str) -> list:
-    """(label, resist argv without --format and --out) of every instance."""
-    specs = list(builtin_fixtures()) + [(it.key, it.spec) for it in resist_cli_items(workdir)]
-    instances = [
-        (label, _spec_argv(label, s.F, s.H1, s.H2, s.attach, workdir)) for label, s in specs
+def non_join_instances(workdir: str) -> list:
+    """(label, spec options) of the two instances on P4, which is no join."""
+    p4, k1, k2 = path_graph(4), complete_graph(1), complete_graph(2)
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    return [
+        ("p4-rooted-c5", _spec_argv("p4-rooted-c5", [("--f", p4), ("--hv", c5)], (2, 0), workdir, "--v-id", "0")),
+        ("p4-k2-k1", _pocket_argv("p4-k2-k1", PocketSpec(p4, (0, 2), k2, k1), workdir)),
     ]
+
+
+def instances(workdir: str) -> tuple:
+    """(build instances, resist instances), each a list of (label, spec
+    options)."""
+    fixtures = [(label, _pocket_argv(label, s, workdir)) for label, s in builtin_fixtures()]
+    resist_cli = [(it.key, _pocket_argv(it.key, it.spec, workdir)) for it in resist_cli_items(workdir)]
     f, h1, h2 = _order_300()
-    instances.append(("order300", _spec_argv("order300", f, h1, h2, range(20), workdir)))
-    return instances
+    order_300 = ("order300", _pocket_argv("order300", PocketSpec(f, tuple(range(f.order)), h1, h2), workdir))
+    non_join = non_join_instances(workdir)
+    return fixtures + non_join, fixtures + resist_cli + [order_300] + non_join
 
 
 def main(argv=None) -> int:
@@ -92,11 +112,16 @@ def main(argv=None) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     runs = []
     with tempfile.TemporaryDirectory() as workdir:
-        for label, spec_argv in resist_instances(workdir):
+        build, resist = instances(workdir)
+        for label, spec_argv in build:
+            for fmt in BUILD_FORMATS:
+                out = os.path.join(args.outdir, f"build-{label}.{fmt}")
+                runs.append(["build"] + spec_argv + ["--format", fmt, "--out", out])
+        for label, spec_argv in resist:
             for route, extra in (("structured", []), ("oracle", ["--oracle"])):
                 for fmt in RESIST_FORMATS:
                     out = os.path.join(args.outdir, f"resist-{label}-{route}.{fmt}")
-                    runs.append(spec_argv + extra + ["--format", fmt, "--out", out])
+                    runs.append(["resist"] + spec_argv + extra + ["--format", fmt, "--out", out])
         for fmt in VERIFY_FORMATS:
             out = os.path.join(args.outdir, f"verify-sweep40.{fmt}")
             runs.append(["verify", "--sweep", "40", "--format", fmt, "--out", out])
@@ -106,7 +131,7 @@ def main(argv=None) -> int:
             if cli.main(run) == 2:
                 print(f"failed: {' '.join(run)}", file=sys.stderr)
                 return 2
-    print(f"{len(runs)} files from {os.path.dirname(pocket_kirch.__file__)}")
+    print(f"{len(runs)} runs from {os.path.dirname(pocket_kirch.__file__)}")
     return 0
 
 
